@@ -1,0 +1,486 @@
+"""Exact dense linear algebra over a large prime field or the rationals.
+
+Rank and right-kernel computations for interpolation matrices.  Two scalar
+domains are supported:
+
+* ``PrimeField`` -- arithmetic mod a prime p < 2^62.  The default modulus is
+  the Mersenne prime 2^61 - 1; products need 128-bit intermediates, which
+  Python ints provide exactly and which the numpy hot path emulates with a
+  split 31/30-bit multiply in uint64.  Used as a fast generic-rank oracle.
+* rationals -- ``fractions.Fraction`` entries.  Elimination is fraction-free
+  (Bareiss) on denominator-cleared integer rows, so intermediate entries are
+  minors of the input and stay bounded.
+
+Pivot rules are fixed (first nonzero row in column order for the field,
+largest-magnitude entry for integers, ties to the lowest row index), so every
+result is a deterministic function of the input matrix alone.  All public
+values are immutable and safe to share between threads.
+"""
+
+from __future__ import annotations
+
+from dataclasses import dataclass
+from fractions import Fraction
+from math import gcd, lcm
+
+import numpy as np
+
+M61 = (1 << 61) - 1  # default modulus: Mersenne prime 2^61 - 1
+
+_U = np.uint64
+_M61 = _U(M61)
+_MASK31 = _U((1 << 31) - 1)
+_MASK30 = _U((1 << 30) - 1)
+
+# Witness set making Miller-Rabin deterministic for n < 3.3 * 10^24,
+# far beyond the 2^62 modulus cap.
+_MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+
+
+def is_prime(n: int) -> bool:
+    """Deterministic Miller-Rabin primality test (valid for n < 3.3e24)."""
+    if n < 2:
+        return False
+    for p in _MR_WITNESSES:
+        if n % p == 0:
+            return n == p
+    d = n - 1
+    s = 0
+    while d % 2 == 0:
+        d //= 2
+        s += 1
+    for a in _MR_WITNESSES:
+        x = pow(a, d, n)
+        if x in (1, n - 1):
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
+            return False
+    return True
+
+
+class ReductionError(ArithmeticError):
+    """A rational could not be reduced mod p (denominator divisible by p).
+
+    The caller should re-draw the prime and retry.
+    """
+
+
+class PrimeField:
+    """Prime field Z/pZ with p < 2^62, verified prime at construction.
+
+    Elements are plain ints in [0, p).  Vector operations dispatch to a
+    numpy fast path when the modulus allows overflow-free uint64 arithmetic
+    (the Mersenne default, or any p < 2^31); other moduli fall back to
+    object-dtype arrays of Python ints, which are slower but exact.
+    """
+
+    __slots__ = ("modulus", "_kind")
+
+    def __init__(self, modulus: int = M61):
+        if not isinstance(modulus, int):
+            raise TypeError("modulus must be an int")
+        if modulus >= 1 << 62:
+            raise ValueError("modulus must be < 2^62")
+        if not is_prime(modulus):
+            raise ValueError(f"modulus {modulus} is not prime")
+        self.modulus = modulus
+        if modulus == M61:
+            self._kind = "m61"
+        elif modulus < 1 << 31:
+            self._kind = "small"
+        else:
+            self._kind = "object"
+
+    def __repr__(self):
+        return f"PrimeField({self.modulus})"
+
+    def __eq__(self, other):
+        return isinstance(other, PrimeField) and other.modulus == self.modulus
+
+    def __hash__(self):
+        return hash(("PrimeField", self.modulus))
+
+    # -- scalar arithmetic ------------------------------------------------
+
+    def element(self, x: int) -> int:
+        return x % self.modulus
+
+    def add(self, a: int, b: int) -> int:
+        return (a + b) % self.modulus
+
+    def sub(self, a: int, b: int) -> int:
+        return (a - b) % self.modulus
+
+    def mul(self, a: int, b: int) -> int:
+        return a * b % self.modulus
+
+    def neg(self, a: int) -> int:
+        return -a % self.modulus
+
+    def inv(self, a: int) -> int:
+        if a % self.modulus == 0:
+            raise ZeroDivisionError("inverse of zero in prime field")
+        return pow(a, self.modulus - 2, self.modulus)
+
+    def from_rational(self, x) -> int:
+        """Reduce a rational mod p: numerator times inverse denominator.
+
+        Raises ReductionError when p divides the denominator; the caller
+        should re-draw the prime.
+        """
+        x = Fraction(x)
+        if x.denominator % self.modulus == 0:
+            raise ReductionError(
+                f"denominator {x.denominator} divisible by modulus "
+                f"{self.modulus}; re-draw the prime"
+            )
+        return x.numerator * pow(x.denominator, -1, self.modulus) % self.modulus
+
+    # -- vector arithmetic (hot path of elimination) ----------------------
+
+    def vec(self, xs) -> np.ndarray:
+        """Pack a sequence of field elements into the internal vector form."""
+        if self._kind == "object":
+            return np.array([x % self.modulus for x in xs], dtype=object)
+        return np.array([x % self.modulus for x in xs], dtype=np.uint64)
+
+    def vec_mul(self, v: np.ndarray, c: int) -> np.ndarray:
+        """Elementwise v*c mod p."""
+        if self._kind == "m61":
+            return _m61_mul(v, c)
+        if self._kind == "small":
+            return v * _U(c) % _U(self.modulus)
+        return (v * c) % self.modulus
+
+    def vec_submul(self, v: np.ndarray, c: int, e: np.ndarray) -> np.ndarray:
+        """Elementwise (v - c*e) mod p."""
+        t = self.vec_mul(e, c)
+        if self._kind == "object":
+            return (v - t) % self.modulus
+        p = _U(self.modulus)
+        r = v + (p - t)  # v < p and p - t <= p, so r < 2p < 2^63
+        return np.where(r >= p, r - p, r)
+
+
+def _m61_mul(v: np.ndarray, c: int) -> np.ndarray:
+    # 61x61-bit product mod 2^61-1 without 128-bit ints: split both factors
+    # into 31/30-bit halves and fold with 2^61 = 1, 2^62 = 2 (mod M61).
+    c1 = _U(c >> 31)
+    c0 = _U(c & 0x7FFFFFFF)
+    v1 = v >> _U(31)
+    v0 = v & _MASK31
+    mid = v1 * c0 + v0 * c1  # < 2^62
+    total = (
+        ((v1 * c1) << _U(1))
+        + (mid >> _U(30))
+        + ((mid & _MASK30) << _U(31))
+        + v0 * c0
+    )  # < 2^64, congruent to v*c
+    r = (total >> _U(61)) + (total & _M61)
+    r = (r >> _U(61)) + (r & _M61)
+    return np.where(r == _M61, _U(0), r)
+
+
+def rational_to_field(x, f: PrimeField) -> int:
+    """Reduce the rational x into the prime field f."""
+    return f.from_rational(x)
+
+
+# ---------------------------------------------------------------------------
+# Matrices
+
+
+@dataclass(frozen=True)
+class ExactMatrix:
+    """Dense matrix over a prime field (``field`` set) or the rationals.
+
+    ``entries`` is a row-major tuple; rational entries are Fractions (always
+    in lowest terms with positive denominator), field entries ints in [0, p).
+    """
+
+    rows: int
+    cols: int
+    entries: tuple
+    field: PrimeField | None = None
+
+    def __post_init__(self):
+        if len(self.entries) != self.rows * self.cols:
+            raise ValueError("entries length must equal rows * cols")
+
+    @classmethod
+    def from_rows(cls, rows, field: PrimeField | None = None) -> "ExactMatrix":
+        rows = [list(r) for r in rows]
+        nr = len(rows)
+        nc = len(rows[0]) if nr else 0
+        if any(len(r) != nc for r in rows):
+            raise ValueError("ragged rows")
+        if field is None:
+            flat = tuple(Fraction(x) for r in rows for x in r)
+        else:
+            flat = tuple(int(x) % field.modulus for r in rows for x in r)
+        return cls(nr, nc, flat, field)
+
+    @property
+    def scalar_domain(self) -> str:
+        return "rational" if self.field is None else f"prime_field({self.field.modulus})"
+
+    def row(self, i: int) -> tuple:
+        return self.entries[i * self.cols : (i + 1) * self.cols]
+
+    def row_lists(self) -> list:
+        return [list(self.row(i)) for i in range(self.rows)]
+
+
+def _int_rows_from_rational(rows) -> list:
+    """Scale each row by the lcm of its denominators (rank/kernel invariant)."""
+    out = []
+    for r in rows:
+        denors = [x.denominator for x in r]
+        m = lcm(*denors) if denors else 1
+        out.append([int(x * m) for x in r])
+    return out
+
+
+def _bareiss_echelon(rows: list) -> tuple[list, list]:
+    """Fraction-free row echelon form of integer rows.
+
+    Pivot: largest-magnitude entry in the current column (ties to the lowest
+    row index).  Returns (echelon rows, pivot column indices); all arithmetic
+    is exact, divisions are guaranteed exact by the Sylvester identity.
+    """
+    m = [list(r) for r in rows]
+    nr = len(m)
+    nc = len(m[0]) if nr else 0
+    prev = 1
+    piv_cols = []
+    pr = 0
+    for pc in range(nc):
+        if pr == nr:
+            break
+        best = -1
+        best_abs = 0
+        for i in range(pr, nr):
+            a = abs(m[i][pc])
+            if a > best_abs:
+                best, best_abs = i, a
+        if best < 0:
+            continue
+        if best != pr:
+            m[pr], m[best] = m[best], m[pr]
+        piv = m[pr][pc]
+        prow = m[pr]
+        for i in range(pr + 1, nr):
+            row = m[i]
+            a = row[pc]
+            # every row below is transformed, a == 0 included: the exact
+            # divisibility of later steps needs the pivot scaling
+            if a:
+                for j in range(pc, nc):
+                    row[j] = (piv * row[j] - a * prow[j]) // prev
+            else:
+                for j in range(pc, nc):
+                    row[j] = piv * row[j] // prev
+        prev = piv
+        piv_cols.append(pc)
+        pr += 1
+    return m[:pr], piv_cols
+
+
+def _field_rref(field: PrimeField, rows: list) -> tuple[list, list]:
+    """Reduced row echelon form mod p; first-nonzero pivot in column order."""
+    work = [field.vec(r) for r in rows]
+    nr = len(work)
+    nc = len(rows[0]) if nr else 0
+    piv_cols = []
+    pr = 0
+    for pc in range(nc):
+        if pr == nr:
+            break
+        sel = -1
+        for i in range(pr, nr):
+            if work[i][pc]:
+                sel = i
+                break
+        if sel < 0:
+            continue
+        if sel != pr:
+            work[pr], work[sel] = work[sel], work[pr]
+        inv = field.inv(int(work[pr][pc]))
+        work[pr] = field.vec_mul(work[pr], inv)
+        for i in range(nr):
+            if i != pr and work[i][pc]:
+                work[i] = field.vec_submul(work[i], int(work[i][pc]), work[pr])
+        piv_cols.append(pc)
+        pr += 1
+    return work[:pr], piv_cols
+
+
+def rank(m: ExactMatrix) -> int:
+    """Rank of m over its scalar domain."""
+    if m.rows == 0 or m.cols == 0:
+        return 0
+    if m.field is None:
+        _, piv = _bareiss_echelon(_int_rows_from_rational(m.row_lists()))
+    else:
+        _, piv = _field_rref(m.field, m.row_lists())
+    return len(piv)
+
+
+def _normalize_first_nonzero(v: list, field: PrimeField | None) -> list:
+    for x in v:
+        if x:
+            if field is None:
+                return [y / x for y in v]
+            inv = field.inv(int(x))
+            return [int(y) * inv % field.modulus for y in v]
+    raise ValueError("zero vector cannot be normalized")
+
+
+def kernel_basis(m: ExactMatrix) -> list:
+    """Basis of the right kernel of m, cols - rank(m) vectors.
+
+    Each vector has its first nonzero entry normalized to 1 and is verified
+    to satisfy m @ v = 0 exactly before being returned.
+    """
+    if m.cols == 0:
+        return []
+    rows = m.row_lists()
+    if m.field is None:
+        ech, piv_cols = _bareiss_echelon(_int_rows_from_rational(rows))
+        zero, one = Fraction(0), Fraction(1)
+
+        def solve(free: int) -> list:
+            v = [zero] * m.cols
+            v[free] = one
+            for i in reversed(range(len(piv_cols))):
+                pc = piv_cols[i]
+                s = sum(ech[i][j] * v[j] for j in range(pc + 1, m.cols) if v[j])
+                v[pc] = Fraction(-s, ech[i][pc])
+            return v
+
+    else:
+        ech, piv_cols = _field_rref(m.field, rows)
+        p = m.field.modulus
+
+        def solve(free: int) -> list:
+            v = [0] * m.cols
+            v[free] = 1
+            for i, pc in enumerate(piv_cols):
+                v[pc] = -int(ech[i][free]) % p
+            return v
+
+    piv_set = set(piv_cols)
+    basis = []
+    for free in range(m.cols):
+        if free in piv_set:
+            continue
+        v = _normalize_first_nonzero(solve(free), m.field)
+        _verify_in_kernel(m, v)
+        basis.append(tuple(v))
+    return basis
+
+
+def _verify_in_kernel(m: ExactMatrix, v: list) -> None:
+    for i in range(m.rows):
+        row = m.row(i)
+        if m.field is None:
+            s = sum(row[j] * v[j] for j in range(m.cols) if v[j])
+            ok = s == 0
+        else:
+            s = sum(int(row[j]) * int(v[j]) for j in range(m.cols) if v[j])
+            ok = s % m.field.modulus == 0
+        if not ok:
+            raise RuntimeError(f"kernel vector fails m @ v = 0 at row {i}")
+
+
+# ---------------------------------------------------------------------------
+# Incremental rank
+
+
+def _strip_content(v: list) -> list:
+    g = 0
+    for x in v:
+        if x:
+            g = gcd(g, abs(x))
+            if g == 1:
+                break
+    if g > 1:
+        v = [x // g for x in v]
+    # sign convention: first nonzero positive, for a canonical stored basis
+    for x in v:
+        if x:
+            if x < 0:
+                v = [-y for y in v]
+            break
+    return v
+
+
+class RankAccumulator:
+    """Online rank of a growing list of vectors (appended matrix columns).
+
+    Each added vector is reduced against the echelon basis kept so far, in
+    increasing pivot order; the pivot sequence is therefore fixed by the
+    insertion order and the result is deterministic.  Field vectors use
+    modular arithmetic; exact vectors (ints or Fractions) are scaled to
+    integers and reduced with fraction-free two-term updates plus content
+    stripping, which keeps entries bounded on interpolation matrices.
+    """
+
+    def __init__(self, field: PrimeField | None = None):
+        self.field = field
+        self._ech: list = []  # (pivot index, vector), sorted by pivot
+
+    @property
+    def rank(self) -> int:
+        return len(self._ech)
+
+    def add(self, entries) -> bool:
+        """Reduce one vector; returns True when it enlarges the span."""
+        if self.field is None:
+            return self._add_exact(list(entries))
+        return self._add_field(entries)
+
+    def _add_field(self, entries) -> bool:
+        f = self.field
+        v = entries if isinstance(entries, np.ndarray) else f.vec(entries)
+        for pivot, evec in self._ech:
+            a = int(v[pivot])
+            if a:
+                v = f.vec_submul(v, a, evec)
+        nz = np.nonzero(v)[0]
+        if len(nz) == 0:
+            return False
+        pivot = int(nz[0])
+        v = f.vec_mul(v, f.inv(int(v[pivot])))
+        self._insert(pivot, v)
+        return True
+
+    def _add_exact(self, v: list) -> bool:
+        if any(isinstance(x, Fraction) for x in v):
+            m = lcm(*(Fraction(x).denominator for x in v))
+            v = [int(Fraction(x) * m) for x in v]
+        else:
+            v = [int(x) for x in v]
+        v = _strip_content(v)
+        for pivot, evec in self._ech:
+            a = v[pivot]
+            if a:
+                w = evec[pivot]
+                v = _strip_content([w * x - a * y for x, y in zip(v, evec)])
+        for i, x in enumerate(v):
+            if x:
+                self._insert(i, v)
+                return True
+        return False
+
+    def _insert(self, pivot: int, v) -> None:
+        lo = 0
+        for k, (pk, _) in enumerate(self._ech):
+            if pk > pivot:
+                break
+            lo = k + 1
+        self._ech.insert(lo, (pivot, v))

@@ -1,0 +1,417 @@
+"""Fat-point interpolation systems.
+
+A degree-d polynomial vanishes to order >= m at a point p exactly when the
+Taylor coefficients of (z - p)^alpha vanish for every |alpha| <= m - 1.  The
+coefficient of (z - p)^alpha in the monomial z^beta is
+
+    prod_i C(beta_i, alpha_i) * p_i^(beta_i - alpha_i),
+
+so the conditions are rows of an exact matrix against the graded-lex monomial
+basis of degree <= d.  Binomial-weighted ("divided") derivatives are used
+instead of raw partials: the kernel is identical, there is no factorial
+growth, and the formula is valid verbatim over a prime field with p >> m.
+
+The dimension of the linear system is column count minus rank; kernel vectors
+convert to polynomials whose exact vanishing order at each point is read off
+a Taylor shift.
+"""
+
+from __future__ import annotations
+
+from dataclasses import dataclass
+from fractions import Fraction
+from math import comb
+
+from .configs import PointConfig
+from .exactla import ExactMatrix, PrimeField, RankAccumulator, kernel_basis, rank
+
+
+def monomials_exact_degree(n: int, t: int) -> list:
+    """Multi-indices with |beta| = t, lexicographically descending."""
+    if n == 1:
+        return [(t,)]
+    out = []
+    for head in range(t, -1, -1):
+        for rest in monomials_exact_degree(n - 1, t - head):
+            out.append((head,) + rest)
+    return out
+
+
+def monomials(n: int, d: int) -> list:
+    """All multi-indices with |beta| <= d in graded-lexicographic order."""
+    if n < 1:
+        raise ValueError("n must be >= 1")
+    if d < 0:
+        raise ValueError("d must be >= 0")
+    out = []
+    for t in range(d + 1):
+        out.extend(monomials_exact_degree(n, t))
+    return out
+
+
+def monomial_count(n: int, d: int) -> int:
+    return comb(d + n, n)
+
+
+def condition_row(point, alpha, basis) -> list:
+    """Row expressing vanishing of the (z - p)^alpha Taylor coefficient.
+
+    Entries are exact rationals, one per basis monomial.
+    """
+    point = tuple(Fraction(x) for x in point)
+    row = []
+    for beta in basis:
+        if any(b < a for b, a in zip(beta, alpha)):
+            row.append(Fraction(0))
+            continue
+        val = Fraction(1)
+        for b, a, p in zip(beta, alpha, point):
+            val *= comb(b, a)
+            if b > a:
+                val *= p ** (b - a)
+        row.append(val)
+    return row
+
+
+def uniform_orders(config: PointConfig, l: int) -> tuple:
+    """Required vanishing orders at level l: l per point, scaled by any
+    per-point multiplicities the config carries."""
+    if l < 1:
+        raise ValueError("l must be >= 1")
+    if config.multiplicities is None:
+        return (l,) * config.r
+    return tuple(l * m for m in config.multiplicities)
+
+
+@dataclass(frozen=True)
+class InterpolationProblem:
+    """Vanishing conditions of given orders at config points, degree cap d."""
+
+    config: PointConfig
+    degree: int
+    orders: tuple
+    field: PrimeField | None = None
+
+    def __post_init__(self):
+        if self.degree < 0:
+            raise ValueError("degree must be >= 0")
+        if len(self.orders) != self.config.r:
+            raise ValueError("orders length must equal point count")
+        if any(m < 1 for m in self.orders):
+            raise ValueError("orders must be >= 1")
+
+    @classmethod
+    def uniform(cls, config: PointConfig, l: int, degree: int,
+                field: PrimeField | None = None) -> "InterpolationProblem":
+        return cls(config, degree, uniform_orders(config, l), field)
+
+    @property
+    def n(self) -> int:
+        return self.config.dimension
+
+    @property
+    def n_columns(self) -> int:
+        return monomial_count(self.n, self.degree)
+
+    @property
+    def n_conditions(self) -> int:
+        return sum(comb(m - 1 + self.n, self.n) for m in self.orders)
+
+    def condition_index(self) -> list:
+        """(point index, alpha) pairs in assembly order: points outer,
+        multi-indices graded-lex inner."""
+        out = []
+        for j, m in enumerate(self.orders):
+            for alpha in monomials(self.n, m - 1):
+                out.append((j, alpha))
+        return out
+
+
+class _PointPowers:
+    """Per-point coordinate powers in the target scalar domain."""
+
+    def __init__(self, point, field: PrimeField | None):
+        if field is None:
+            self.coords = tuple(Fraction(x) for x in point)
+        else:
+            self.coords = tuple(field.from_rational(x) for x in point)
+        self.field = field
+        self._pows = [[self._one()] for _ in self.coords]
+
+    def _one(self):
+        return 1 if self.field else Fraction(1)
+
+    def power(self, i: int, k: int):
+        tab = self._pows[i]
+        while len(tab) <= k:
+            if self.field:
+                tab.append(self.field.mul(tab[-1], self.coords[i]))
+            else:
+                tab.append(tab[-1] * self.coords[i])
+        return tab[k]
+
+
+def _entry(powers: _PointPowers, alpha, beta, field: PrimeField | None):
+    if any(b < a for b, a in zip(beta, alpha)):
+        return 0 if field else Fraction(0)
+    if field is None:
+        val = Fraction(1)
+        for i, (b, a) in enumerate(zip(beta, alpha)):
+            val *= comb(b, a)
+            if b > a:
+                val *= powers.power(i, b - a)
+        return val
+    p = field.modulus
+    val = 1
+    for i, (b, a) in enumerate(zip(beta, alpha)):
+        val = val * (comb(b, a) % p) % p
+        if b > a:
+            val = val * powers.power(i, b - a) % p
+    return val
+
+
+def condition_matrix(problem: InterpolationProblem) -> ExactMatrix:
+    """Assemble the full conditions x monomials matrix in the scalar domain."""
+    basis = monomials(problem.n, problem.degree)
+    powers = [_PointPowers(p, problem.field) for p in problem.config.points]
+    rows = []
+    for j, alpha in problem.condition_index():
+        pw = powers[j]
+        rows.append([_entry(pw, alpha, beta, problem.field) for beta in basis])
+    if not rows:  # orders >= 1 always give at least one row per point
+        raise RuntimeError("empty condition set")
+    return ExactMatrix.from_rows(rows, problem.field)
+
+
+def vanishing_dimension(problem: InterpolationProblem) -> int:
+    """Dimension of the space of degree <= d polynomials meeting all orders."""
+    return problem.n_columns - rank(condition_matrix(problem))
+
+
+def column_iterator(problem_index, powers, field, basis):
+    """Columns of the condition matrix, one per basis monomial, in order."""
+    for beta in basis:
+        yield [_entry(powers[j], alpha, beta, field) for j, alpha in problem_index]
+
+
+class DimensionSearch:
+    """Incremental dimension of the interpolation system as the degree grows.
+
+    Columns for each new degree are appended to a RankAccumulator, so walking
+    the degree upward costs one pass over the final matrix in total.
+    """
+
+    def __init__(self, config: PointConfig, orders, field: PrimeField | None = None,
+                 column_cap: int | None = None):
+        self.config = config
+        self.orders = tuple(orders)
+        self.field = field
+        self.column_cap = column_cap
+        self._index = InterpolationProblem(config, 0, self.orders, field).condition_index()
+        self._powers = [_PointPowers(p, field) for p in config.points]
+        self._acc = RankAccumulator(field)
+        self._cols = 0
+        self._degree = -1
+
+    @property
+    def n_conditions(self) -> int:
+        return len(self._index)
+
+    def dimension_at(self, degree: int) -> int:
+        """Vanishing dimension at the given degree (degrees must not decrease)."""
+        if degree < self._degree:
+            raise ValueError("DimensionSearch degree must be non-decreasing")
+        n = self.config.dimension
+        while self._degree < degree:
+            self._degree += 1
+            new = monomials_exact_degree(n, self._degree)
+            if self.column_cap is not None and self._cols + len(new) > self.column_cap:
+                raise ValueError(
+                    f"column cap {self.column_cap} exceeded at degree {self._degree}; "
+                    "use the prime-field domain or raise the cap"
+                )
+            for beta in new:
+                col = [_entry(self._powers[j], alpha, beta, self.field)
+                       for j, alpha in self._index]
+                self._acc.add(col)
+                self._cols += 1
+        return self._cols - self._acc.rank
+
+
+# ---------------------------------------------------------------------------
+# Kernel polynomials
+
+
+@dataclass(frozen=True)
+class KernelPolynomial:
+    """Exact polynomial witnessing the vanishing orders of a problem.
+
+    ``coefficients`` maps multi-indices to nonzero scalars (graded-lex
+    ordering in the stored tuple); ``achieved_orders[j]`` is the exact
+    vanishing order at the j-th config point, computed by a Taylor shift.
+    """
+
+    coefficients: tuple
+    degree: int
+    achieved_orders: tuple
+
+    def as_dict(self) -> dict:
+        return dict(self.coefficients)
+
+    def coefficient(self, beta):
+        for b, c in self.coefficients:
+            if b == beta:
+                return c
+        return None
+
+    def evaluate(self, z) -> complex:
+        """Floating-point evaluation at a complex point."""
+        total = 0j
+        for beta, c in self.coefficients:
+            term = complex(c) if not isinstance(c, int) else float(c)
+            for zi, b in zip(z, beta):
+                if b:
+                    term *= zi**b
+            total += term
+        return total
+
+    def evaluate_exact(self, point):
+        """Exact evaluation at a rational point (rational-domain polynomials)."""
+        total = Fraction(0)
+        for beta, c in self.coefficients:
+            term = Fraction(c)
+            for xi, b in zip(point, beta):
+                if b:
+                    term *= Fraction(xi) ** b
+            total += term
+        return total
+
+
+def taylor_shift(coeffs: dict, point, field: PrimeField | None = None) -> dict:
+    """Coefficients of P(z + point) from those of P(z).  Exact in the domain."""
+    out: dict = {}
+    if field is None:
+        point = tuple(Fraction(x) for x in point)
+        for beta, c in coeffs.items():
+            ranges = [range(b + 1) for b in beta]
+            for alpha in _product(ranges):
+                term = c
+                for i, (b, a) in enumerate(zip(beta, alpha)):
+                    if b > a:
+                        term = term * comb(b, a) * point[i] ** (b - a)
+                if term:
+                    key = tuple(alpha)
+                    out[key] = out.get(key, Fraction(0)) + term
+        return {k: v for k, v in out.items() if v}
+    p = field.modulus
+    pt = tuple(field.from_rational(x) for x in point)
+    for beta, c in coeffs.items():
+        ranges = [range(b + 1) for b in beta]
+        for alpha in _product(ranges):
+            term = c
+            for i, (b, a) in enumerate(zip(beta, alpha)):
+                if b > a:
+                    term = term * comb(b, a) % p * pow(pt[i], b - a, p) % p
+            if term:
+                key = tuple(alpha)
+                out[key] = (out.get(key, 0) + term) % p
+    return {k: v for k, v in out.items() if v}
+
+
+def _product(ranges):
+    if not ranges:
+        yield ()
+        return
+    for head in ranges[0]:
+        for rest in _product(ranges[1:]):
+            yield (head,) + rest
+
+
+def vanishing_order(coeffs: dict, point, field: PrimeField | None = None) -> int:
+    """Exact order of vanishing at a point: least |alpha| with a nonzero
+    shifted coefficient."""
+    shifted = taylor_shift(coeffs, point, field)
+    if not shifted:
+        raise ValueError("zero polynomial has no vanishing order")
+    return min(sum(a) for a in shifted)
+
+
+def poly_mul(a: dict, b: dict, field: PrimeField | None = None) -> dict:
+    out: dict = {}
+    for ba, ca in a.items():
+        for bb, cb in b.items():
+            key = tuple(x + y for x, y in zip(ba, bb))
+            if field is None:
+                out[key] = out.get(key, Fraction(0)) + ca * cb
+            else:
+                out[key] = (out.get(key, 0) + ca * cb) % field.modulus
+    return {k: v for k, v in out.items() if v}
+
+
+def proportional(a: dict, b: dict, field: PrimeField | None = None) -> bool:
+    """True when a and b agree up to a nonzero scalar."""
+    if set(a) != set(b):
+        return False
+    key = min(a, key=lambda k: (sum(k), tuple(-x for x in k)))
+    if field is None:
+        ratio = b[key] / a[key]
+        return all(b[k] == ratio * a[k] for k in a)
+    ratio = field.mul(b[key], field.inv(a[key]))
+    return all(b[k] == field.mul(ratio, a[k]) for k in a)
+
+
+def kernel_polynomials(problem: InterpolationProblem) -> list:
+    """Kernel basis of the condition matrix as polynomials with exact
+    achieved orders.  Raises when the system is empty at this degree."""
+    mat = condition_matrix(problem)
+    basis = monomials(problem.n, problem.degree)
+    vectors = kernel_basis(mat)
+    if not vectors:
+        raise ValueError(
+            f"system empty at this degree (d={problem.degree}, orders={problem.orders})"
+        )
+    out = []
+    for v in vectors:
+        coeffs = {basis[i]: c for i, c in enumerate(v) if c}
+        degree = max(sum(b) for b in coeffs)
+        achieved = tuple(
+            vanishing_order(coeffs, pt, problem.field) for pt in problem.config.points
+        )
+        for got, need in zip(achieved, problem.orders):
+            if got < need:
+                raise RuntimeError(
+                    f"kernel polynomial misses required order: {got} < {need}"
+                )
+        stored = tuple(sorted(coeffs.items(),
+                              key=lambda kv: (sum(kv[0]), tuple(-x for x in kv[0]))))
+        out.append(KernelPolynomial(stored, degree, achieved))
+    return out
+
+
+# ---------------------------------------------------------------------------
+# Homogeneous mode
+
+# Exact-degree-d forms in n+1 variables, points taken by their affine
+# representatives (p, 1).  Vanishing order at such a chart point equals the
+# order of the dehomogenization, so the condition entry for the form monomial
+# gamma uses the same binomial formula with the extra coordinate fixed at 1;
+# for point sets avoiding the hyperplane at infinity the affine and
+# homogeneous dimensions coincide degree by degree.
+
+
+def homogeneous_condition_matrix(problem: InterpolationProblem) -> ExactMatrix:
+    n = problem.n
+    basis = monomials_exact_degree(n + 1, problem.degree)
+    one = Fraction(1)
+    powers = [_PointPowers(tuple(p) + (one,), problem.field) for p in problem.config.points]
+    rows = []
+    for j, alpha in problem.condition_index():
+        pw = powers[j]
+        alpha_ext = alpha + (0,)
+        rows.append([_entry(pw, alpha_ext, gamma, problem.field) for gamma in basis])
+    return ExactMatrix.from_rows(rows, problem.field)
+
+
+def homogeneous_vanishing_dimension(problem: InterpolationProblem) -> int:
+    mat = homogeneous_condition_matrix(problem)
+    return mat.cols - rank(mat)

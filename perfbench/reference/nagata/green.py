@@ -1,0 +1,638 @@
+"""Numerical laboratory for multipole pluricomplex Green functions.
+
+Closed forms for the unit ball (single pole, via the standard automorphism)
+and for the symmetric two-point set on the unit polydisc; polynomial lower
+approximants of the Green function built from exact interpolation kernels;
+radial sup envelopes with a fitted log slope (the Lelong number of the
+singularity); pole-collision convergence tables; and a sampled check of the
+Schwarz-type norm inequality for polynomials with prescribed vanishing.
+
+Two domain modes are threaded through all sampling: "ball" (Euclidean norm,
+boundary = unit sphere) and "polydisc" (sup norm, boundary sampled on the
+unit torus, which carries the sup of any psh function over the polydisc).
+Sup norms are sampled, never certified: every approximant carries eps_sample,
+the observed normalization gap when the boundary sample count is doubled, and
+one-sided inequalities are reported with that slack.  All routines are
+deterministic given (inputs, seed, sample counts).
+"""
+
+from __future__ import annotations
+
+import math
+from dataclasses import dataclass
+from fractions import Fraction
+
+import numpy as np
+
+from .configs import PointConfig, frac_str
+from .fatpoints import InterpolationProblem, kernel_polynomials, uniform_orders
+from .invariants import omega_l, resolve_scalar, waldschmidt_interval, Verdict
+from .seeds import derive_seed
+
+NEG_INF = float("-inf")
+
+_MODES = ("ball", "polydisc")
+
+
+def _as_vector(z) -> np.ndarray:
+    v = np.asarray(z, dtype=complex)
+    if v.ndim != 1:
+        raise ValueError("a point is a flat sequence of complex coordinates")
+    if not np.all(np.isfinite(v.view(float))):
+        raise ValueError("coordinates must be finite")
+    return v
+
+
+def _norm(v: np.ndarray, mode: str) -> float:
+    if mode == "ball":
+        return float(np.linalg.norm(v))
+    return float(np.max(np.abs(v)))
+
+
+def _ln_abs(w: complex) -> float:
+    a = abs(w)
+    return math.log(a) if a > 0.0 else NEG_INF
+
+
+# ---------------------------------------------------------------------------
+# Closed forms
+
+
+def ball_green_single_pole(a, z) -> float:
+    """Green function of the unit ball with one logarithmic pole at a.
+
+    Equals ln|phi_a(z)| for the ball automorphism
+
+        phi_a(z) = (a - P_a z - sqrt(1 - |a|^2) (z - P_a z)) / (1 - <z, a>)
+
+    sending a to the origin (P_a is the projection onto a).  Evaluating the
+    automorphism directly keeps full relative precision near the pole, where
+    the equivalent identity 1 - |phi|^2 = (1-|a|^2)(1-|z|^2)/|1-<z,a>|^2
+    would cancel.  Reduces to ln||z|| for a = O, vanishes on the boundary,
+    and returns an explicit -inf sentinel at the pole.
+    """
+    a = _as_vector(a)
+    z = _as_vector(z)
+    na2 = float(np.sum(np.abs(a) ** 2))
+    nz2 = float(np.sum(np.abs(z) ** 2))
+    if na2 >= 1.0:
+        raise ValueError("pole must lie strictly inside the unit ball")
+    if nz2 > 1.0 + 1e-9:
+        raise ValueError("z must lie in the closed unit ball")
+    if np.array_equal(a, z):
+        return NEG_INF
+    if na2 == 0.0:
+        return 0.5 * math.log(nz2) if nz2 > 0.0 else NEG_INF
+    inner = complex(np.sum(z * np.conj(a)))
+    proj = (inner / na2) * a
+    num = a - proj - math.sqrt(1.0 - na2) * (z - proj)
+    mod2 = float(np.sum(np.abs(num) ** 2)) / abs(1.0 - inner) ** 2
+    if mod2 == 0.0:
+        return NEG_INF
+    return 0.5 * math.log(mod2)
+
+
+def polydisc_two_pole_exact(t: complex, z) -> float:
+    """Green function of the unit polydisc with weight-1 poles at (+-t/2, 0):
+
+        max{ ln |(z1 - t/2)(z1 + t/2) / ((1 - conj(t) z1 / 2)(1 + conj(t) z1 / 2))|,
+             ln |z2| }.
+
+    Valid for |t| < 2 (poles inside); -inf exactly at the poles.
+    """
+    z = _as_vector(z)
+    if len(z) != 2:
+        raise ValueError("the two-pole formula lives in dimension 2")
+    if abs(t) >= 2.0:
+        raise ValueError("|t| must be < 2")
+    if _norm(z, "polydisc") > 1.0 + 1e-9:
+        raise ValueError("z must lie in the closed unit polydisc")
+    z1, z2 = complex(z[0]), complex(z[1])
+    tc = complex(t).conjugate()
+    num = (z1 - t / 2.0) * (z1 + t / 2.0)
+    den = (1.0 - tc * z1 / 2.0) * (1.0 + tc * z1 / 2.0)
+    first = _ln_abs(num) - _ln_abs(den)
+    return max(first, _ln_abs(z2))
+
+
+def polydisc_two_pole_limit(z) -> float:
+    """Collision limit of polydisc_two_pole_exact as t -> 0:
+    max{2 ln|z1|, ln|z2|}."""
+    z = _as_vector(z)
+    if len(z) != 2:
+        raise ValueError("the two-pole formula lives in dimension 2")
+    return max(2.0 * _ln_abs(complex(z[0])), _ln_abs(complex(z[1])))
+
+
+# ---------------------------------------------------------------------------
+# Boundary sampling
+
+
+def _unit_sphere(rng: np.random.Generator, count: int, n: int) -> np.ndarray:
+    w = rng.standard_normal((count, n)) + 1j * rng.standard_normal((count, n))
+    norms = np.linalg.norm(w, axis=1, keepdims=True)
+    norms[norms == 0] = 1.0
+    return w / norms
+
+
+def _unit_torus(rng: np.random.Generator, count: int, n: int) -> np.ndarray:
+    return np.exp(2j * np.pi * rng.random((count, n)))
+
+
+def _boundary(rng, count, n, mode):
+    # torus for the polydisc: the sup of |P| (and of any psh function) over
+    # the closed polydisc is attained on the distinguished boundary
+    return _unit_sphere(rng, count, n) if mode == "ball" else _unit_torus(rng, count, n)
+
+
+def _full_boundary(rng, count: int, n: int, mode: str) -> np.ndarray:
+    """Quasi-uniform points of the full unit boundary (sup-norm 1 for the
+    polydisc: one cycled coordinate on the circle, the rest inside the disc).
+    Pointwise comparisons need these; sup estimates use _boundary."""
+    if mode == "ball":
+        return _unit_sphere(rng, count, n)
+    w = rng.random((count, n)) * np.exp(2j * np.pi * rng.random((count, n)))
+    for i in range(count):
+        w[i, i % n] = np.exp(2j * np.pi * rng.random())
+    return w
+
+
+def annulus_grid(r_min: float, r_max: float, n_radii: int, n_dirs: int,
+                 n: int, mode: str, seed: int = 0) -> tuple:
+    """(radii, points) for an annulus grid: geometric radii from r_max down
+    to r_min times quasi-uniform boundary directions.  points has shape
+    (n_radii * n_dirs, n), radius-major."""
+    if not 0.0 < r_min < r_max < 1.0:
+        raise ValueError("need 0 < r_min < r_max < 1")
+    radii = np.geomspace(r_max, r_min, n_radii)
+    dirs = _full_boundary(np.random.default_rng(seed), n_dirs, n, mode)
+    pts = (radii[:, None, None] * dirs[None, :, :]).reshape(-1, n)
+    return radii, pts
+
+
+def _poly_arrays(coeff_map: dict):
+    items = sorted(coeff_map.items(), key=lambda kv: (sum(kv[0]), tuple(-x for x in kv[0])))
+    exps = np.array([k for k, _ in items], dtype=np.int64)
+    coeffs = np.array([complex(v) for _, v in items], dtype=complex)
+    return exps, coeffs
+
+
+def _eval_poly(exps: np.ndarray, coeffs: np.ndarray, pts: np.ndarray) -> np.ndarray:
+    # pts: (m, n) complex; returns (m,) values of sum c * prod z^exp
+    return np.prod(pts[:, None, :] ** exps[None, :, :], axis=2) @ coeffs
+
+
+def _log_abs_array(vals: np.ndarray) -> np.ndarray:
+    a = np.abs(vals)
+    out = np.full(a.shape, NEG_INF)
+    mask = a > 0.0
+    out[mask] = np.log(a[mask])
+    return out
+
+
+# ---------------------------------------------------------------------------
+# Approximants
+
+
+@dataclass(frozen=True)
+class GreenApproximant:
+    """Finite-family lower approximant of the Green function with poles t*S.
+
+    Holds complex copies of the exact kernel polynomials of the scaled
+    interpolation system (plus seeded random kernel combinations) together
+    with their sampled boundary sup norms.  Its value at z,
+
+        max_P (ln|P(z)| - ln sup_est(P)) / l,
+
+    under-estimates the true Green function up to the sup-sampling error,
+    reported as eps_sample.
+    """
+
+    config: PointConfig
+    t: Fraction
+    l: int
+    degree: int
+    mode: str
+    polynomials: tuple          # ((exps, coeffs) arrays per polynomial)
+    sup_estimates: np.ndarray   # sampled sup of |P| over stored samples
+    samples: np.ndarray         # boundary samples the sups were taken over
+    eps_sample: float
+    seed: int
+
+    @property
+    def pole_radius(self) -> float:
+        if self.mode == "ball":
+            return float(abs(self.t)) * math.sqrt(float(self.config.max_norm_squared()))
+        return float(abs(self.t)) * float(self.config.max_sup_norm())
+
+    def poles(self) -> np.ndarray:
+        """Scaled pole locations t * p_j as complex doubles."""
+        return np.array([[complex(float(self.t * x)) for x in p]
+                         for p in self.config.points])
+
+    def values(self, pts: np.ndarray) -> np.ndarray:
+        """Approximant values at an (m, n) array of points."""
+        best = np.full(len(pts), NEG_INF)
+        for (exps, coeffs), sup in zip(self.polynomials, self.sup_estimates):
+            v = _log_abs_array(_eval_poly(exps, coeffs, pts)) - math.log(sup)
+            np.maximum(best, v, out=best)
+        best /= self.l
+        # explicit sentinel: float rounding of exact coefficients can leave a
+        # ~1e-17 residue at a pole instead of an exact zero
+        for pole in self.poles():
+            best[np.all(pts == pole, axis=1)] = NEG_INF
+        return best
+
+
+def build_approximant(config: PointConfig, t, l: int, d: int,
+                      boundary_samples: int = 4096, seed: int = 0,
+                      mode: str = "ball", extra_combos: int = 32) -> GreenApproximant:
+    """Exact kernel of the t-scaled system, normalized by sampled sup norms.
+
+    t must be an exact rational (int, Fraction, or a decimal string such as
+    "1/10" or "0.25") so the scaled condition matrix stays exact.  The scaled
+    poles must lie strictly inside the unit domain of the chosen mode.
+    """
+    if mode not in _MODES:
+        raise ValueError(f"mode must be one of {_MODES}")
+    if isinstance(t, float):
+        raise TypeError("pass t as an exact rational (Fraction, int, or string)")
+    t = Fraction(t)
+    if boundary_samples < 1:
+        raise ValueError("boundary_samples must be >= 1")
+    scaled = config.scaled(t)
+    if mode == "ball":
+        if t * t * config.max_norm_squared() >= 1:
+            raise ValueError("scaled poles must lie strictly inside the unit ball")
+    else:
+        if abs(t) * config.max_sup_norm() >= 1:
+            raise ValueError("scaled poles must lie strictly inside the unit polydisc")
+
+    problem = InterpolationProblem(scaled, d, uniform_orders(config, l), None)
+    polys = kernel_polynomials(problem)  # raises when the kernel is empty
+
+    family = [_poly_arrays(p.as_dict()) for p in polys]
+    rng = np.random.default_rng(seed)
+    if extra_combos > 0 and len(polys) >= 2:
+        # random complex combinations of the kernel basis widen the family;
+        # each is normalized by its own sampled sup, so they stay minorants
+        weights = rng.standard_normal((extra_combos, len(polys))) \
+            + 1j * rng.standard_normal((extra_combos, len(polys)))
+        for w in weights:
+            combo: dict = {}
+            for wi, p in zip(w, polys):
+                for beta, c in p.as_dict().items():
+                    combo[beta] = combo.get(beta, 0j) + wi * complex(c)
+            combo = {k: v for k, v in combo.items() if v != 0}
+            family.append(_poly_arrays(combo))
+
+    n = config.dimension
+    probe = _boundary(rng, 2 * boundary_samples, n, mode)
+    stored = probe[:boundary_samples]
+    sups = np.empty(len(family))
+    gap = 0.0
+    for i, (exps, coeffs) in enumerate(family):
+        vals = np.abs(_eval_poly(exps, coeffs, probe))
+        sup_stored = float(np.max(vals[:boundary_samples]))
+        sup_probe = float(np.max(vals))
+        if sup_stored <= 0.0:
+            raise RuntimeError("sampled sup of a nonzero kernel polynomial is zero")
+        sups[i] = sup_stored
+        gap = max(gap, (math.log(sup_probe) - math.log(sup_stored)) / l)
+    return GreenApproximant(config, t, l, d, mode, tuple(family), sups, stored,
+                            gap, seed)
+
+
+def evaluate_approximant(g: GreenApproximant, z) -> float:
+    """Approximant value at one point of the closed unit domain."""
+    z = _as_vector(z)
+    if _norm(z, g.mode) > 1.0 + 1e-9:
+        raise ValueError("z must lie in the closed unit domain")
+    return float(g.values(z[None, :])[0])
+
+
+# ---------------------------------------------------------------------------
+# Radial profiles and Lelong slopes
+
+
+@dataclass(frozen=True)
+class RadialProfile:
+    """Radial sup envelope with the least-squares slope against ln r.
+
+    The slope is the numerical Lelong-number estimate of the singularity; the
+    fitted standard error quantifies the sampling noise.
+    """
+
+    radii: tuple
+    sup_values: tuple
+    slope: float
+    slope_stderr: float
+
+    def to_csv_rows(self) -> list:
+        x = np.log(np.array(self.radii))
+        y = np.array(self.sup_values)
+        intercept = float(np.mean(y) - self.slope * np.mean(x))
+        return [
+            (r, s, s - (intercept + self.slope * math.log(r)))
+            for r, s in zip(self.radii, self.sup_values)
+        ]
+
+
+def default_radii(pole_radius: float) -> tuple:
+    """Geometric radii with ratio 1/2 from 0.5 down to 4x the pole radius,
+    at least 4 of them."""
+    lo = 4.0 * pole_radius
+    if lo <= 0.0:
+        lo = 0.5 / 2**7
+    if lo >= 0.5:
+        raise ValueError(
+            f"pole radius {pole_radius} leaves no slope window below 0.5; "
+            "shrink t or pass explicit radii"
+        )
+    radii = []
+    r = 0.5
+    while r >= lo - 1e-15:
+        radii.append(r)
+        r *= 0.5
+    if len(radii) < 4:
+        ratio = (lo / 0.5) ** (1.0 / 3.0)
+        radii = [0.5 * ratio**k for k in range(4)]
+    return tuple(radii)
+
+
+def _fit_line(x: np.ndarray, y: np.ndarray) -> tuple:
+    xbar = x.mean()
+    ybar = y.mean()
+    sxx = float(np.sum((x - xbar) ** 2))
+    slope = float(np.sum((x - xbar) * (y - ybar)) / sxx)
+    if len(x) < 3:
+        return slope, 0.0
+    resid = y - (ybar + slope * (x - xbar))
+    stderr = math.sqrt(float(np.sum(resid**2)) / (len(x) - 2) / sxx)
+    return slope, stderr
+
+
+def _check_shape(x: np.ndarray, y: np.ndarray, tol: float) -> None:
+    # sup over spheres of a psh function is convex non-decreasing in ln r;
+    # sampled sups must respect this up to the stated tolerance
+    order = np.argsort(x)
+    xs, ys = x[order], y[order]
+    if np.any(np.diff(ys) < -tol):
+        raise ValueError("radial envelope decreases with radius beyond tolerance")
+    slopes = np.diff(ys) / np.diff(xs)
+    if np.any(np.diff(slopes) < -tol):
+        raise ValueError("radial envelope is non-convex in ln r beyond tolerance")
+
+
+def radial_profile(target, radii=None, sphere_samples: int = 512, seed: int = 0,
+                   mode: str | None = None, axis: int | None = None,
+                   pole_radius: float | None = None, dimension: int | None = None,
+                   shape_tol: float = 1e-7) -> RadialProfile:
+    """Sup of target over sampled spheres of each radius, with log-slope fit.
+
+    target is a GreenApproximant (mode, dimension, and pole radius inferred)
+    or a callable point -> float with mode given (dimension defaults to 2).
+    Radii must be decreasing in (0, 1) and stay outside the pole radius;
+    passing axis=j restricts the sampling to the j-th coordinate axis (an
+    axial slope).
+    """
+    if isinstance(target, GreenApproximant):
+        mode = target.mode
+        n = target.config.dimension
+        if pole_radius is None:
+            pole_radius = target.pole_radius
+        fn = None
+    else:
+        if mode not in _MODES:
+            raise ValueError("mode is required for callable targets")
+        n = dimension or 2
+        fn = target
+        if pole_radius is None:
+            pole_radius = 0.0
+    if radii is None:
+        radii = default_radii(pole_radius)
+    radii = tuple(float(r) for r in radii)
+    if len(radii) < 2:
+        raise ValueError("need at least two radii")
+    if any(r2 >= r1 for r1, r2 in zip(radii, radii[1:])):
+        raise ValueError("radii must be strictly decreasing")
+    if radii[0] >= 1.0 or radii[-1] <= 0.0:
+        raise ValueError("radii must lie in (0, 1)")
+    if radii[-1] <= pole_radius:
+        raise ValueError(
+            f"smallest radius {radii[-1]} does not exclude the poles "
+            f"(pole radius {pole_radius}); the slope window must avoid them"
+        )
+
+    rng = np.random.default_rng(seed)
+    if axis is not None:
+        if not 0 <= axis < n:
+            raise ValueError("axis out of range")
+        dirs = np.zeros((sphere_samples, n), dtype=complex)
+        dirs[:, axis] = np.exp(2j * np.pi * rng.random(sphere_samples))
+    else:
+        dirs = _boundary(rng, sphere_samples, n, mode)
+
+    sups = []
+    for r in radii:
+        pts = r * dirs
+        if fn is None:
+            vals = target.values(pts)
+        else:
+            vals = np.array([fn(p) for p in pts])
+        sup = float(np.max(vals))
+        if sup == NEG_INF:
+            raise ValueError(f"target is -inf on the whole sampled sphere r={r}")
+        sups.append(sup)
+
+    x = np.log(np.array(radii))
+    y = np.array(sups)
+    _check_shape(x, y, shape_tol)
+    slope, stderr = _fit_line(x, y)
+    return RadialProfile(radii, tuple(sups), slope, stderr)
+
+
+# ---------------------------------------------------------------------------
+# Pole-collision experiments
+
+
+@dataclass(frozen=True)
+class CollisionRow:
+    t: Fraction
+    envelope_dev: float     # sup_r |envelope(r) - (omega_l/l) ln r|
+    slope: float            # fitted envelope slope over the annulus radii
+    upper_ok: bool          # approximant <= (omega_l/l) ln|z| + eps everywhere
+    upper_margin: float     # max over the grid of approximant - (omega_l/l) ln|z|
+    eps_sample: float
+    oracle_gap: float | None = None   # sup |approximant - oracle| when given
+
+
+@dataclass(frozen=True)
+class CollisionTable:
+    rows: tuple
+    omega_hat: Fraction
+    config: PointConfig
+    l: int
+    degree: int
+    mode: str
+    seed: int
+    grid: dict
+
+    def to_csv_rows(self) -> list:
+        return [(frac_str(r.t), r.envelope_dev, r.slope) for r in self.rows]
+
+    def to_json_dict(self) -> dict:
+        return {
+            "config": self.config.to_json_dict(),
+            "omega_hat": frac_str(self.omega_hat),
+            "l": self.l,
+            "degree": self.degree,
+            "mode": self.mode,
+            "seed": self.seed,
+            "grid": self.grid,
+            "rows": [
+                {
+                    "t": frac_str(r.t),
+                    "envelope_dev": r.envelope_dev,
+                    "slope": r.slope,
+                    "upper_ok": r.upper_ok,
+                    "upper_margin": r.upper_margin,
+                    "eps_sample": r.eps_sample,
+                    "oracle_gap": r.oracle_gap,
+                }
+                for r in self.rows
+            ],
+        }
+
+
+def two_point_oracle(t: Fraction, z) -> float:
+    """Exact polydisc Green value for the two-point config at scale t."""
+    return polydisc_two_pole_exact(complex(Fraction(t)), z)
+
+
+def collision_experiment(config: PointConfig, l: int, d: int, t_sequence,
+                         mode: str = "ball", r_min: float = 0.3,
+                         r_max: float = 0.95, n_radii: int = 20,
+                         n_dirs: int = 20, boundary_samples: int = 4096,
+                         extra_combos: int = 32, seed: int = 0,
+                         oracle=None, scalar="field") -> CollisionTable:
+    """Convergence of approximants as the poles t*S collide at the origin.
+
+    For each t the approximant's radial envelope over an annulus grid is
+    compared against (omega_l/l) * ln r, its fitted slope recorded, and the
+    one-sided bound  approximant <= (omega_l/l) ln|z| + eps_sample  checked
+    on every grid point.  That bound is the collision-limit statement: at
+    finite t the true Green function exceeds Omega(S) ln|z| by a margin that
+    decays only as t -> 0, so on configs with omega_l/l > 1 expect upper_ok
+    to fail at coarse t while upper_margin shrinks down the table.  When an
+    oracle(t, z) is supplied, the sup pointwise gap is reported as well.
+    """
+    if mode not in _MODES:
+        raise ValueError(f"mode must be one of {_MODES}")
+    ts = [Fraction(t) if not isinstance(t, float) else None for t in t_sequence]
+    if None in ts:
+        raise TypeError("pass t values as exact rationals (Fractions or strings)")
+    if not ts:
+        raise ValueError("empty t sequence")
+    omega_hat = Fraction(omega_l(config, l, scalar), l)
+    radii, pts = annulus_grid(r_min, r_max, n_radii, n_dirs, config.dimension,
+                              mode, derive_seed(seed, "collision-dirs"))
+    log_r = np.log(radii)
+    target = float(omega_hat)
+
+    rows = []
+    for i, t in enumerate(ts):
+        g = build_approximant(config, t, l, d, boundary_samples,
+                              derive_seed(seed, f"collision-t{i}"), mode,
+                              extra_combos)
+        if g.pole_radius >= r_min:
+            raise ValueError(
+                f"t={t}: poles (radius {g.pole_radius:.3g}) intrude on the "
+                f"annulus r >= {r_min}"
+            )
+        vals = g.values(pts).reshape(n_radii, n_dirs)
+        env = vals.max(axis=1)
+        dev = float(np.max(np.abs(env - target * log_r)))
+        slope, _ = _fit_line(log_r, env)
+        margin = float(np.max(vals - target * log_r[:, None]))
+        upper_ok = margin <= g.eps_sample + 1e-9
+        gap = None
+        if oracle is not None:
+            ovals = np.array([oracle(t, p) for p in pts]).reshape(n_radii, n_dirs)
+            gap = float(np.max(np.abs(vals - ovals)))
+        rows.append(CollisionRow(t, dev, slope, upper_ok, margin,
+                                 g.eps_sample, gap))
+    grid = {"r_min": r_min, "r_max": r_max, "n_radii": n_radii, "n_dirs": n_dirs,
+            "boundary_samples": boundary_samples, "extra_combos": extra_combos}
+    return CollisionTable(tuple(rows), omega_hat, config, l, d, mode, seed, grid)
+
+
+# ---------------------------------------------------------------------------
+# Schwarz-type norm inequality
+
+
+@dataclass(frozen=True)
+class SchwarzVerdict:
+    index: int
+    degree: int
+    lhs: float
+    rhs: float
+
+    @property
+    def passed(self) -> bool:
+        return self.lhs <= self.rhs + 1e-9
+
+    def to_verdict(self) -> Verdict:
+        return Verdict(f"schwarz-poly{self.index}", self.passed,
+                       f"ln||f||_r = {self.lhs:.6f} <= {self.rhs:.6f}")
+
+
+@dataclass(frozen=True)
+class SchwarzResult:
+    verdicts: tuple
+    omega_lower: Fraction
+    rho: float
+    R: float
+    epsilon: float
+
+    @property
+    def all_pass(self) -> bool:
+        return all(v.passed for v in self.verdicts)
+
+
+def schwarz_check(config: PointConfig, l: int, d: int | None = None,
+                  rho: float = 0.25, R: float = 8.0, epsilon: float = 0.1,
+                  boundary_samples: int = 4096, seed: int = 0,
+                  omega_lower: Fraction | None = None, scalar="field",
+                  interval_l_max: int | None = None) -> SchwarzResult:
+    """Sampled check of  ln||f||_r <= ln||f||_R - l (Omega_lb - eps) ln(R/r)
+    with r = rho * R, for every exact kernel polynomial of the (l, d) system.
+
+    Omega(S) is replaced by the certified Waldschmidt lower bound, which only
+    weakens the inequality and keeps a pass sound.  Verdicts are reported per
+    (R, rho, epsilon); no claim is made about the asymptotic threshold radius.
+    """
+    if not 0.0 < rho <= 1.0:
+        raise ValueError("rho must lie in (0, 1]")
+    if R <= 0.0:
+        raise ValueError("R must be positive")
+    resolve_scalar(scalar)  # validate early
+    if d is None:
+        d = omega_l(config, l, scalar)
+    if omega_lower is None:
+        omega_lower, _ = waldschmidt_interval(config, interval_l_max or l, scalar)
+    omega_lower = Fraction(omega_lower)
+
+    problem = InterpolationProblem(config, d, uniform_orders(config, l), None)
+    polys = kernel_polynomials(problem)
+    dirs = _unit_sphere(np.random.default_rng(seed), boundary_samples,
+                        config.dimension)
+    r = rho * R
+    factor = l * (float(omega_lower) - epsilon) * math.log(R / r)
+    out = []
+    for i, p in enumerate(polys):
+        exps, coeffs = _poly_arrays(p.as_dict())
+        lhs = float(np.max(_log_abs_array(_eval_poly(exps, coeffs, r * dirs))))
+        ln_R = float(np.max(_log_abs_array(_eval_poly(exps, coeffs, R * dirs))))
+        out.append(SchwarzVerdict(i, p.degree, lhs, ln_R - factor))
+    return SchwarzResult(tuple(out), omega_lower, rho, R, epsilon)

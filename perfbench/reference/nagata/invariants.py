@@ -1,0 +1,325 @@
+"""Algebraic invariants of point configurations.
+
+omega_l(S, l) is the least degree of a nonzero polynomial vanishing to order
+>= l at every point of S.  From a finite table of these values the module
+derives the certified Waldschmidt interval
+
+    max_l omega_l/(l + n - 1)  <=  Omega(S)  <=  min_l omega_l/l,
+
+lower bounds for the very-singular-degree invariant omega(S), and the named
+conjecture checks (Nagata strictness, the small-r ceiling table, Waldschmidt's
+upper bound, superadditivity).  Omega(S) itself is a limit over all l and is
+never reported as a point value, only as this interval.
+
+Everything here is exact: integer comparisons and Fraction arithmetic, never
+floating point.  Rank verdicts default to a fixed Mersenne prime field for
+speed; the rational scalar domain re-derives them with fraction-free
+elimination (practical up to a configurable column cap).
+"""
+
+from __future__ import annotations
+
+import csv
+import io
+import json
+import math
+from dataclasses import dataclass, field as dc_field
+from fractions import Fraction
+from math import comb
+
+from .configs import PointConfig, frac_str, generic_points
+from .exactla import M61, PrimeField
+from .fatpoints import (
+    DimensionSearch,
+    InterpolationProblem,
+    kernel_polynomials,
+    uniform_orders,
+)
+from .seeds import derive_seed
+
+DEFAULT_FIELD = PrimeField(M61)
+
+# Least degree forced by r <= 9 general plane points at multiplicity m is
+# ceil(c_r * m) with these slopes (r = 1..9).
+HARBOURNE_CR = (
+    Fraction(1),
+    Fraction(1),
+    Fraction(3, 2),
+    Fraction(2),
+    Fraction(2),
+    Fraction(12, 5),
+    Fraction(21, 8),
+    Fraction(48, 17),
+    Fraction(3),
+)
+
+
+def resolve_scalar(scalar, prime: int | None = None) -> PrimeField | None:
+    """Map a scalar-domain request to a PrimeField or None (= rationals)."""
+    if isinstance(scalar, PrimeField):
+        return scalar
+    if scalar == "rational":
+        return None
+    if scalar == "field":
+        return PrimeField(prime) if prime else DEFAULT_FIELD
+    raise ValueError(f"unknown scalar domain {scalar!r} (use 'field' or 'rational')")
+
+
+@dataclass(frozen=True)
+class Verdict:
+    name: str
+    passed: bool
+    detail: str
+
+    def to_json_dict(self) -> dict:
+        return {"name": self.name, "pass": self.passed, "detail": self.detail}
+
+
+RATIONAL_COLUMN_CAP = 300  # fraction-free elimination is impractical beyond
+
+
+def omega_l(config: PointConfig, l: int, scalar="field", prime=None,
+            column_cap: int | None = None) -> int:
+    """Least degree d with a nonzero degree <= d polynomial vanishing to
+    order >= l (times any per-point multiplicities) at every config point.
+
+    Ascends from the largest required order (a vanishing order never exceeds
+    the degree), appending monomial columns per degree to an incremental rank
+    accumulator and exiting at the first degree with positive dimension -- so
+    the preceding degree is always verified empty.  Deterministic.  The
+    rational domain certifies the field verdicts but is capped at
+    RATIONAL_COLUMN_CAP columns unless overridden.
+    """
+    fld = resolve_scalar(scalar, prime)
+    orders = uniform_orders(config, l)
+    if fld is None and column_cap is None:
+        column_cap = RATIONAL_COLUMN_CAP
+    search = DimensionSearch(config, orders, fld, column_cap)
+    d = max(orders)
+    while True:
+        if search.dimension_at(d) >= 1:
+            return d
+        d += 1
+
+
+def omega_table(config: PointConfig, l_max: int, scalar="field", prime=None) -> tuple:
+    """((l, omega_l) for l = 1..l_max)."""
+    if l_max < 1:
+        raise ValueError("l_max must be >= 1")
+    return tuple((l, omega_l(config, l, scalar, prime)) for l in range(1, l_max + 1))
+
+
+def _require_uniform(config: PointConfig, what: str) -> None:
+    if not config.is_uniform():
+        raise ValueError(f"{what} is stated for uniform multiplicities only")
+
+
+def _interval_from_table(table, n: int) -> tuple:
+    lower = max(Fraction(om, l + n - 1) for l, om in table)
+    upper = min(Fraction(om, l) for l, om in table)
+    return lower, upper
+
+
+def waldschmidt_interval(config: PointConfig, l_max: int, scalar="field",
+                         prime=None) -> tuple:
+    """Certified enclosure of the singular degree Omega(S) from levels
+    1..l_max: (max_l omega_l/(l+n-1), min_l omega_l/l), exact rationals."""
+    _require_uniform(config, "the Waldschmidt sandwich")
+    table = omega_table(config, l_max, scalar, prime)
+    return _interval_from_table(table, config.dimension)
+
+
+def omega_s_witness_bound(config: PointConfig, l: int, d: int, scalar="field",
+                          prime=None) -> Fraction:
+    """Certified lower bound for omega(S) = sup_P (sum_j ord(P, p_j))/deg P.
+
+    Takes the best of (a) the witnessed ratio over the exact rational kernel
+    basis at (l, d) and (b) the analytic bound |S|*l/omega_l(S, l).  Kernel
+    witnesses are always computed over the rationals: a mod-p reduction could
+    only overstate an order, and the bound must stay certified.
+    """
+    problem = InterpolationProblem.uniform(config, l, d, None)
+    polys = kernel_polynomials(problem)  # raises when the system is empty
+    witnessed = max(Fraction(sum(p.achieved_orders), p.degree) for p in polys)
+    analytic = Fraction(config.r * l, omega_l(config, l, scalar, prime))
+    return max(witnessed, analytic)
+
+
+def nagata_check(config: PointConfig, l_max: int, scalar="field", prime=None) -> list:
+    """Strict Nagata inequality per level: omega_l^n > l^n * r, by exact
+    integer comparison.  In dimension 2 configs with multiplicities m_j are
+    checked against the general form omega^2 * r > (l * sum m_j)^2."""
+    n = config.dimension
+    out = []
+    if config.is_uniform():
+        for l in range(1, l_max + 1):
+            om = omega_l(config, l, scalar, prime)
+            out.append((l, om**n > l**n * config.r))
+        return out
+    if n != 2:
+        raise ValueError("multiplicity-weighted Nagata check is stated for n = 2")
+    total = sum(config.multiplicities)
+    for l in range(1, l_max + 1):
+        om = omega_l(config, l, scalar, prime)
+        out.append((l, om * om * config.r > (l * total) ** 2))
+    return out
+
+
+@dataclass(frozen=True)
+class HarbourneCell:
+    r: int
+    m: int
+    expected: int
+    actual: int
+
+    @property
+    def passed(self) -> bool:
+        return self.expected == self.actual
+
+
+@dataclass(frozen=True)
+class HarbourneCheck:
+    cells: tuple
+    seed: int
+
+    @property
+    def all_pass(self) -> bool:
+        return all(c.passed for c in self.cells)
+
+    def failures(self) -> list:
+        return [c for c in self.cells if not c.passed]
+
+    def verdicts(self) -> list:
+        out = []
+        for c in self.cells:
+            detail = f"expected {c.expected}, got {c.actual}"
+            if not c.passed:
+                detail += " (config possibly special; re-seed)"
+            out.append(Verdict(f"harbourne-r{c.r}-m{c.m}", c.passed, detail))
+        return out
+
+
+def harbourne_table_check(m_max: int, seed: int, scalar="field", prime=None,
+                          bound: int = 1000) -> HarbourneCheck:
+    """Least-degree table check for r = 1..9 seeded generic plane configs:
+    omega_l(S_r, m) must equal ceil(c_r * m), with an exact rational ceiling."""
+    if m_max < 1:
+        raise ValueError("m_max must be >= 1")
+    cells = []
+    for r in range(1, 10):
+        cfg = generic_points(2, r, derive_seed(seed, f"harbourne-r{r}"), bound)
+        c_r = HARBOURNE_CR[r - 1]
+        for m in range(1, m_max + 1):
+            expected = math.ceil(c_r * m)
+            actual = omega_l(cfg, m, scalar, prime)
+            cells.append(HarbourneCell(r, m, expected, actual))
+    return HarbourneCheck(tuple(cells), seed)
+
+
+def superadditivity_check(config: PointConfig, l_max: int, scalar="field",
+                          prime=None) -> Verdict:
+    """omega_{l1+l2} <= omega_{l1} + omega_{l2} for all l1 + l2 <= l_max,
+    plus the ratio sandwich omega_1/n <= omega_l/l <= omega_1."""
+    if l_max < 2:
+        raise ValueError("l_max must be >= 2")
+    table = dict(omega_table(config, l_max, scalar, prime))
+    n = config.dimension
+    bad = []
+    for l1 in range(1, l_max):
+        for l2 in range(l1, l_max - l1 + 1):
+            if table[l1 + l2] > table[l1] + table[l2]:
+                bad.append(f"omega({l1 + l2})={table[l1 + l2]} > "
+                           f"omega({l1})+omega({l2})={table[l1] + table[l2]}")
+    for l in range(1, l_max + 1):
+        lo = Fraction(table[1], n)
+        ratio = Fraction(table[l], l)
+        if not (lo <= ratio <= table[1]):
+            bad.append(f"ratio omega({l})/{l}={ratio} outside [{lo}, {table[1]}]")
+    detail = "; ".join(bad) if bad else f"all splits up to l_max={l_max} hold"
+    return Verdict("superadditivity", not bad, detail)
+
+
+def waldschmidt_upper_check(config: PointConfig, l_max: int, scalar="field",
+                            prime=None) -> Verdict:
+    """omega_l <= (l+n-1)|S|^{1/n} - (n-1) per level, compared through the
+    integer power (omega_l + n - 1)^n <= (l + n - 1)^n * r."""
+    _require_uniform(config, "Waldschmidt's upper bound")
+    n = config.dimension
+    r = config.r
+    bad = []
+    for l in range(1, l_max + 1):
+        om = omega_l(config, l, scalar, prime)
+        if (om + n - 1) ** n > (l + n - 1) ** n * r:
+            bad.append(f"l={l}: ({om}+{n - 1})^{n} > ({l}+{n - 1})^{n}*{r}")
+    detail = "; ".join(bad) if bad else f"holds for l = 1..{l_max}"
+    return Verdict("waldschmidt-upper", not bad, detail)
+
+
+# ---------------------------------------------------------------------------
+# Reports
+
+
+@dataclass(frozen=True)
+class InvariantReport:
+    """Bundle of computed invariants and check verdicts for one config."""
+
+    config: PointConfig
+    table: tuple
+    omega_lower: Fraction
+    omega_upper: Fraction
+    w_lower: Fraction
+    verdicts: tuple = dc_field(default_factory=tuple)
+
+    @property
+    def all_pass(self) -> bool:
+        return all(v.passed for v in self.verdicts)
+
+    def to_json_dict(self) -> dict:
+        return {
+            "config": self.config.to_json_dict(),
+            "table": [[l, om] for l, om in self.table],
+            "omega_lower": frac_str(self.omega_lower),
+            "omega_upper": frac_str(self.omega_upper),
+            "w_lower": frac_str(self.w_lower),
+            "verdicts": [v.to_json_dict() for v in self.verdicts],
+        }
+
+    def to_json(self) -> str:
+        return json.dumps(self.to_json_dict(), indent=2, sort_keys=True)
+
+    def to_csv(self) -> str:
+        buf = io.StringIO()
+        w = csv.writer(buf)
+        w.writerow(["l", "omega_l", "omega_lower", "omega_upper", "w_lower", "verdicts"])
+        verdict_text = ";".join(
+            f"{v.name}:{'pass' if v.passed else 'FAIL'}" for v in self.verdicts
+        )
+        for l, om in self.table:
+            w.writerow([l, om, frac_str(self.omega_lower), frac_str(self.omega_upper),
+                        frac_str(self.w_lower), verdict_text])
+        return buf.getvalue()
+
+
+def invariant_report(config: PointConfig, l_max: int, scalar="field", prime=None,
+                     witness: bool = True) -> InvariantReport:
+    """Compute the omega table up to l_max with the derived interval, a lower
+    bound for omega(S), and the standard verdicts."""
+    _require_uniform(config, "the invariant report")
+    table = omega_table(config, l_max, scalar, prime)
+    lower, upper = _interval_from_table(table, config.dimension)
+    w_lower = max(Fraction(config.r * l, om) for l, om in table)
+    if witness:
+        w_lower = max(w_lower, omega_s_witness_bound(config, 1, table[0][1],
+                                                     scalar, prime))
+    verdicts = [Verdict("interval-order", lower <= upper,
+                        f"[{frac_str(lower)}, {frac_str(upper)}]")]
+    for l, ok in nagata_check(config, l_max, scalar, prime):
+        om = dict(table)[l]
+        verdicts.append(Verdict(
+            f"nagata-l{l}", ok,
+            f"omega={om}: {om}^{config.dimension} "
+            f"{'>' if ok else '<='} {l}^{config.dimension}*{config.r}"))
+    if l_max >= 2:
+        verdicts.append(superadditivity_check(config, l_max, scalar, prime))
+    verdicts.append(waldschmidt_upper_check(config, l_max, scalar, prime))
+    return InvariantReport(config, table, lower, upper, w_lower, tuple(verdicts))
