@@ -497,10 +497,9 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
         spec = spec_from_args(args)
         return run(spec)
-    except CliError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return EXIT_ERROR
-    except (ValueError, TypeError, OSError) as e:
+    except (CliError, ValueError, TypeError, OSError, ArithmeticError, RuntimeError) as e:
+        # ArithmeticError covers ReductionError (a coordinate's denominator
+        # divisible by the prime); RuntimeError an empty kernel or sample set
         print(f"error: {e}", file=sys.stderr)
         return EXIT_ERROR
 

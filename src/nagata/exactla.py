@@ -7,6 +7,11 @@ domains are supported:
   the Mersenne prime 2^61 - 1; products need 128-bit intermediates, which
   Python ints provide exactly and which the numpy hot path emulates with a
   split 31/30-bit multiply in uint64.  Used as a fast generic-rank oracle.
+  Modular elimination works on whole arrays: ``vec_mul``/``vec_submul``
+  broadcast an array multiplier, so each pivot is one rank-1 update of
+  the block it touches (``B -= e * B[pivot]`` mod p), in ``_field_rref``
+  over the whole matrix and in ``RankAccumulator.add`` over a block of new
+  columns, from the pivot row down.
 * rationals -- ``fractions.Fraction`` entries.  Elimination is fraction-free
   (Bareiss) on denominator-cleared integer rows, so intermediate entries are
   minors of the input and stay bounded.
@@ -143,34 +148,35 @@ class PrimeField:
     # -- vector arithmetic (hot path of elimination) ----------------------
 
     def vec(self, xs) -> np.ndarray:
-        """Pack a sequence of field elements into the internal vector form."""
-        if self._kind == "object":
-            return np.array([x % self.modulus for x in xs], dtype=object)
-        return np.array([x % self.modulus for x in xs], dtype=np.uint64)
+        """Pack a sequence (or nested sequence) of integers into the internal
+        array form, reduced mod p."""
+        a = np.array(xs, dtype=object) % self.modulus
+        return a if self._kind == "object" else a.astype(np.uint64)
 
-    def vec_mul(self, v: np.ndarray, c: int) -> np.ndarray:
-        """Elementwise v*c mod p."""
+    def vec_mul(self, v: np.ndarray, c) -> np.ndarray:
+        """Elementwise v*c mod p; c is a field element or an array of them
+        broadcasting against v."""
         if self._kind == "m61":
             return _m61_mul(v, c)
         if self._kind == "small":
-            return v * _U(c) % _U(self.modulus)
+            return v * np.asarray(c, dtype=_U) % _U(self.modulus)
         return (v * c) % self.modulus
 
-    def vec_submul(self, v: np.ndarray, c: int, e: np.ndarray) -> np.ndarray:
-        """Elementwise (v - c*e) mod p."""
+    def vec_submul(self, v: np.ndarray, c, e: np.ndarray) -> np.ndarray:
+        """Elementwise (v - c*e) mod p, broadcasting v, c and e together."""
         t = self.vec_mul(e, c)
         if self._kind == "object":
             return (v - t) % self.modulus
-        p = _U(self.modulus)
-        r = v + (p - t)  # v < p and p - t <= p, so r < 2p < 2^63
-        return np.where(r >= p, r - p, r)
+        d = v - t  # wraps past 2^64 exactly when v < t; then d + p < p
+        return np.minimum(d, d + _U(self.modulus))
 
 
-def _m61_mul(v: np.ndarray, c: int) -> np.ndarray:
+def _m61_mul(v: np.ndarray, c) -> np.ndarray:
     # 61x61-bit product mod 2^61-1 without 128-bit ints: split both factors
     # into 31/30-bit halves and fold with 2^61 = 1, 2^62 = 2 (mod M61).
-    c1 = _U(c >> 31)
-    c0 = _U(c & 0x7FFFFFFF)
+    c = np.asarray(c, dtype=_U)
+    c1 = c >> _U(31)
+    c0 = c & _MASK31
     v1 = v >> _U(31)
     v0 = v & _MASK31
     mid = v1 * c0 + v0 * c1  # < 2^62
@@ -180,9 +186,8 @@ def _m61_mul(v: np.ndarray, c: int) -> np.ndarray:
         + ((mid & _MASK30) << _U(31))
         + v0 * c0
     )  # < 2^64, congruent to v*c
-    r = (total >> _U(61)) + (total & _M61)
-    r = (r >> _U(61)) + (r & _M61)
-    return np.where(r == _M61, _U(0), r)
+    r = (total >> _U(61)) + (total & _M61)  # <= M61 + 7
+    return np.minimum(r, r - _M61)  # r - M61 wraps past 2^64 when r < M61
 
 
 def rational_to_field(x, f: PrimeField) -> int:
@@ -290,30 +295,31 @@ def _bareiss_echelon(rows: list) -> tuple[list, list]:
     return m[:pr], piv_cols
 
 
-def _field_rref(field: PrimeField, rows: list) -> tuple[list, list]:
-    """Reduced row echelon form mod p; first-nonzero pivot in column order."""
-    work = [field.vec(r) for r in rows]
-    nr = len(work)
-    nc = len(rows[0]) if nr else 0
+def _field_rref(field: PrimeField, rows: list) -> tuple[np.ndarray, list]:
+    """Reduced row echelon form mod p; first-nonzero pivot in column order.
+
+    Each pivot clears its column with one broadcast update of the whole
+    matrix from the pivot column rightward (the pivot row is zero to the
+    left of it)."""
+    if not rows:
+        return [], []
+    work = field.vec(rows)
+    nr, nc = work.shape
     piv_cols = []
     pr = 0
     for pc in range(nc):
         if pr == nr:
             break
-        sel = -1
-        for i in range(pr, nr):
-            if work[i][pc]:
-                sel = i
-                break
-        if sel < 0:
+        nz = np.flatnonzero(work[pr:, pc])
+        if not len(nz):
             continue
+        sel = pr + int(nz[0])
         if sel != pr:
-            work[pr], work[sel] = work[sel], work[pr]
-        inv = field.inv(int(work[pr][pc]))
-        work[pr] = field.vec_mul(work[pr], inv)
-        for i in range(nr):
-            if i != pr and work[i][pc]:
-                work[i] = field.vec_submul(work[i], int(work[i][pc]), work[pr])
+            work[[pr, sel]] = work[[sel, pr]]
+        work[pr, pc:] = field.vec_mul(work[pr, pc:], field.inv(int(work[pr, pc])))
+        col = work[:, pc].copy()
+        col[pr] = 0
+        work[:, pc:] = field.vec_submul(work[:, pc:], col[:, None], work[pr, pc:])
         piv_cols.append(pc)
         pr += 1
     return work[:pr], piv_cols
@@ -422,12 +428,16 @@ def _strip_content(v: list) -> list:
 class RankAccumulator:
     """Online rank of a growing list of vectors (appended matrix columns).
 
-    Each added vector is reduced against the echelon basis kept so far, in
-    increasing pivot order; the pivot sequence is therefore fixed by the
-    insertion order and the result is deterministic.  Field vectors use
-    modular arithmetic; exact vectors (ints or Fractions) are scaled to
-    integers and reduced with fraction-free two-term updates plus content
-    stripping, which keeps entries bounded on interpolation matrices.
+    ``add`` takes one vector or a block of columns (a 2-D array, conditions
+    x columns).  Each column is reduced against the echelon basis kept so
+    far, in increasing pivot order, then against the pivots found earlier in
+    its own block; the stored basis is therefore fixed by the insertion
+    order and the result is deterministic.  Field blocks are reduced with
+    one broadcast update per stored pivot, over the rows from that pivot
+    down (a stored vector is zero above its pivot).  Exact vectors (ints or
+    Fractions) go one column at a time: they are scaled to integers and
+    reduced with fraction-free two-term updates plus content stripping,
+    which keeps entries bounded on interpolation matrices.
     """
 
     def __init__(self, field: PrimeField | None = None):
@@ -438,26 +448,34 @@ class RankAccumulator:
     def rank(self) -> int:
         return len(self._ech)
 
-    def add(self, entries) -> bool:
-        """Reduce one vector; returns True when it enlarges the span."""
-        if self.field is None:
-            return self._add_exact(list(entries))
-        return self._add_field(entries)
-
-    def _add_field(self, entries) -> bool:
+    def add(self, entries) -> int:
+        """Reduce a vector, or each column of a 2-D block in order; returns
+        how many of them enlarged the span."""
         f = self.field
-        v = entries if isinstance(entries, np.ndarray) else f.vec(entries)
+        if f is None:
+            cols = np.asarray(entries, dtype=object)
+            cols = cols.T if cols.ndim == 2 else [cols]
+            return sum(self._add_exact(list(c)) for c in cols)
+        b = np.array(entries) if isinstance(entries, np.ndarray) else f.vec(entries)
+        if b.ndim == 1:
+            b = b[:, None]
         for pivot, evec in self._ech:
-            a = int(v[pivot])
-            if a:
-                v = f.vec_submul(v, a, evec)
-        nz = np.nonzero(v)[0]
-        if len(nz) == 0:
-            return False
-        pivot = int(nz[0])
-        v = f.vec_mul(v, f.inv(int(v[pivot])))
-        self._insert(pivot, v)
-        return True
+            row = b[pivot]
+            if row.any():
+                b[pivot:] = f.vec_submul(b[pivot:], row, evec[pivot:, None])
+        added = 0
+        for j in range(b.shape[1]):
+            nz = np.flatnonzero(b[:, j])
+            if not len(nz):
+                continue
+            pivot = int(nz[0])
+            v = f.vec_mul(b[:, j], f.inv(int(b[pivot, j])))
+            self._insert(pivot, v)
+            added += 1
+            rest = b[pivot, j + 1:]
+            if rest.any():
+                b[pivot:, j + 1:] = f.vec_submul(b[pivot:, j + 1:], rest, v[pivot:, None])
+        return added
 
     def _add_exact(self, v: list) -> bool:
         if any(isinstance(x, Fraction) for x in v):

@@ -11,6 +11,12 @@ basis of degree <= d.  Binomial-weighted ("divided") derivatives are used
 instead of raw partials: the kernel is identical, there is no factorial
 growth, and the formula is valid verbatim over a prime field with p >> m.
 
+Every factor C(b, a) * x^(b - a) of an entry is read from a per-point,
+per-coordinate table that grows by one column per degree, so a block of
+columns (a whole matrix, or one degree's new monomials in DimensionSearch)
+is a product of n gathered arrays.  ``condition_row`` evaluates the same
+formula independently and serves as the reference in the tests.
+
 The dimension of the linear system is column count minus rank; kernel vectors
 convert to polynomials whose exact vanishing order at each point is read off
 a Taylor shift.
@@ -21,6 +27,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import comb
+
+import numpy as np
 
 from .configs import PointConfig
 from .exactla import ExactMatrix, PrimeField, RankAccumulator, kernel_basis, rank
@@ -127,60 +135,70 @@ class InterpolationProblem:
         return out
 
 
-class _PointPowers:
-    """Per-point coordinate powers in the target scalar domain."""
+def _mul(field: PrimeField | None, a, b):
+    return a * b if field is None else field.vec_mul(a, b)
 
-    def __init__(self, point, field: PrimeField | None):
-        if field is None:
-            self.coords = tuple(Fraction(x) for x in point)
-        else:
-            self.coords = tuple(field.from_rational(x) for x in point)
+
+def _submul(field: PrimeField | None, v, c, e):
+    return v - c * e if field is None else field.vec_submul(v, c, e)
+
+
+class _ConditionTables:
+    """Condition-matrix blocks from per-point, per-coordinate tables.
+
+    ``T[j, i, a, b] = C(b, a) * x_ji^(b - a)`` (0 for b < a) holds every
+    factor of an entry, so the entry of condition (j, alpha) at monomial
+    beta is ``prod_i T[j, i, alpha_i, beta_i]``, gathered for a whole block
+    of monomials by fancy indexing.  Entries are field elements, or
+    Fractions when ``field`` is None.  The tables grow by one column per
+    degree through Pascal's rule, T[a, b] = x T[a, b-1] + T[a-1, b-1].
+    """
+
+    def __init__(self, points, index, field: PrimeField | None):
+        if not index:  # orders >= 1 always give at least one row per point
+            raise RuntimeError("empty condition set")
         self.field = field
-        self._pows = [[self._one()] for _ in self.coords]
+        if field is None:
+            neg_x = np.array([[-Fraction(c) for c in p] for p in points], dtype=object)
+            self._zero, one = Fraction(0), Fraction(1)
+        else:
+            neg_x = field.vec([[-field.from_rational(c) for c in p] for p in points])
+            self._zero, one = 0, 1
+        self._neg_x = neg_x[..., None]
+        self._point = np.array([j for j, _ in index])[:, None]
+        self._alpha = np.array([alpha for _, alpha in index])
+        shape = neg_x.shape + (int(self._alpha.max()) + 1, 1)
+        self._tab = np.full(shape, self._zero, dtype=neg_x.dtype)
+        self._tab[:, :, 0, 0] = one
 
-    def _one(self):
-        return 1 if self.field else Fraction(1)
+    def _grow(self, degree: int) -> None:
+        while self._tab.shape[-1] <= degree:
+            prev = self._tab[..., -1]
+            shifted = np.roll(prev, 1, axis=-1)
+            shifted[..., 0] = self._zero
+            col = _submul(self.field, shifted, self._neg_x, prev)
+            self._tab = np.concatenate([self._tab, col[..., None]], axis=-1)
 
-    def power(self, i: int, k: int):
-        tab = self._pows[i]
-        while len(tab) <= k:
-            if self.field:
-                tab.append(self.field.mul(tab[-1], self.coords[i]))
-            else:
-                tab.append(tab[-1] * self.coords[i])
-        return tab[k]
+    def block(self, basis) -> np.ndarray:
+        """Conditions x monomials block for the multi-indices in basis."""
+        betas = np.array(basis)
+        self._grow(int(betas.max()))
+        out = None
+        for i in range(betas.shape[1]):
+            t = self._tab[self._point, i, self._alpha[:, i, None], betas[None, :, i]]
+            out = t if out is None else _mul(self.field, out, t)
+        return out
 
 
-def _entry(powers: _PointPowers, alpha, beta, field: PrimeField | None):
-    if any(b < a for b, a in zip(beta, alpha)):
-        return 0 if field else Fraction(0)
-    if field is None:
-        val = Fraction(1)
-        for i, (b, a) in enumerate(zip(beta, alpha)):
-            val *= comb(b, a)
-            if b > a:
-                val *= powers.power(i, b - a)
-        return val
-    p = field.modulus
-    val = 1
-    for i, (b, a) in enumerate(zip(beta, alpha)):
-        val = val * (comb(b, a) % p) % p
-        if b > a:
-            val = val * powers.power(i, b - a) % p
-    return val
+def _assemble(points, index, basis, field: PrimeField | None) -> ExactMatrix:
+    block = _ConditionTables(points, index, field).block(basis)
+    return ExactMatrix(block.shape[0], block.shape[1], tuple(block.ravel().tolist()), field)
 
 
 def condition_matrix(problem: InterpolationProblem) -> ExactMatrix:
     """Assemble the full conditions x monomials matrix in the scalar domain."""
-    basis = monomials(problem.n, problem.degree)
-    powers = [_PointPowers(p, problem.field) for p in problem.config.points]
-    rows = []
-    for j, alpha in problem.condition_index():
-        pw = powers[j]
-        rows.append([_entry(pw, alpha, beta, problem.field) for beta in basis])
-    if not rows:  # orders >= 1 always give at least one row per point
-        raise RuntimeError("empty condition set")
-    return ExactMatrix.from_rows(rows, problem.field)
+    return _assemble(problem.config.points, problem.condition_index(),
+                     monomials(problem.n, problem.degree), problem.field)
 
 
 def vanishing_dimension(problem: InterpolationProblem) -> int:
@@ -188,17 +206,12 @@ def vanishing_dimension(problem: InterpolationProblem) -> int:
     return problem.n_columns - rank(condition_matrix(problem))
 
 
-def column_iterator(problem_index, powers, field, basis):
-    """Columns of the condition matrix, one per basis monomial, in order."""
-    for beta in basis:
-        yield [_entry(powers[j], alpha, beta, field) for j, alpha in problem_index]
-
-
 class DimensionSearch:
     """Incremental dimension of the interpolation system as the degree grows.
 
-    Columns for each new degree are appended to a RankAccumulator, so walking
-    the degree upward costs one pass over the final matrix in total.
+    Each new degree's columns are built as one conditions x new-monomials
+    block and appended to a RankAccumulator, so walking the degree upward
+    costs one pass over the final matrix in total.
     """
 
     def __init__(self, config: PointConfig, orders, field: PrimeField | None = None,
@@ -208,7 +221,7 @@ class DimensionSearch:
         self.field = field
         self.column_cap = column_cap
         self._index = InterpolationProblem(config, 0, self.orders, field).condition_index()
-        self._powers = [_PointPowers(p, field) for p in config.points]
+        self._tables = _ConditionTables(config.points, self._index, field)
         self._acc = RankAccumulator(field)
         self._cols = 0
         self._degree = -1
@@ -223,18 +236,15 @@ class DimensionSearch:
             raise ValueError("DimensionSearch degree must be non-decreasing")
         n = self.config.dimension
         while self._degree < degree:
-            self._degree += 1
-            new = monomials_exact_degree(n, self._degree)
+            new = monomials_exact_degree(n, self._degree + 1)
             if self.column_cap is not None and self._cols + len(new) > self.column_cap:
                 raise ValueError(
-                    f"column cap {self.column_cap} exceeded at degree {self._degree}; "
+                    f"column cap {self.column_cap} exceeded at degree {self._degree + 1}; "
                     "use the prime-field domain or raise the cap"
                 )
-            for beta in new:
-                col = [_entry(self._powers[j], alpha, beta, self.field)
-                       for j, alpha in self._index]
-                self._acc.add(col)
-                self._cols += 1
+            self._acc.add(self._tables.block(new))
+            self._cols += len(new)
+            self._degree += 1
         return self._cols - self._acc.rank
 
 
@@ -400,16 +410,10 @@ def kernel_polynomials(problem: InterpolationProblem) -> list:
 
 
 def homogeneous_condition_matrix(problem: InterpolationProblem) -> ExactMatrix:
-    n = problem.n
-    basis = monomials_exact_degree(n + 1, problem.degree)
-    one = Fraction(1)
-    powers = [_PointPowers(tuple(p) + (one,), problem.field) for p in problem.config.points]
-    rows = []
-    for j, alpha in problem.condition_index():
-        pw = powers[j]
-        alpha_ext = alpha + (0,)
-        rows.append([_entry(pw, alpha_ext, gamma, problem.field) for gamma in basis])
-    return ExactMatrix.from_rows(rows, problem.field)
+    points = [tuple(p) + (1,) for p in problem.config.points]
+    index = [(j, alpha + (0,)) for j, alpha in problem.condition_index()]
+    basis = monomials_exact_degree(problem.n + 1, problem.degree)
+    return _assemble(points, index, basis, problem.field)
 
 
 def homogeneous_vanishing_dimension(problem: InterpolationProblem) -> int:

@@ -138,6 +138,17 @@ def test_error_paths(tmp_path):
     assert main(["omega", "--grid", "2", "--badflag"]) == EXIT_ERROR
 
 
+def test_arithmetic_failure_is_one_line_error(tmp_path, capsys):
+    # 1/7 has no image mod 7: a ReductionError, reported without a traceback
+    cfg_json = '{"dimension":2,"points":[["1/7","0"],["2","3"]]}'
+    code = main(["omega", "--config-json", cfg_json, "--prime", "7",
+                 "--out", str(tmp_path / "reports")])
+    assert code == EXIT_ERROR
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "divisible by modulus 7" in err
+    assert err.count("\n") == 1 and "Traceback" not in err
+
+
 def test_report_reproducibility(tmp_path):
     a_code, a_out = run_cli(tmp_path / "a", "interval", "--n", "2", "--r", "6",
                             "--l-max", "2", "--seed", "9")

@@ -103,6 +103,20 @@ def test_vector_ops_other_moduli(p):
     ]
 
 
+@pytest.mark.parametrize("p", [M61, 97, 2**31 - 1, 4294967311])
+def test_vector_ops_broadcast_array_multiplier(p):
+    f = PrimeField(p)
+    vals = [0, 1, p - 1, p // 2, 12345 % p]
+    cs = [p - 3, 0, 1, p // 3]
+    out = f.vec_mul(f.vec(vals)[:, None], f.vec(cs))
+    assert [[int(x) for x in row] for row in out] == [[x * c % p for c in cs] for x in vals]
+    block = [[(7 * i + j) % p for j in range(len(cs))] for i in range(len(vals))]
+    out2 = f.vec_submul(f.vec(block), f.vec(cs), f.vec(vals)[:, None])
+    assert [[int(x) for x in row] for row in out2] == [
+        [(b - c * x) % p for b, c in zip(brow, cs)] for brow, x in zip(block, vals)
+    ]
+
+
 def test_rank_examples_both_domains():
     eye = [[1, 0, 0], [0, 1, 0], [0, 0, 1]]
     zeros = [[0, 0], [0, 0]]
@@ -197,16 +211,49 @@ def test_kernel_vectors_annihilate_matrix(rows):
         assert first == 1
 
 
+SMALL_P = 2**31 - 1  # "small" kind: uint64 products without splitting
+OBJECT_P = 4294967311  # "object" kind: prime between 2^31 and 2^62
+FIELD_KINDS = (F, PrimeField(SMALL_P), PrimeField(OBJECT_P))
+
+
+def test_field_kinds_cover_every_vector_path():
+    assert is_prime(SMALL_P) and SMALL_P < 2**31
+    assert is_prime(OBJECT_P) and 2**31 < OBJECT_P < 2**62
+    assert [f._kind for f in FIELD_KINDS] == ["m61", "small", "object"]
+
+
+def column_partitions(nc, rnd):
+    """Column-index blocks: width one, the whole matrix, random cuts."""
+    cuts = sorted(rnd.sample(range(1, nc), rnd.randint(0, nc - 1)))
+    bounds = list(zip([0, *cuts], [*cuts, nc]))
+    return [
+        [range(j, j + 1) for j in range(nc)],
+        [range(nc)],
+        [range(a, b) for a, b in bounds],
+    ]
+
+
 @settings(deadline=None, max_examples=80)
-@given(small_matrix)
-def test_rank_accumulator_matches_one_shot(rows):
+@given(small_matrix, st.randoms(use_true_random=False))
+def test_rank_accumulator_matches_one_shot(rows, rnd):
+    # the last three columns are c, 3c and c0 - c: a block holding them
+    # (the whole matrix always does) has dependent columns inside it
+    rows = [[*r, 3 * r[-1], r[0] - r[-1]] for r in rows]
     nc = len(rows[0])
-    cols = [[row[j] for row in rows] for j in range(nc)]
-    for fld in (None, F):
-        acc = RankAccumulator(fld)
-        for col in cols:
-            acc.add(col)
-        assert acc.rank == rank(ExactMatrix.from_rows(rows, fld))
+    for fld in (None, *FIELD_KINDS):
+        want = rank(ExactMatrix.from_rows(rows, fld))
+        for partition in column_partitions(nc, rnd):
+            acc = RankAccumulator(fld)
+            added = 0
+            for cols in partition:
+                block = [[row[j] for j in cols] for row in rows]
+                if fld is None:
+                    added += acc.add(block if len(cols) > 1 else [r[0] for r in block])
+                else:
+                    packed = fld.vec(block)
+                    added += acc.add(packed)
+                    assert (packed == fld.vec(block)).all()  # input left intact
+            assert acc.rank == added == want
 
 
 def test_rank_accumulator_fraction_entries():

@@ -199,5 +199,41 @@ def test_achieved_orders_meet_requirements_with_multiplicities():
 def test_column_cap_enforced():
     cfg = generic_points(2, 3, seed=0)
     search = DimensionSearch(cfg, uniform_orders(cfg, 1), None, column_cap=5)
+    dim1 = search.dimension_at(1)  # 3 columns
     with pytest.raises(ValueError, match="column cap"):
-        search.dimension_at(3)
+        search.dimension_at(3)  # degree 2 would bring 6 columns
+    # raised before any column of degree 2 was added; the search is intact
+    assert search._cols == 3
+    assert search.dimension_at(1) == dim1
+
+
+TABLE_FIELDS = (F, PrimeField(2**31 - 1), PrimeField(4294967311))
+TABLE_CONFIGS = [
+    make_config([[Fraction(-3, 2)], [5], [Fraction(2, 7)]], multiplicities=[2, 1, 3]),
+    make_config([[Fraction(-1, 2), 3], [0, Fraction(-5, 3)], [2, 2]],
+                multiplicities=[3, 1, 2]),
+    make_config([[1, Fraction(-2, 5), 0], [Fraction(3, 4), 1, -2]],
+                multiplicities=[2, 3]),
+]
+
+
+@pytest.mark.parametrize("cfg", TABLE_CONFIGS, ids=["n1", "n2", "n3"])
+@pytest.mark.parametrize("fld", [None, *TABLE_FIELDS],
+                         ids=["Q", "m61", "small", "object"])
+def test_condition_tables_match_condition_row(cfg, fld):
+    orders = uniform_orders(cfg, 1)
+    for d in range(max(orders) + 3):
+        pr = InterpolationProblem(cfg, d, orders, fld)
+        basis = monomials(pr.n, d)
+        mat = condition_matrix(pr)
+        assert (mat.rows, mat.cols) == (pr.n_conditions, len(basis))
+        assert {type(x) for x in mat.entries} == {int if fld else Fraction}
+        for i, (j, alpha) in enumerate(pr.condition_index()):
+            want = condition_row(cfg.points[j], alpha, basis)
+            if fld is not None:
+                want = [fld.from_rational(x) for x in want]
+            assert list(mat.row(i)) == want
+    search = DimensionSearch(cfg, orders, fld)
+    for d in range(max(orders) + 3):
+        assert search.dimension_at(d) == vanishing_dimension(
+            InterpolationProblem(cfg, d, orders, fld))
