@@ -28,7 +28,6 @@ from .exactla import (
     is_prime,
     kernel_basis,
     rank,
-    rational_to_field,
 )
 from .fatpoints import (
     InterpolationProblem,
@@ -113,7 +112,6 @@ __all__ = [
     "polydisc_two_pole_limit",
     "radial_profile",
     "rank",
-    "rational_to_field",
     "schwarz_check",
     "superadditivity_check",
     "two_point_example",

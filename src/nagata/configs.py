@@ -22,10 +22,6 @@ def frac_str(x: Fraction) -> str:
     return f"{x.numerator}/{x.denominator}"
 
 
-def parse_frac(s) -> Fraction:
-    return Fraction(s)
-
-
 @dataclass(frozen=True)
 class PointConfig:
     """Labeled finite set of distinct points with exact rational coordinates."""
@@ -107,7 +103,7 @@ class PointConfig:
 
     @classmethod
     def from_json_dict(cls, d: dict) -> "PointConfig":
-        pts = tuple(tuple(parse_frac(x) for x in p) for p in d["points"])
+        pts = tuple(tuple(Fraction(x) for x in p) for p in d["points"])
         mults = tuple(d["multiplicities"]) if "multiplicities" in d else None
         return cls(int(d["dimension"]), pts, mults, d.get("label", ""), d.get("seed"))
 

@@ -16,6 +16,12 @@ domains are supported:
   (Bareiss) on denominator-cleared integer rows, so intermediate entries are
   minors of the input and stay bounded.
 
+Exact checks take one matrix product on Python-int object arrays
+(``integer_rows``, ``exact_products``): reduced mod p over a field, and over
+Q on rows scaled by the lcm of their denominators, so no Fraction gcd is
+taken per product.  ``kernel_basis`` verifies m @ v = 0 for all its vectors
+this way, and fatpoints reads vanishing orders off condition rows with it.
+
 Pivot rules are fixed (first nonzero row in column order for the field,
 largest-magnitude entry for integers, ties to the lowest row index), so every
 result is a deterministic function of the input matrix alone.  All public
@@ -190,11 +196,6 @@ def _m61_mul(v: np.ndarray, c) -> np.ndarray:
     return np.minimum(r, r - _M61)  # r - M61 wraps past 2^64 when r < M61
 
 
-def rational_to_field(x, f: PrimeField) -> int:
-    """Reduce the rational x into the prime field f."""
-    return f.from_rational(x)
-
-
 # ---------------------------------------------------------------------------
 # Matrices
 
@@ -229,10 +230,6 @@ class ExactMatrix:
             flat = tuple(int(x) % field.modulus for r in rows for x in r)
         return cls(nr, nc, flat, field)
 
-    @property
-    def scalar_domain(self) -> str:
-        return "rational" if self.field is None else f"prime_field({self.field.modulus})"
-
     def row(self, i: int) -> tuple:
         return self.entries[i * self.cols : (i + 1) * self.cols]
 
@@ -241,13 +238,32 @@ class ExactMatrix:
 
 
 def _int_rows_from_rational(rows) -> list:
-    """Scale each row by the lcm of its denominators (rank/kernel invariant)."""
+    """Scale each row by the lcm of its denominators (rank/kernel invariant).
+
+    Entries are ints or Fractions; the scaling is integer arithmetic only."""
     out = []
     for r in rows:
-        denors = [x.denominator for x in r]
-        m = lcm(*denors) if denors else 1
-        out.append([int(x * m) for x in r])
+        m = lcm(*(x.denominator for x in r))
+        out.append([x.numerator * (m // x.denominator) for x in r])
     return out
+
+
+def integer_rows(rows, field: PrimeField | None) -> np.ndarray:
+    """Rows as a 2-D object array of Python ints that keeps the zero pattern
+    of every dot product taken with them: over Q each row is scaled by the
+    lcm of its denominators, over a field the elements are taken as they are.
+    """
+    if field is None:
+        rows = _int_rows_from_rational(rows)
+    return np.array(rows, dtype=object)
+
+
+def exact_products(a: np.ndarray, b: np.ndarray, field: PrimeField | None) -> np.ndarray:
+    """a @ b.T exactly, for arrays from ``integer_rows``: reduced mod p over a
+    field, plain integers over Q (zero exactly where the rational dot of the
+    unscaled rows is).  No Fraction, and so no gcd, enters the products."""
+    out = a.dot(b.T)
+    return out if field is None else out % field.modulus
 
 
 def _bareiss_echelon(rows: list) -> tuple[list, list]:
@@ -380,27 +396,23 @@ def kernel_basis(m: ExactMatrix) -> list:
             return v
 
     piv_set = set(piv_cols)
-    basis = []
-    for free in range(m.cols):
-        if free in piv_set:
-            continue
-        v = _normalize_first_nonzero(solve(free), m.field)
-        _verify_in_kernel(m, v)
-        basis.append(tuple(v))
+    basis = [tuple(_normalize_first_nonzero(solve(free), m.field))
+             for free in range(m.cols) if free not in piv_set]
+    _verify_in_kernel(m, basis)
     return basis
 
 
-def _verify_in_kernel(m: ExactMatrix, v: list) -> None:
-    for i in range(m.rows):
-        row = m.row(i)
-        if m.field is None:
-            s = sum(row[j] * v[j] for j in range(m.cols) if v[j])
-            ok = s == 0
-        else:
-            s = sum(int(row[j]) * int(v[j]) for j in range(m.cols) if v[j])
-            ok = s % m.field.modulus == 0
-        if not ok:
-            raise RuntimeError(f"kernel vector fails m @ v = 0 at row {i}")
+def _verify_in_kernel(m: ExactMatrix, vectors: list) -> None:
+    """Raise unless m @ v = 0 exactly for every vector, with one exact
+    product of m and all the vectors."""
+    if not m.rows or not vectors:
+        return
+    rows = integer_rows([m.row(i) for i in range(m.rows)], m.field)
+    bad = exact_products(rows, integer_rows(vectors, m.field), m.field) != 0
+    for k in range(len(vectors)):
+        if bad[:, k].any():
+            i = int(np.argmax(bad[:, k]))
+            raise RuntimeError(f"kernel vector {k} fails m @ v = 0 at row {i}")
 
 
 # ---------------------------------------------------------------------------

@@ -18,8 +18,10 @@ is a product of n gathered arrays.  ``condition_row`` evaluates the same
 formula independently and serves as the reference in the tests.
 
 The dimension of the linear system is column count minus rank; kernel vectors
-convert to polynomials whose exact vanishing order at each point is read off
-a Taylor shift.
+convert to polynomials.  The same rows give their exact vanishing orders: the
+(z - p)^alpha Taylor coefficient of a polynomial is the dot of its coefficient
+vector with the row of (p, alpha), so the order at p is the least t whose
+shell of rows |alpha| = t has a nonzero dot with it.
 """
 
 from __future__ import annotations
@@ -31,7 +33,15 @@ from math import comb
 import numpy as np
 
 from .configs import PointConfig
-from .exactla import ExactMatrix, PrimeField, RankAccumulator, kernel_basis, rank
+from .exactla import (
+    ExactMatrix,
+    PrimeField,
+    RankAccumulator,
+    exact_products,
+    integer_rows,
+    kernel_basis,
+    rank,
+)
 
 
 def monomials_exact_degree(n: int, t: int) -> list:
@@ -179,26 +189,25 @@ class _ConditionTables:
             col = _submul(self.field, shifted, self._neg_x, prev)
             self._tab = np.concatenate([self._tab, col[..., None]], axis=-1)
 
-    def block(self, basis) -> np.ndarray:
-        """Conditions x monomials block for the multi-indices in basis."""
+    def block(self, basis, rows: slice = slice(None)) -> np.ndarray:
+        """Conditions x monomials block for the multi-indices in basis, over
+        the conditions of the index selected by rows."""
         betas = np.array(basis)
         self._grow(int(betas.max()))
+        point, alpha = self._point[rows], self._alpha[rows]
         out = None
         for i in range(betas.shape[1]):
-            t = self._tab[self._point, i, self._alpha[:, i, None], betas[None, :, i]]
+            t = self._tab[point, i, alpha[:, i, None], betas[None, :, i]]
             out = t if out is None else _mul(self.field, out, t)
         return out
 
 
-def _assemble(points, index, basis, field: PrimeField | None) -> ExactMatrix:
-    block = _ConditionTables(points, index, field).block(basis)
-    return ExactMatrix(block.shape[0], block.shape[1], tuple(block.ravel().tolist()), field)
-
-
 def condition_matrix(problem: InterpolationProblem) -> ExactMatrix:
     """Assemble the full conditions x monomials matrix in the scalar domain."""
-    return _assemble(problem.config.points, problem.condition_index(),
-                     monomials(problem.n, problem.degree), problem.field)
+    block = _ConditionTables(problem.config.points, problem.condition_index(),
+                             problem.field).block(monomials(problem.n, problem.degree))
+    return ExactMatrix(block.shape[0], block.shape[1], tuple(block.ravel().tolist()),
+                       problem.field)
 
 
 def vanishing_dimension(problem: InterpolationProblem) -> int:
@@ -258,7 +267,8 @@ class KernelPolynomial:
 
     ``coefficients`` maps multi-indices to nonzero scalars (graded-lex
     ordering in the stored tuple); ``achieved_orders[j]`` is the exact
-    vanishing order at the j-th config point, computed by a Taylor shift.
+    vanishing order at the j-th config point, read off the condition rows
+    at that point (see ``vanishing_order``).
     """
 
     coefficients: tuple
@@ -267,23 +277,6 @@ class KernelPolynomial:
 
     def as_dict(self) -> dict:
         return dict(self.coefficients)
-
-    def coefficient(self, beta):
-        for b, c in self.coefficients:
-            if b == beta:
-                return c
-        return None
-
-    def evaluate(self, z) -> complex:
-        """Floating-point evaluation at a complex point."""
-        total = 0j
-        for beta, c in self.coefficients:
-            term = complex(c) if not isinstance(c, int) else float(c)
-            for zi, b in zip(z, beta):
-                if b:
-                    term *= zi**b
-            total += term
-        return total
 
     def evaluate_exact(self, point):
         """Exact evaluation at a rational point (rational-domain polynomials)."""
@@ -297,53 +290,36 @@ class KernelPolynomial:
         return total
 
 
-def taylor_shift(coeffs: dict, point, field: PrimeField | None = None) -> dict:
-    """Coefficients of P(z + point) from those of P(z).  Exact in the domain."""
-    out: dict = {}
-    if field is None:
-        point = tuple(Fraction(x) for x in point)
-        for beta, c in coeffs.items():
-            ranges = [range(b + 1) for b in beta]
-            for alpha in _product(ranges):
-                term = c
-                for i, (b, a) in enumerate(zip(beta, alpha)):
-                    if b > a:
-                        term = term * comb(b, a) * point[i] ** (b - a)
-                if term:
-                    key = tuple(alpha)
-                    out[key] = out.get(key, Fraction(0)) + term
-        return {k: v for k, v in out.items() if v}
-    p = field.modulus
-    pt = tuple(field.from_rational(x) for x in point)
-    for beta, c in coeffs.items():
-        ranges = [range(b + 1) for b in beta]
-        for alpha in _product(ranges):
-            term = c
-            for i, (b, a) in enumerate(zip(beta, alpha)):
-                if b > a:
-                    term = term * comb(b, a) % p * pow(pt[i], b - a, p) % p
-            if term:
-                key = tuple(alpha)
-                out[key] = (out.get(key, 0) + term) % p
-    return {k: v for k, v in out.items() if v}
+def vanishing_order(vectors, point, basis, field: PrimeField | None = None) -> tuple:
+    """Exact vanishing orders at one point of the polynomials whose
+    coefficient vectors over the monomial basis are given, one per vector.
 
-
-def _product(ranges):
-    if not ranges:
-        yield ()
-        return
-    for head in ranges[0]:
-        for rest in _product(ranges[1:]):
-            yield (head,) + rest
-
-
-def vanishing_order(coeffs: dict, point, field: PrimeField | None = None) -> int:
-    """Exact order of vanishing at a point: least |alpha| with a nonzero
-    shifted coefficient."""
-    shifted = taylor_shift(coeffs, point, field)
-    if not shifted:
+    The order of P at p is the least t for which some (z - p)^alpha Taylor
+    coefficient with |alpha| = t, ``condition_row(p, alpha, basis) . c``, is
+    nonzero.  The shells t = 0, 1, ... are blocks of the point's condition
+    tables, each multiplied exactly by the vectors whose order is still
+    open; a nonzero polynomial of degree <= d has order <= d.
+    """
+    if not all(any(v) for v in vectors):
         raise ValueError("zero polynomial has no vanishing order")
-    return min(sum(a) for a in shifted)
+    vecs = integer_rows(vectors, field)
+    n = len(point)
+    degree = max(sum(b) for b in basis)
+    index = [(0, alpha) for alpha in monomials(n, degree)]
+    tables = _ConditionTables([point], index, field)
+    orders = np.zeros(len(vectors), dtype=int)
+    todo = np.arange(len(vectors))
+    start = 0
+    for t in range(degree + 1):
+        if not len(todo):
+            break
+        stop = start + comb(t + n - 1, n - 1)
+        shell = integer_rows(tables.block(basis, slice(start, stop)), field)
+        hit = (exact_products(shell, vecs[todo], field) != 0).any(axis=0)
+        orders[todo[hit]] = t
+        todo = todo[~hit]
+        start = stop
+    return tuple(orders.tolist())
 
 
 def poly_mul(a: dict, b: dict, field: PrimeField | None = None) -> dict:
@@ -380,13 +356,12 @@ def kernel_polynomials(problem: InterpolationProblem) -> list:
         raise ValueError(
             f"system empty at this degree (d={problem.degree}, orders={problem.orders})"
         )
+    per_point = [vanishing_order(vectors, pt, basis, problem.field)
+                 for pt in problem.config.points]
     out = []
-    for v in vectors:
+    for v, achieved in zip(vectors, zip(*per_point)):
         coeffs = {basis[i]: c for i, c in enumerate(v) if c}
         degree = max(sum(b) for b in coeffs)
-        achieved = tuple(
-            vanishing_order(coeffs, pt, problem.field) for pt in problem.config.points
-        )
         for got, need in zip(achieved, problem.orders):
             if got < need:
                 raise RuntimeError(
@@ -396,26 +371,3 @@ def kernel_polynomials(problem: InterpolationProblem) -> list:
                               key=lambda kv: (sum(kv[0]), tuple(-x for x in kv[0]))))
         out.append(KernelPolynomial(stored, degree, achieved))
     return out
-
-
-# ---------------------------------------------------------------------------
-# Homogeneous mode
-
-# Exact-degree-d forms in n+1 variables, points taken by their affine
-# representatives (p, 1).  Vanishing order at such a chart point equals the
-# order of the dehomogenization, so the condition entry for the form monomial
-# gamma uses the same binomial formula with the extra coordinate fixed at 1;
-# for point sets avoiding the hyperplane at infinity the affine and
-# homogeneous dimensions coincide degree by degree.
-
-
-def homogeneous_condition_matrix(problem: InterpolationProblem) -> ExactMatrix:
-    points = [tuple(p) + (1,) for p in problem.config.points]
-    index = [(j, alpha + (0,)) for j, alpha in problem.condition_index()]
-    basis = monomials_exact_degree(problem.n + 1, problem.degree)
-    return _assemble(points, index, basis, problem.field)
-
-
-def homogeneous_vanishing_dimension(problem: InterpolationProblem) -> int:
-    mat = homogeneous_condition_matrix(problem)
-    return mat.cols - rank(mat)

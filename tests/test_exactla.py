@@ -14,10 +14,10 @@ from nagata.exactla import (
     RankAccumulator,
     ReductionError,
     _bareiss_echelon,
+    _verify_in_kernel,
     is_prime,
     kernel_basis,
     rank,
-    rational_to_field,
 )
 
 F = PrimeField()
@@ -60,17 +60,17 @@ def test_prime_field_rejects_bad_modulus():
 
 def test_rational_to_field_examples():
     f7 = PrimeField(7)
-    assert rational_to_field(Fraction(1, 2), f7) == 4
-    assert rational_to_field(Fraction(0), f7) == 0
-    assert rational_to_field(Fraction(-1, 3), f7) == 2
+    assert f7.from_rational(Fraction(1, 2)) == 4
+    assert f7.from_rational(Fraction(0)) == 0
+    assert f7.from_rational(Fraction(-1, 3)) == 2
 
 
 def test_rational_to_field_reduction_failure():
     f7 = PrimeField(7)
     with pytest.raises(ReductionError):
-        rational_to_field(Fraction(1, 7), f7)
+        f7.from_rational(Fraction(1, 7))
     with pytest.raises(ReductionError):
-        rational_to_field(Fraction(3, 14), f7)
+        f7.from_rational(Fraction(3, 14))
 
 
 @settings(deadline=None, max_examples=200)
@@ -220,6 +220,31 @@ def test_field_kinds_cover_every_vector_path():
     assert is_prime(SMALL_P) and SMALL_P < 2**31
     assert is_prime(OBJECT_P) and 2**31 < OBJECT_P < 2**62
     assert [f._kind for f in FIELD_KINDS] == ["m61", "small", "object"]
+
+
+@pytest.mark.parametrize("fld", [None, *FIELD_KINDS], ids=["Q", "m61", "small", "object"])
+def test_verify_in_kernel_rejects_vector_off_by_one_entry(fld):
+    # 3 x 6, no zero column: every kernel vector moved by one unit in one
+    # entry leaves the kernel
+    rows = [[Fraction(1, 2), -3, Fraction(5, 7), 2, 0, Fraction(-4, 3)],
+            [7, Fraction(2, 9), 1, -1, Fraction(3, 5), 6],
+            [0, 4, Fraction(-1, 6), Fraction(8, 11), 5, 1]]
+    if fld is not None:
+        rows = [[fld.from_rational(x) for x in r] for r in rows]
+    m = ExactMatrix.from_rows(rows, fld)
+    basis = kernel_basis(m)
+    assert len(basis) == 3
+    if fld is None:
+        assert any(x.denominator > 1 for v in basis for x in v)
+    _verify_in_kernel(m, basis)
+    for k in range(len(basis)):
+        for j in range(m.cols):
+            bad = list(basis)
+            v = list(bad[k])
+            v[j] = v[j] + 1 if fld is None else (v[j] + 1) % fld.modulus
+            bad[k] = tuple(v)
+            with pytest.raises(RuntimeError, match=f"kernel vector {k} fails"):
+                _verify_in_kernel(m, bad)
 
 
 def column_partitions(nc, rnd):

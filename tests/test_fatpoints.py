@@ -2,9 +2,11 @@
 
 import random
 from fractions import Fraction
+from math import prod
 
 import pytest
 
+from nagata import fatpoints
 from nagata.configs import generic_points, make_config, two_point_example
 from nagata.exactla import PrimeField
 from nagata.fatpoints import (
@@ -12,13 +14,11 @@ from nagata.fatpoints import (
     InterpolationProblem,
     condition_matrix,
     condition_row,
-    homogeneous_vanishing_dimension,
     kernel_polynomials,
     monomial_count,
     monomials,
     poly_mul,
     proportional,
-    taylor_shift,
     uniform_orders,
     vanishing_dimension,
     vanishing_order,
@@ -124,16 +124,24 @@ def test_empty_kernel_raises():
         kernel_polynomials(InterpolationProblem.uniform(cfg, 1, 0))
 
 
+def as_vector(coeffs: dict, basis, fld=None) -> list:
+    zero = 0 if fld else Fraction(0)
+    return [coeffs.get(beta, zero) for beta in basis]
+
+
 def test_taylor_shift_and_vanishing_order():
-    # P = z1^2 - z2 has order 1 at (1, 1); shifted constant term vanishes
-    coeffs = {(2, 0): Fraction(1), (0, 1): Fraction(-1)}
-    shifted = taylor_shift(coeffs, (1, 1))
-    assert shifted.get((0, 0), 0) == 0
-    assert vanishing_order(coeffs, (1, 1)) == 1
-    assert vanishing_order(coeffs, (0, 0)) == 1  # -z2 term
-    assert vanishing_order({(2, 0): Fraction(1)}, (0, 0)) == 2
+    # P = z1^2 - z2 has order 1 at (1, 1): the shifted constant term, the
+    # condition_row dot for alpha = 0, vanishes
+    basis = monomials(2, 2)
+    p = as_vector({(2, 0): Fraction(1), (0, 1): Fraction(-1)}, basis)
+    row = condition_row((1, 1), (0, 0), basis)
+    assert sum(a * c for a, c in zip(row, p)) == 0
+    assert vanishing_order([p], (1, 1), basis) == (1,)
+    assert vanishing_order([p], (0, 0), basis) == (1,)  # -z2 term
+    square = as_vector({(2, 0): Fraction(1)}, basis)
+    assert vanishing_order([p, square], (0, 0), basis) == (1, 2)
     f7 = PrimeField(7)
-    assert vanishing_order({(2, 0): 1}, (0, 0), f7) == 2
+    assert vanishing_order([as_vector({(2, 0): 1}, basis, f7)], (0, 0), basis, f7) == (2,)
 
 
 def test_dimension_search_monotonicity_in_degree_and_orders():
@@ -180,13 +188,6 @@ def test_field_rational_agreement_small_systems():
     assert checked >= 4
 
 
-def test_homogeneous_matches_affine_dimension():
-    for seed, (n, r, l, d) in enumerate([(2, 3, 1, 2), (2, 5, 2, 4), (3, 2, 1, 2)]):
-        cfg = generic_points(n, r, seed=seed)
-        pr = InterpolationProblem.uniform(cfg, l, d, F)
-        assert homogeneous_vanishing_dimension(pr) == vanishing_dimension(pr)
-
-
 def test_achieved_orders_meet_requirements_with_multiplicities():
     cfg = make_config([[0, 0], [1, 0]], multiplicities=[1, 2])
     orders = uniform_orders(cfg, 1)
@@ -194,6 +195,21 @@ def test_achieved_orders_meet_requirements_with_multiplicities():
     polys = kernel_polynomials(InterpolationProblem(cfg, 2, orders))
     for p in polys:
         assert p.achieved_orders[0] >= 1 and p.achieved_orders[1] >= 2
+
+
+def test_kernel_polynomials_reject_order_below_requirement(monkeypatch):
+    cfg = generic_points(2, 5, seed=3)
+    problem = InterpolationProblem.uniform(cfg, 2, 4)
+    assert kernel_polynomials(problem)[0].achieved_orders == (2,) * 5
+    real = fatpoints.vanishing_order
+
+    def one_short(vectors, point, basis, field=None):
+        got = real(vectors, point, basis, field)
+        return got if point != cfg.points[-1] else tuple(o - 1 for o in got)
+
+    monkeypatch.setattr(fatpoints, "vanishing_order", one_short)
+    with pytest.raises(RuntimeError, match="misses required order: 1 < 2"):
+        kernel_polynomials(problem)
 
 
 def test_column_cap_enforced():
@@ -237,3 +253,65 @@ def test_condition_tables_match_condition_row(cfg, fld):
     for d in range(max(orders) + 3):
         assert search.dimension_at(d) == vanishing_dimension(
             InterpolationProblem(cfg, d, orders, fld))
+
+
+# Points with fractional and negative coordinates, n = 1, 2, 3.
+ORDER_POINTS = {
+    1: [(Fraction(-3, 2),), (Fraction(2, 7),), (5,), (0,)],
+    2: [(Fraction(-1, 2), 3), (0, Fraction(-5, 3)), (2, 2), (Fraction(7, 4), Fraction(-1, 3))],
+    3: [(1, Fraction(-2, 5), 0), (Fraction(3, 4), 1, -2), (0, 0, Fraction(1, 9))],
+}
+
+
+def hyperplane_through(q, rnd) -> dict:
+    """a . (z - q) for a random nonzero integer direction a."""
+    n = len(q)
+    a = [0] * n
+    while not any(a):
+        a = [rnd.randint(-4, 4) for _ in range(n)]
+    lin = {tuple(int(i == j) for j in range(n)): Fraction(a[i]) for i in range(n) if a[i]}
+    const = -sum(Fraction(ai) * Fraction(qi) for ai, qi in zip(a, q))
+    if const:
+        lin[(0,) * n] = const
+    return lin
+
+
+def evaluate(poly: dict, p, fld):
+    val = sum(c * prod(Fraction(x) ** e for x, e in zip(p, b)) for b, c in poly.items())
+    return val if fld is None else fld.from_rational(val)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+@pytest.mark.parametrize("fld", [None, *TABLE_FIELDS], ids=["Q", "m61", "small", "object"])
+def test_vanishing_order_matches_product_of_hyperplanes(n, fld):
+    # Oracle: the order at p of a product of linear forms is the summed
+    # exponent of the forms vanishing at p (checked by evaluation).
+    rnd = random.Random(100 * n + (fld.modulus % 97 if fld else 0))
+    points = ORDER_POINTS[n]
+    one = 1 if fld else Fraction(1)
+    polys, want = [], []
+    for i in range(6):
+        # every other polynomial has order >= 4 at one point
+        center = points[i % len(points)]
+        factors = [] if i % 2 else [(hyperplane_through(center, rnd), 2),
+                                    (hyperplane_through(center, rnd), 2)]
+        factors += [(hyperplane_through(rnd.choice(points), rnd), rnd.randint(1, 3))
+                    for _ in range(rnd.randint(1, 3))]
+        poly = {(0,) * n: one}
+        for lin, e in factors:
+            if fld is not None:
+                lin = {b: fld.from_rational(c) for b, c in lin.items()}
+            for _ in range(e):
+                poly = poly_mul(poly, lin, fld)
+        polys.append(poly)
+        want.append(tuple(
+            sum(e for lin, e in factors if evaluate(lin, p, fld) == 0) for p in points))
+    degree = max(sum(b) for poly in polys for b in poly) + 1  # padded basis
+    basis = monomials(n, degree)
+    vectors = [as_vector(poly, basis, fld) for poly in polys]
+    got = [vanishing_order(vectors, p, basis, fld) for p in points]
+    assert [tuple(col) for col in zip(*got)] == want
+    assert max(max(w) for w in want) >= 4  # several shells walked
+    assert min(min(w) for w in want) == 0
+    with pytest.raises(ValueError, match="zero polynomial"):
+        vanishing_order(vectors + [as_vector({}, basis, fld)], points[0], basis, fld)
