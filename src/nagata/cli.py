@@ -315,10 +315,12 @@ def run(spec: ExperimentSpec) -> int:
         },
     }
     jsonschema.validate(report, load_schema())
+    # a non-finite float is no JSON: refuse it before anything is written
+    text = json.dumps(report, indent=2, sort_keys=True, allow_nan=False) + "\n"
     spec.out.mkdir(parents=True, exist_ok=True)
     if spec.format in ("json", "both"):
         path = spec.out / f"{spec.command}.json"
-        path.write_text(json.dumps(report, indent=2, sort_keys=True) + "\n")
+        path.write_text(text)
         print(f"wrote {path}")
     if spec.format in ("csv", "both"):
         path = spec.out / f"{spec.command}.csv"

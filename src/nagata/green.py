@@ -14,6 +14,21 @@ Sup norms are sampled, never certified: every approximant carries eps_sample,
 the observed normalization gap when the boundary sample count is doubled, and
 one-sided inequalities are reported with that slack.  All routines are
 deterministic given (inputs, seed, sample counts).
+
+Batch contract.  The closed forms (ball_green_single_pole,
+polydisc_two_pole_exact, polydisc_two_pole_limit, two_point_oracle) take z
+as one point of shape (n,), returning a float, or as a batch of shape
+(m, n), returning an array of m values equal bit for bit to the per-point
+calls; a pole row gets -inf, and one row outside the domain rejects the
+whole batch.  A callable radial_profile target receives every sampled point
+of every radius as one (m, n) array and returns m values; a collision
+oracle(t, pts) is called once per t on the whole annulus grid.
+
+Evaluation.  Every polynomial family (an approximant's kernel basis and its
+random combinations, or a Schwarz check's kernel) is one complex coefficient
+matrix over one shared monomial list, evaluated at m points as V @ coeffs
+with V the (m, N) monomial matrix; sups and values are column reductions of
+its modulus.
 """
 
 from __future__ import annotations
@@ -34,13 +49,21 @@ NEG_INF = float("-inf")
 _MODES = ("ball", "polydisc")
 
 
-def _as_vector(z) -> np.ndarray:
+def _as_points(z) -> tuple:
+    """(points as an (m, n) array, whether z was one point of shape (n,))."""
     v = np.asarray(z, dtype=complex)
-    if v.ndim != 1:
-        raise ValueError("a point is a flat sequence of complex coordinates")
-    if not np.all(np.isfinite(v.view(float))):
+    if v.ndim not in (1, 2):
+        raise ValueError("z is one point of shape (n,) or a batch of shape (m, n)")
+    if not np.all(np.isfinite(v)):
         raise ValueError("coordinates must be finite")
-    return v
+    return np.atleast_2d(v), v.ndim == 1
+
+
+def _as_vector(z) -> np.ndarray:
+    pts, single = _as_points(z)
+    if not single:
+        raise ValueError("a point is a flat sequence of complex coordinates")
+    return pts[0]
 
 
 def _norm(v: np.ndarray, mode: str) -> float:
@@ -49,16 +72,28 @@ def _norm(v: np.ndarray, mode: str) -> float:
     return float(np.max(np.abs(v)))
 
 
-def _ln_abs(w: complex) -> float:
-    a = abs(w)
-    return math.log(a) if a > 0.0 else NEG_INF
+def _log_abs(vals: np.ndarray) -> np.ndarray:
+    # ln|v| with ln 0 = -inf: the value at a pole, not an error
+    with np.errstate(divide="ignore"):
+        return np.log(np.abs(vals))
+
+
+def _two_point_coords(z) -> tuple:
+    pts, single = _as_points(z)
+    if pts.shape[1] != 2:
+        raise ValueError("the two-pole formula lives in dimension 2")
+    return pts[:, 0], pts[:, 1], single
+
+
+def _shaped(out: np.ndarray, single: bool):
+    return float(out[0]) if single else out
 
 
 # ---------------------------------------------------------------------------
 # Closed forms
 
 
-def ball_green_single_pole(a, z) -> float:
+def ball_green_single_pole(a, z):
     """Green function of the unit ball with one logarithmic pole at a.
 
     Equals ln|phi_a(z)| for the ball automorphism
@@ -72,27 +107,26 @@ def ball_green_single_pole(a, z) -> float:
     and returns an explicit -inf sentinel at the pole.
     """
     a = _as_vector(a)
-    z = _as_vector(z)
+    pts, single = _as_points(z)
     na2 = float(np.sum(np.abs(a) ** 2))
-    nz2 = float(np.sum(np.abs(z) ** 2))
+    nz2 = np.sum(np.abs(pts) ** 2, axis=1)
     if na2 >= 1.0:
         raise ValueError("pole must lie strictly inside the unit ball")
-    if nz2 > 1.0 + 1e-9:
+    if np.any(nz2 > 1.0 + 1e-9):
         raise ValueError("z must lie in the closed unit ball")
-    if np.array_equal(a, z):
-        return NEG_INF
     if na2 == 0.0:
-        return 0.5 * math.log(nz2) if nz2 > 0.0 else NEG_INF
-    inner = complex(np.sum(z * np.conj(a)))
-    proj = (inner / na2) * a
-    num = a - proj - math.sqrt(1.0 - na2) * (z - proj)
-    mod2 = float(np.sum(np.abs(num) ** 2)) / abs(1.0 - inner) ** 2
-    if mod2 == 0.0:
-        return NEG_INF
-    return 0.5 * math.log(mod2)
+        mod2 = nz2
+    else:
+        inner = np.sum(pts * np.conj(a), axis=1)
+        proj = (inner / na2)[:, None] * a
+        num = a - proj - math.sqrt(1.0 - na2) * (pts - proj)
+        mod2 = np.sum(np.abs(num) ** 2, axis=1) / np.abs(1.0 - inner) ** 2
+    out = 0.5 * _log_abs(mod2)
+    out[np.all(pts == a, axis=1)] = NEG_INF
+    return _shaped(out, single)
 
 
-def polydisc_two_pole_exact(t: complex, z) -> float:
+def polydisc_two_pole_exact(t: complex, z):
     """Green function of the unit polydisc with weight-1 poles at (+-t/2, 0):
 
         max{ ln |(z1 - t/2)(z1 + t/2) / ((1 - conj(t) z1 / 2)(1 + conj(t) z1 / 2))|,
@@ -100,28 +134,23 @@ def polydisc_two_pole_exact(t: complex, z) -> float:
 
     Valid for |t| < 2 (poles inside); -inf exactly at the poles.
     """
-    z = _as_vector(z)
-    if len(z) != 2:
-        raise ValueError("the two-pole formula lives in dimension 2")
+    z1, z2, single = _two_point_coords(z)
     if abs(t) >= 2.0:
         raise ValueError("|t| must be < 2")
-    if _norm(z, "polydisc") > 1.0 + 1e-9:
+    if np.any(np.maximum(np.abs(z1), np.abs(z2)) > 1.0 + 1e-9):
         raise ValueError("z must lie in the closed unit polydisc")
-    z1, z2 = complex(z[0]), complex(z[1])
     tc = complex(t).conjugate()
     num = (z1 - t / 2.0) * (z1 + t / 2.0)
     den = (1.0 - tc * z1 / 2.0) * (1.0 + tc * z1 / 2.0)
-    first = _ln_abs(num) - _ln_abs(den)
-    return max(first, _ln_abs(z2))
+    out = np.maximum(_log_abs(num) - _log_abs(den), _log_abs(z2))
+    return _shaped(out, single)
 
 
-def polydisc_two_pole_limit(z) -> float:
+def polydisc_two_pole_limit(z):
     """Collision limit of polydisc_two_pole_exact as t -> 0:
     max{2 ln|z1|, ln|z2|}."""
-    z = _as_vector(z)
-    if len(z) != 2:
-        raise ValueError("the two-pole formula lives in dimension 2")
-    return max(2.0 * _ln_abs(complex(z[0])), _ln_abs(complex(z[1])))
+    z1, z2, single = _two_point_coords(z)
+    return _shaped(np.maximum(2.0 * _log_abs(z1), _log_abs(z2)), single)
 
 
 # ---------------------------------------------------------------------------
@@ -152,8 +181,7 @@ def _full_boundary(rng, count: int, n: int, mode: str) -> np.ndarray:
     if mode == "ball":
         return _unit_sphere(rng, count, n)
     w = rng.random((count, n)) * np.exp(2j * np.pi * rng.random((count, n)))
-    for i in range(count):
-        w[i, i % n] = np.exp(2j * np.pi * rng.random())
+    w[np.arange(count), np.arange(count) % n] = np.exp(2j * np.pi * rng.random(count))
     return w
 
 
@@ -170,24 +198,36 @@ def annulus_grid(r_min: float, r_max: float, n_radii: int, n_dirs: int,
     return radii, pts
 
 
-def _poly_arrays(coeff_map: dict):
-    items = sorted(coeff_map.items(), key=lambda kv: (sum(kv[0]), tuple(-x for x in kv[0])))
-    exps = np.array([k for k, _ in items], dtype=np.int64)
-    coeffs = np.array([complex(v) for _, v in items], dtype=complex)
-    return exps, coeffs
+def _kernel_arrays(polys) -> tuple:
+    """Exponents (N, n) of every monomial the polynomials use, in graded
+    order, and their complex coefficient matrix (N, len(polys))."""
+    exps = sorted({beta for p in polys for beta, _ in p.coefficients},
+                  key=lambda b: (sum(b), tuple(-x for x in b)))
+    row = {beta: i for i, beta in enumerate(exps)}
+    coeffs = np.zeros((len(exps), len(polys)), dtype=complex)
+    for k, p in enumerate(polys):
+        for beta, c in p.coefficients:
+            coeffs[row[beta], k] = complex(c)
+    return np.array(exps, dtype=np.int64), coeffs
 
 
-def _eval_poly(exps: np.ndarray, coeffs: np.ndarray, pts: np.ndarray) -> np.ndarray:
-    # pts: (m, n) complex; returns (m,) values of sum c * prod z^exp
-    return np.prod(pts[:, None, :] ** exps[None, :, :], axis=2) @ coeffs
+def _monomials(exps: np.ndarray, pts: np.ndarray) -> np.ndarray:
+    """(m, N) values z^exps[k] at every point of the (m, n) array pts.
 
-
-def _log_abs_array(vals: np.ndarray) -> np.ndarray:
-    a = np.abs(vals)
-    out = np.full(a.shape, NEG_INF)
-    mask = a > 0.0
-    out[mask] = np.log(a[mask])
-    return out
+    Per-coordinate power tables z_j^0, z_j^1, ... are grown by repeated
+    multiplication; each monomial gathers its factors from them, one
+    coordinate at a time so no (N, n, m) array is held.  V @ coeffs then
+    evaluates a whole family of polynomials over these monomials.
+    """
+    m, n = pts.shape
+    powers = np.empty((int(exps.max(initial=0)) + 1, n, m), dtype=complex)
+    powers[0] = 1.0
+    for k in range(1, len(powers)):
+        np.multiply(powers[k - 1], pts.T, out=powers[k])
+    v = powers[exps[:, 0], 0]
+    for j in range(1, n):
+        v *= powers[exps[:, j], j]
+    return v.T
 
 
 # ---------------------------------------------------------------------------
@@ -199,8 +239,10 @@ class GreenApproximant:
     """Finite-family lower approximant of the Green function with poles t*S.
 
     Holds complex copies of the exact kernel polynomials of the scaled
-    interpolation system (plus seeded random kernel combinations) together
-    with their sampled boundary sup norms.  Its value at z,
+    interpolation system (plus seeded random kernel combinations), one
+    column of ``coeffs`` per family member over the shared monomial
+    exponents ``exps``, together with their sampled boundary sup norms.
+    Its value at z,
 
         max_P (ln|P(z)| - ln sup_est(P)) / l,
 
@@ -213,8 +255,9 @@ class GreenApproximant:
     l: int
     degree: int
     mode: str
-    polynomials: tuple          # ((exps, coeffs) arrays per polynomial)
-    sup_estimates: np.ndarray   # sampled sup of |P| over stored samples
+    exps: np.ndarray            # (N, n) monomial exponents
+    coeffs: np.ndarray          # (N, F) complex coefficients, one column per member
+    sup_estimates: np.ndarray   # (F,) sampled sup of |P| over stored samples
     samples: np.ndarray         # boundary samples the sups were taken over
     eps_sample: float
     seed: int
@@ -232,11 +275,8 @@ class GreenApproximant:
 
     def values(self, pts: np.ndarray) -> np.ndarray:
         """Approximant values at an (m, n) array of points."""
-        best = np.full(len(pts), NEG_INF)
-        for (exps, coeffs), sup in zip(self.polynomials, self.sup_estimates):
-            v = _log_abs_array(_eval_poly(exps, coeffs, pts)) - math.log(sup)
-            np.maximum(best, v, out=best)
-        best /= self.l
+        logs = _log_abs(_monomials(self.exps, pts) @ self.coeffs)
+        best = np.max(logs - np.log(self.sup_estimates), axis=1) / self.l
         # explicit sentinel: float rounding of exact coefficients can leave a
         # ~1e-17 residue at a pole instead of an exact zero
         for pole in self.poles():
@@ -271,36 +311,23 @@ def build_approximant(config: PointConfig, t, l: int, d: int,
     problem = InterpolationProblem(scaled, d, uniform_orders(config, l), None)
     polys = kernel_polynomials(problem)  # raises when the kernel is empty
 
-    family = [_poly_arrays(p.as_dict()) for p in polys]
+    exps, coeffs = _kernel_arrays(polys)
     rng = np.random.default_rng(seed)
     if extra_combos > 0 and len(polys) >= 2:
         # random complex combinations of the kernel basis widen the family;
         # each is normalized by its own sampled sup, so they stay minorants
         weights = rng.standard_normal((extra_combos, len(polys))) \
             + 1j * rng.standard_normal((extra_combos, len(polys)))
-        for w in weights:
-            combo: dict = {}
-            for wi, p in zip(w, polys):
-                for beta, c in p.as_dict().items():
-                    combo[beta] = combo.get(beta, 0j) + wi * complex(c)
-            combo = {k: v for k, v in combo.items() if v != 0}
-            family.append(_poly_arrays(combo))
+        coeffs = np.concatenate([coeffs, coeffs @ weights.T], axis=1)
 
-    n = config.dimension
-    probe = _boundary(rng, 2 * boundary_samples, n, mode)
-    stored = probe[:boundary_samples]
-    sups = np.empty(len(family))
-    gap = 0.0
-    for i, (exps, coeffs) in enumerate(family):
-        vals = np.abs(_eval_poly(exps, coeffs, probe))
-        sup_stored = float(np.max(vals[:boundary_samples]))
-        sup_probe = float(np.max(vals))
-        if sup_stored <= 0.0:
-            raise RuntimeError("sampled sup of a nonzero kernel polynomial is zero")
-        sups[i] = sup_stored
-        gap = max(gap, (math.log(sup_probe) - math.log(sup_stored)) / l)
-    return GreenApproximant(config, t, l, d, mode, tuple(family), sups, stored,
-                            gap, seed)
+    probe = _boundary(rng, 2 * boundary_samples, config.dimension, mode)
+    vals = np.abs(_monomials(exps, probe) @ coeffs)
+    sups = np.max(vals[:boundary_samples], axis=0)
+    if np.any(sups <= 0.0):
+        raise RuntimeError("sampled sup of a nonzero kernel polynomial is zero")
+    gap = max(0.0, float(np.max(np.log(np.max(vals, axis=0)) - np.log(sups))) / l)
+    return GreenApproximant(config, t, l, d, mode, exps, coeffs, sups,
+                            probe[:boundary_samples], gap, seed)
 
 
 def evaluate_approximant(g: GreenApproximant, z) -> float:
@@ -391,7 +418,8 @@ def radial_profile(target, radii=None, sphere_samples: int = 512, seed: int = 0,
     """Sup of target over sampled spheres of each radius, with log-slope fit.
 
     target is a GreenApproximant (mode, dimension, and pole radius inferred)
-    or a callable point -> float with mode given (dimension defaults to 2).
+    or a callable with mode given (dimension defaults to 2) that maps an
+    (m, n) array of points to their m values.
     Radii must be decreasing in (0, 1) and stay outside the pole radius;
     passing axis=j restricts the sampling to the j-th coordinate axis (an
     axial slope).
@@ -423,6 +451,8 @@ def radial_profile(target, radii=None, sphere_samples: int = 512, seed: int = 0,
             f"smallest radius {radii[-1]} does not exclude the poles "
             f"(pole radius {pole_radius}); the slope window must avoid them"
         )
+    if sphere_samples < 1:
+        raise ValueError("sphere_samples must be >= 1")
 
     rng = np.random.default_rng(seed)
     if axis is not None:
@@ -433,23 +463,23 @@ def radial_profile(target, radii=None, sphere_samples: int = 512, seed: int = 0,
     else:
         dirs = _boundary(rng, sphere_samples, n, mode)
 
-    sups = []
-    for r in radii:
-        pts = r * dirs
-        if fn is None:
-            vals = target.values(pts)
-        else:
-            vals = np.array([fn(p) for p in pts])
-        sup = float(np.max(vals))
+    pts = (np.array(radii)[:, None, None] * dirs).reshape(-1, n)
+    if fn is None:
+        vals = target.values(pts)
+    else:
+        vals = np.asarray(fn(pts), dtype=float)
+        if vals.shape != (len(pts),):
+            raise ValueError(f"a callable target must map {len(pts)} points to "
+                             f"{len(pts)} values, got shape {vals.shape}")
+    y = np.max(vals.reshape(len(radii), sphere_samples), axis=1)
+    for r, sup in zip(radii, y):
         if sup == NEG_INF:
             raise ValueError(f"target is -inf on the whole sampled sphere r={r}")
-        sups.append(sup)
 
     x = np.log(np.array(radii))
-    y = np.array(sups)
     _check_shape(x, y, shape_tol)
     slope, stderr = _fit_line(x, y)
-    return RadialProfile(radii, tuple(sups), slope, stderr)
+    return RadialProfile(radii, tuple(y.tolist()), slope, stderr)
 
 
 # ---------------------------------------------------------------------------
@@ -525,10 +555,15 @@ def collision_experiment(config: PointConfig, l: int, d: int, t_sequence,
     finite t the true Green function exceeds Omega(S) ln|z| by a margin that
     decays only as t -> 0, so on configs with omega_l/l > 1 expect upper_ok
     to fail at coarse t while upper_margin shrinks down the table.  When an
-    oracle(t, z) is supplied, the sup pointwise gap is reported as well.
+    oracle(t, pts) is supplied (called once per t on the whole (m, n) grid,
+    returning m values), the sup pointwise gap is reported as well.
     """
     if mode not in _MODES:
         raise ValueError(f"mode must be one of {_MODES}")
+    if n_radii < 2:
+        raise ValueError("n_radii must be >= 2 (the slope fit needs two radii)")
+    if n_dirs < 1:
+        raise ValueError("n_dirs must be >= 1")
     ts = [Fraction(t) if not isinstance(t, float) else None for t in t_sequence]
     if None in ts:
         raise TypeError("pass t values as exact rationals (Fractions or strings)")
@@ -558,7 +593,7 @@ def collision_experiment(config: PointConfig, l: int, d: int, t_sequence,
         upper_ok = margin <= g.eps_sample + 1e-9
         gap = None
         if oracle is not None:
-            ovals = np.array([oracle(t, p) for p in pts]).reshape(n_radii, n_dirs)
+            ovals = np.asarray(oracle(t, pts), dtype=float).reshape(n_radii, n_dirs)
             gap = float(np.max(np.abs(vals - ovals)))
         rows.append(CollisionRow(t, dev, slope, upper_ok, margin,
                                  g.eps_sample, gap))
@@ -616,6 +651,8 @@ def schwarz_check(config: PointConfig, l: int, d: int | None = None,
         raise ValueError("rho must lie in (0, 1]")
     if R <= 0.0:
         raise ValueError("R must be positive")
+    if boundary_samples < 1:
+        raise ValueError("boundary_samples must be >= 1")
     resolve_scalar(scalar)  # validate early
     if d is None:
         d = omega_l(config, l, scalar)
@@ -625,14 +662,14 @@ def schwarz_check(config: PointConfig, l: int, d: int | None = None,
 
     problem = InterpolationProblem(config, d, uniform_orders(config, l), None)
     polys = kernel_polynomials(problem)
+    exps, coeffs = _kernel_arrays(polys)
     dirs = _unit_sphere(np.random.default_rng(seed), boundary_samples,
                         config.dimension)
     r = rho * R
     factor = l * (float(omega_lower) - epsilon) * math.log(R / r)
-    out = []
-    for i, p in enumerate(polys):
-        exps, coeffs = _poly_arrays(p.as_dict())
-        lhs = float(np.max(_log_abs_array(_eval_poly(exps, coeffs, r * dirs))))
-        ln_R = float(np.max(_log_abs_array(_eval_poly(exps, coeffs, R * dirs))))
-        out.append(SchwarzVerdict(i, p.degree, lhs, ln_R - factor))
+    # ln sup |P| on the spheres of radius r and R, one column per polynomial
+    logs = _log_abs(_monomials(exps, np.concatenate([r * dirs, R * dirs])) @ coeffs)
+    lhs, ln_R = np.max(logs.reshape(2, boundary_samples, -1), axis=1).tolist()
+    out = [SchwarzVerdict(i, p.degree, lhs[i], ln_R[i] - factor)
+           for i, p in enumerate(polys)]
     return SchwarzResult(tuple(out), omega_lower, rho, R, epsilon)

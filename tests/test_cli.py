@@ -176,3 +176,36 @@ def test_all_reports_validate_against_schema(tmp_path):
         assert code in (EXIT_OK, EXIT_VERDICT_FAILED)
         report = json.loads((out / f"{case[0]}.json").read_text())
         jsonschema.validate(report, schema)
+
+
+@pytest.mark.parametrize("argv, name", [
+    (["collide", "--example", "two-point", "--t", "1/2", "--n-radii", "1"], "n_radii"),
+    (["collide", "--example", "two-point", "--t", "1/2", "--n-dirs", "0"], "n_dirs"),
+    (["green-profile", "--exact", "ball-origin", "--sphere-samples", "0"],
+     "sphere_samples"),
+    (["green-profile", "--example", "two-point", "--t", "1/10", "--mode", "polydisc",
+      "--boundary-samples", "64", "--sphere-samples", "0"], "sphere_samples"),
+    (["schwarz", "--example", "two-point", "--boundary-samples", "0"],
+     "boundary_samples"),
+])
+def test_bad_sample_counts_are_one_line_errors(tmp_path, capsys, argv, name):
+    out = tmp_path / "reports"
+    code = main([*argv, "--out", str(out)])
+    assert code == EXIT_ERROR
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and name in err
+    assert err.count("\n") == 1 and "Traceback" not in err
+    assert not out.exists() or not any(out.iterdir())
+
+
+def test_non_finite_report_is_refused(tmp_path, capsys, monkeypatch):
+    from nagata import cli
+
+    monkeypatch.setitem(cli._RUNNERS, "omega",
+                        lambda spec: ({"value": float("nan")}, [], []))
+    out = tmp_path / "reports"
+    code = main(["omega", "--grid", "2", "--out", str(out), "--format", "both"])
+    assert code == EXIT_ERROR
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert not out.exists()

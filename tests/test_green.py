@@ -5,8 +5,11 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from nagata.configs import generic_points, grid_points, make_config, two_point_example
+from nagata.fatpoints import KernelPolynomial
 from nagata.green import (
     NEG_INF,
     annulus_grid,
@@ -20,6 +23,8 @@ from nagata.green import (
     radial_profile,
     schwarz_check,
     two_point_oracle,
+    _kernel_arrays,
+    _monomials,
 )
 
 ORIGIN = make_config([[0, 0]], label="origin")
@@ -100,6 +105,99 @@ def test_polydisc_exact_sandwich_small_t():
         assert 2 * math.log(sup) - float(t) ** 2 <= g <= math.log(sup) + 1e-12
 
 
+def _closed_form_batches():
+    rng = np.random.default_rng(17)
+    ball = rng.standard_normal((40, 2)) + 1j * rng.standard_normal((40, 2))
+    ball *= (rng.random(40) / np.linalg.norm(ball, axis=1))[:, None]
+    torus = rng.random((40, 2)) * np.exp(2j * np.pi * rng.random((40, 2)))
+    a = np.array([0.3 + 0.1j, -0.2])
+    t = complex(Fraction(1, 10))
+    return [
+        # (closed form, batch, pole row, a row outside the domain)
+        (lambda z: ball_green_single_pole(a, z), ball, a, [0.9, 0.9]),
+        (lambda z: ball_green_single_pole([0, 0], z), ball, [0, 0], [1.2, 0]),
+        (lambda z: polydisc_two_pole_exact(0.2, z), torus, [0.1, 0], [0.5, 1.2]),
+        (lambda z: two_point_oracle(Fraction(1, 10), z), torus, [-t / 2, 0],
+         [1.5j, 0]),
+        (polydisc_two_pole_limit, torus, [0, 0], [np.inf, 0]),
+    ]
+
+
+def test_closed_forms_batch_equals_per_point_calls():
+    for fn, batch, pole, outside in _closed_form_batches():
+        batch = np.vstack([batch, [pole], [[0.5, 0.0], [0.0, 0.5]]])
+        got = fn(batch)
+        assert got.shape == (len(batch),)
+        singles = [fn(p) for p in batch]
+        assert all(isinstance(v, float) for v in singles)
+        # bit for bit, the pole row's -inf included
+        assert np.array_equal(got, np.array(singles))
+        assert got[-3] == NEG_INF and np.all(got[:-3] > NEG_INF)
+        with pytest.raises(ValueError):
+            fn(np.vstack([batch, [outside]]))
+
+
+def test_closed_forms_reject_bad_batch_shapes():
+    with pytest.raises(ValueError):
+        polydisc_two_pole_limit(np.zeros((3, 3)))  # dimension 3
+    with pytest.raises(ValueError):
+        ball_green_single_pole([0, 0], np.zeros((2, 2, 2)))
+
+
+fracs = st.fractions(min_value=-2, max_value=2, max_denominator=16)
+
+
+@st.composite
+def polynomial_families(draw):
+    n = draw(st.integers(1, 3))
+    basis = [tuple(b) for b in np.ndindex(*(5,) * n) if sum(b) <= 4]
+    polys = []
+    for _ in range(draw(st.integers(1, 4))):
+        betas = draw(st.lists(st.sampled_from(basis), min_size=1, max_size=8,
+                              unique=True))
+        coeffs = [draw(fracs.filter(bool)) for _ in betas]
+        stored = tuple(sorted(zip(betas, coeffs),
+                              key=lambda kv: (sum(kv[0]), tuple(-x for x in kv[0]))))
+        polys.append(KernelPolynomial(stored, max(sum(b) for b in betas), ()))
+    points = draw(st.lists(st.tuples(*(fracs,) * n), min_size=1, max_size=6))
+    return polys, points
+
+
+@settings(deadline=None, max_examples=60)
+@given(polynomial_families())
+def test_batched_family_values_match_exact_evaluation(family):
+    polys, points = family
+    exps, coeffs = _kernel_arrays(polys)
+    pts = np.array([[complex(float(x)) for x in p] for p in points])
+    vals = _monomials(exps, pts) @ coeffs
+    assert vals.shape == (len(points), len(polys))
+    for i, point in enumerate(points):
+        for k, p in enumerate(polys):
+            exact = complex(float(p.evaluate_exact(point)))
+            # relative to the size of the terms, which bounds the rounding of
+            # a sum that may cancel to zero
+            scale = sum(abs(c * math.prod(x**b for x, b in zip(point, beta)))
+                        for beta, c in p.coefficients)
+            assert abs(vals[i, k] - exact) <= 1e-12 * float(scale)
+
+
+def test_annulus_grid_matches_row_loop():
+    def reference(rng, count, n):
+        # the per-row loop the polydisc boundary sampler was written as
+        w = rng.random((count, n)) * np.exp(2j * np.pi * rng.random((count, n)))
+        for i in range(count):
+            w[i, i % n] = np.exp(2j * np.pi * rng.random())
+        return w
+
+    for seed in range(5):
+        for n, n_radii, n_dirs in [(1, 3, 4), (2, 4, 7), (3, 2, 5), (2, 20, 20)]:
+            radii, pts = annulus_grid(0.3, 0.95, n_radii, n_dirs, n, "polydisc", seed)
+            dirs = reference(np.random.default_rng(seed), n_dirs, n)
+            expected = (radii[:, None, None] * dirs[None, :, :]).reshape(-1, n)
+            assert np.array_equal(pts, expected)
+            assert np.allclose(np.max(np.abs(dirs), axis=1), 1.0)
+
+
 # -- approximants -----------------------------------------------------------
 
 
@@ -107,7 +205,7 @@ def test_single_pole_approximant_kernel_and_value():
     g = build_approximant(ORIGIN, Fraction(1, 2), 1, 1, boundary_samples=512,
                           seed=3, mode="ball")
     # kernel of degree <= 1 vanishing at O is spanned by z1, z2
-    assert len(g.polynomials) >= 2
+    assert g.coeffs.shape[1] >= 2
     v = evaluate_approximant(g, [0.3, 0])
     assert v <= math.log(0.3) + g.eps_sample + 1e-9
     assert v == pytest.approx(math.log(0.3), abs=0.02)
@@ -133,7 +231,7 @@ def test_two_point_scaled_kernel_membership():
                           mode="polydisc")
     # kernel = all degree <= 2 polynomials vanishing at both scaled points:
     # dimension 4, containing (z1 - t/2)(z1 + t/2) and z2
-    assert len(g.polynomials) >= 4
+    assert g.coeffs.shape[1] >= 4
     scaled = TWO.scaled(t)
     for coeffs in ({(2, 0): Fraction(1), (0, 0): -t * t / 4},
                    {(0, 1): Fraction(1)}):
@@ -160,6 +258,19 @@ def test_approximant_determinism():
     assert a.eps_sample == b.eps_sample
 
 
+def test_extra_combos_are_seeded_kernel_combinations():
+    # the family is the kernel basis, then extra_combos complex combinations
+    # whose weights are the first draws of the seed's stream
+    g = build_approximant(TWO, Fraction(1, 4), 1, 2, boundary_samples=64,
+                          seed=9, mode="polydisc", extra_combos=5)
+    basis = g.coeffs[:, :-5]
+    k = basis.shape[1]
+    rng = np.random.default_rng(9)
+    weights = rng.standard_normal((5, k)) + 1j * rng.standard_normal((5, k))
+    assert np.array_equal(g.coeffs[:, k:], basis @ weights.T)
+    assert len(g.sup_estimates) == k + 5
+
+
 def test_approximant_nonpositive_up_to_sampling():
     g = build_approximant(TWO, Fraction(1, 4), 1, 2, boundary_samples=512,
                           seed=11, mode="polydisc")
@@ -171,10 +282,11 @@ def test_approximant_nonpositive_up_to_sampling():
 def test_sup_estimates_recomputable_from_stored_samples():
     g = build_approximant(TWO, Fraction(1, 4), 1, 2, boundary_samples=256,
                           seed=21, mode="polydisc")
-    from nagata.green import _eval_poly
+    from nagata.green import _monomials
 
-    for (exps, coeffs), sup in zip(g.polynomials, g.sup_estimates):
-        recomputed = float(np.max(np.abs(_eval_poly(exps, coeffs, g.samples))))
+    vals = np.abs(_monomials(g.exps, g.samples) @ g.coeffs)
+    for k, sup in enumerate(g.sup_estimates):
+        recomputed = float(np.max(vals[:, k]))
         assert recomputed == sup
 
 
@@ -247,12 +359,14 @@ def test_radial_profile_validation():
         radial_profile(fn, radii=[0.5, 0.2], mode="polydisc", pole_radius=0.3)
     with pytest.raises(ValueError):
         radial_profile(fn)  # mode required for callables
+    with pytest.raises(ValueError, match="sphere_samples"):
+        radial_profile(fn, mode="polydisc", sphere_samples=0)
 
 
 def test_radial_profile_shape_assertion():
     # a radial profile that decreases with radius is not psh-like: rejected
     def bad(z):
-        return -abs(complex(z[0]))
+        return -np.abs(z[:, 0])
 
     with pytest.raises(ValueError, match="decreases|non-convex"):
         radial_profile(bad, radii=[0.5, 0.4, 0.3, 0.2], mode="ball",
@@ -334,6 +448,10 @@ def test_collision_validation():
         collision_experiment(TWO, 1, 2, [0.5], mode="polydisc")
     with pytest.raises(ValueError):
         collision_experiment(TWO, 1, 2, ["3/2"], mode="polydisc")
+    with pytest.raises(ValueError, match="n_radii"):
+        collision_experiment(TWO, 1, 2, ["1/2"], mode="polydisc", n_radii=1)
+    with pytest.raises(ValueError, match="n_dirs"):
+        collision_experiment(TWO, 1, 2, ["1/2"], mode="polydisc", n_dirs=0)
 
 
 def test_collision_table_serialization():
@@ -374,3 +492,5 @@ def test_schwarz_validation():
         schwarz_check(ORIGIN, 1, rho=0.0)
     with pytest.raises(ValueError):
         schwarz_check(ORIGIN, 1, R=-1.0)
+    with pytest.raises(ValueError, match="boundary_samples"):
+        schwarz_check(ORIGIN, 1, boundary_samples=0)
