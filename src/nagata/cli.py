@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import json
 import sys
 import time
@@ -93,6 +94,15 @@ def _json_safe(value):
 def load_schema() -> dict:
     text = resources.files("nagata").joinpath("report.schema.json").read_text()
     return json.loads(text)
+
+
+@functools.cache
+def _report_validator():
+    """The report schema's validator, its schema checked once per process."""
+    schema = load_schema()
+    cls = jsonschema.validators.validator_for(schema)
+    cls.check_schema(schema)
+    return cls(schema)
 
 
 def _resolve_config(args) -> PointConfig | None:
@@ -314,7 +324,7 @@ def run(spec: ExperimentSpec) -> int:
             "timestamp": time.strftime("%Y-%m-%dT%H:%M:%S", time.gmtime()),
         },
     }
-    jsonschema.validate(report, load_schema())
+    _report_validator().validate(report)
     # a non-finite float is no JSON: refuse it before anything is written
     text = json.dumps(report, indent=2, sort_keys=True, allow_nan=False) + "\n"
     spec.out.mkdir(parents=True, exist_ok=True)
@@ -364,6 +374,7 @@ def _add_config_source(sub, generator=True):
         sub.add_argument("--bound", type=int, help="coordinate box (default 1000)")
 
 
+@functools.cache  # one parser per process, built on the first call to main
 def build_parser() -> _Parser:
     parser = _Parser(prog="nagata",
                      description="Exact fat-point invariants and Green-function "
@@ -494,9 +505,8 @@ def spec_from_args(args) -> ExperimentSpec:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = build_parser().parse_args(argv)
         spec = spec_from_args(args)
         return run(spec)
     except (CliError, ValueError, TypeError, OSError, ArithmeticError, RuntimeError) as e:

@@ -14,7 +14,8 @@ domains are supported:
   columns, from the pivot row down.
 * rationals -- ``fractions.Fraction`` entries.  Elimination is fraction-free
   (Bareiss) on denominator-cleared integer rows, so intermediate entries are
-  minors of the input and stay bounded.
+  minors of the input and stay bounded.  It is the only exact eliminator:
+  ``RankAccumulator`` is modular only.
 
 Exact checks take one matrix product on Python-int object arrays
 (``integer_rows``, ``exact_products``): reduced mod p over a field, and over
@@ -32,7 +33,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd, lcm
+from math import lcm
 
 import numpy as np
 
@@ -419,40 +420,21 @@ def _verify_in_kernel(m: ExactMatrix, vectors: list) -> None:
 # Incremental rank
 
 
-def _strip_content(v: list) -> list:
-    g = 0
-    for x in v:
-        if x:
-            g = gcd(g, abs(x))
-            if g == 1:
-                break
-    if g > 1:
-        v = [x // g for x in v]
-    # sign convention: first nonzero positive, for a canonical stored basis
-    for x in v:
-        if x:
-            if x < 0:
-                v = [-y for y in v]
-            break
-    return v
-
-
 class RankAccumulator:
-    """Online rank of a growing list of vectors (appended matrix columns).
+    """Online rank mod p of a growing list of vectors (appended columns).
 
     ``add`` takes one vector or a block of columns (a 2-D array, conditions
     x columns).  Each column is reduced against the echelon basis kept so
     far, in increasing pivot order, then against the pivots found earlier in
     its own block; the stored basis is therefore fixed by the insertion
-    order and the result is deterministic.  Field blocks are reduced with
-    one broadcast update per stored pivot, over the rows from that pivot
-    down (a stored vector is zero above its pivot).  Exact vectors (ints or
-    Fractions) go one column at a time: they are scaled to integers and
-    reduced with fraction-free two-term updates plus content stripping,
-    which keeps entries bounded on interpolation matrices.
+    order and the result is deterministic.  Blocks are reduced with one
+    broadcast update per stored pivot, over the rows from that pivot down
+    (a stored vector is zero above its pivot).
     """
 
-    def __init__(self, field: PrimeField | None = None):
+    def __init__(self, field: PrimeField):
+        if not isinstance(field, PrimeField):
+            raise TypeError("RankAccumulator needs a PrimeField; use rank() for an exact rank")
         self.field = field
         self._ech: list = []  # (pivot index, vector), sorted by pivot
 
@@ -464,10 +446,6 @@ class RankAccumulator:
         """Reduce a vector, or each column of a 2-D block in order; returns
         how many of them enlarged the span."""
         f = self.field
-        if f is None:
-            cols = np.asarray(entries, dtype=object)
-            cols = cols.T if cols.ndim == 2 else [cols]
-            return sum(self._add_exact(list(c)) for c in cols)
         b = np.array(entries) if isinstance(entries, np.ndarray) else f.vec(entries)
         if b.ndim == 1:
             b = b[:, None]
@@ -488,24 +466,6 @@ class RankAccumulator:
             if rest.any():
                 b[pivot:, j + 1:] = f.vec_submul(b[pivot:, j + 1:], rest, v[pivot:, None])
         return added
-
-    def _add_exact(self, v: list) -> bool:
-        if any(isinstance(x, Fraction) for x in v):
-            m = lcm(*(Fraction(x).denominator for x in v))
-            v = [int(Fraction(x) * m) for x in v]
-        else:
-            v = [int(x) for x in v]
-        v = _strip_content(v)
-        for pivot, evec in self._ech:
-            a = v[pivot]
-            if a:
-                w = evec[pivot]
-                v = _strip_content([w * x - a * y for x, y in zip(v, evec)])
-        for i, x in enumerate(v):
-            if x:
-                self._insert(i, v)
-                return True
-        return False
 
     def _insert(self, pivot: int, v) -> None:
         lo = 0

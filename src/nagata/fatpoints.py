@@ -216,19 +216,18 @@ def vanishing_dimension(problem: InterpolationProblem) -> int:
 
 
 class DimensionSearch:
-    """Incremental dimension of the interpolation system as the degree grows.
+    """Incremental dimension mod p of the interpolation system by degree, an
+    upper bound on the dimension over Q (a rank can only drop mod p).
 
     Each new degree's columns are built as one conditions x new-monomials
     block and appended to a RankAccumulator, so walking the degree upward
     costs one pass over the final matrix in total.
     """
 
-    def __init__(self, config: PointConfig, orders, field: PrimeField | None = None,
-                 column_cap: int | None = None):
+    def __init__(self, config: PointConfig, orders, field: PrimeField):
         self.config = config
         self.orders = tuple(orders)
         self.field = field
-        self.column_cap = column_cap
         self._index = InterpolationProblem(config, 0, self.orders, field).condition_index()
         self._tables = _ConditionTables(config.points, self._index, field)
         self._acc = RankAccumulator(field)
@@ -246,11 +245,6 @@ class DimensionSearch:
         n = self.config.dimension
         while self._degree < degree:
             new = monomials_exact_degree(n, self._degree + 1)
-            if self.column_cap is not None and self._cols + len(new) > self.column_cap:
-                raise ValueError(
-                    f"column cap {self.column_cap} exceeded at degree {self._degree + 1}; "
-                    "use the prime-field domain or raise the cap"
-                )
             self._acc.add(self._tables.block(new))
             self._cols += len(new)
             self._degree += 1

@@ -2,7 +2,7 @@
 
 omega_l(S, l) is the least degree of a nonzero polynomial vanishing to order
 >= l at every point of S.  From a finite table of these values the module
-derives the certified Waldschmidt interval
+derives the Waldschmidt interval, certified over Q (over a field, its lower end)
 
     max_l omega_l/(l + n - 1)  <=  Omega(S)  <=  min_l omega_l/l,
 
@@ -13,8 +13,8 @@ never reported as a point value, only as this interval.
 
 Everything here is exact: integer comparisons and Fraction arithmetic, never
 floating point.  Rank verdicts default to a fixed Mersenne prime field for
-speed; the rational scalar domain re-derives them with fraction-free
-elimination (practical up to a configurable column cap).
+speed; a rank can only drop mod p, so the rational domain certifies upward
+from the field value by a dimension count or one exact rank per degree.
 """
 
 from __future__ import annotations
@@ -28,12 +28,13 @@ from fractions import Fraction
 from math import comb
 
 from .configs import PointConfig, frac_str, generic_points
-from .exactla import M61, PrimeField
+from .exactla import M61, PrimeField, ReductionError
 from .fatpoints import (
     DimensionSearch,
     InterpolationProblem,
     kernel_polynomials,
     uniform_orders,
+    vanishing_dimension,
 )
 from .seeds import derive_seed
 
@@ -75,29 +76,51 @@ class Verdict:
         return {"name": self.name, "pass": self.passed, "detail": self.detail}
 
 
-RATIONAL_COLUMN_CAP = 300  # fraction-free elimination is impractical beyond
+RATIONAL_COLUMN_CAP = 300  # fraction-free rank over Q is impractical beyond
 
 
-def omega_l(config: PointConfig, l: int, scalar="field", prime=None,
-            column_cap: int | None = None) -> int:
+def omega_l(config: PointConfig, l: int, scalar="field", prime=None) -> int:
     """Least degree d with a nonzero degree <= d polynomial vanishing to
     order >= l (times any per-point multiplicities) at every config point.
 
-    Ascends from the largest required order (a vanishing order never exceeds
-    the degree), appending monomial columns per degree to an incremental rank
-    accumulator and exiting at the first degree with positive dimension -- so
-    the preceding degree is always verified empty.  Deterministic.  The
-    rational domain certifies the field verdicts but is capped at
-    RATIONAL_COLUMN_CAP columns unless overridden.
+    Over a field: ascends from the largest required order (a vanishing order
+    never exceeds the degree), appending monomial columns per degree to an
+    incremental rank accumulator and exiting at the first degree with
+    positive dimension -- so the preceding degree is always verified empty.
+    Over Q: certified upward from the DEFAULT_FIELD value.  Deterministic.
     """
     fld = resolve_scalar(scalar, prime)
     orders = uniform_orders(config, l)
-    if fld is None and column_cap is None:
-        column_cap = RATIONAL_COLUMN_CAP
-    search = DimensionSearch(config, orders, fld, column_cap)
+    if fld is None:
+        return _rational_omega(config, orders)
+    return _field_omega(config, orders, fld)
+
+
+def _field_omega(config: PointConfig, orders: tuple, fld: PrimeField) -> int:
+    search = DimensionSearch(config, orders, fld)
     d = max(orders)
+    while search.dimension_at(d) < 1:
+        d += 1
+    return d
+
+
+def _rational_omega(config: PointConfig, orders: tuple) -> int:
+    """Degrees below the modular value have kernel 0 mod p, hence over Q.
+    From there a degree with more monomials than conditions has a kernel;
+    any other is checked by one exact rank (at most RATIONAL_COLUMN_CAP
+    columns).  A config with no image mod p starts at the largest order."""
+    try:
+        d = _field_omega(config, orders, DEFAULT_FIELD)
+    except ReductionError:
+        d = max(orders)
     while True:
-        if search.dimension_at(d) >= 1:
+        problem = InterpolationProblem(config, d, orders, None)
+        if problem.n_columns > problem.n_conditions:
+            return d
+        if problem.n_columns > RATIONAL_COLUMN_CAP:
+            raise ValueError(f"column cap {RATIONAL_COLUMN_CAP} exceeded at degree "
+                             f"{d}; use the prime-field domain")
+        if vanishing_dimension(problem) >= 1:
             return d
         d += 1
 
@@ -122,8 +145,10 @@ def _interval_from_table(table, n: int) -> tuple:
 
 def waldschmidt_interval(config: PointConfig, l_max: int, scalar="field",
                          prime=None) -> tuple:
-    """Certified enclosure of the singular degree Omega(S) from levels
-    1..l_max: (max_l omega_l/(l+n-1), min_l omega_l/l), exact rationals."""
+    """Enclosure of the singular degree Omega(S) from levels 1..l_max:
+    (max_l omega_l/(l+n-1), min_l omega_l/l), exact rationals.  Over a field
+    only the lower end is certified (omega_l mod p <= omega_l over Q); use
+    scalar="rational" for a certified upper end."""
     _require_uniform(config, "the Waldschmidt sandwich")
     table = omega_table(config, l_max, scalar, prime)
     return _interval_from_table(table, config.dimension)
@@ -138,31 +163,32 @@ def omega_s_witness_bound(config: PointConfig, l: int, d: int, scalar="field",
     witnesses are always computed over the rationals: a mod-p reduction could
     only overstate an order, and the bound must stay certified.
     """
-    problem = InterpolationProblem.uniform(config, l, d, None)
-    polys = kernel_polynomials(problem)  # raises when the system is empty
-    witnessed = max(Fraction(sum(p.achieved_orders), p.degree) for p in polys)
+    witnessed = _witnessed_ratio(config, l, d)
     analytic = Fraction(config.r * l, omega_l(config, l, scalar, prime))
     return max(witnessed, analytic)
+
+
+def _witnessed_ratio(config: PointConfig, l: int, d: int) -> Fraction:
+    problem = InterpolationProblem.uniform(config, l, d, None)
+    polys = kernel_polynomials(problem)  # raises when the system is empty
+    return max(Fraction(sum(p.achieved_orders), p.degree) for p in polys)
 
 
 def nagata_check(config: PointConfig, l_max: int, scalar="field", prime=None) -> list:
     """Strict Nagata inequality per level: omega_l^n > l^n * r, by exact
     integer comparison.  In dimension 2 configs with multiplicities m_j are
     checked against the general form omega^2 * r > (l * sum m_j)^2."""
-    n = config.dimension
-    out = []
-    if config.is_uniform():
-        for l in range(1, l_max + 1):
-            om = omega_l(config, l, scalar, prime)
-            out.append((l, om**n > l**n * config.r))
-        return out
-    if n != 2:
+    if not config.is_uniform() and config.dimension != 2:
         raise ValueError("multiplicity-weighted Nagata check is stated for n = 2")
+    return _nagata_from_table(config, omega_table(config, l_max, scalar, prime))
+
+
+def _nagata_from_table(config: PointConfig, table) -> list:
+    n = config.dimension
+    if config.is_uniform():
+        return [(l, om**n > l**n * config.r) for l, om in table]
     total = sum(config.multiplicities)
-    for l in range(1, l_max + 1):
-        om = omega_l(config, l, scalar, prime)
-        out.append((l, om * om * config.r > (l * total) ** 2))
-    return out
+    return [(l, om * om * config.r > (l * total) ** 2) for l, om in table]
 
 
 @dataclass(frozen=True)
@@ -222,7 +248,12 @@ def superadditivity_check(config: PointConfig, l_max: int, scalar="field",
     plus the ratio sandwich omega_1/n <= omega_l/l <= omega_1."""
     if l_max < 2:
         raise ValueError("l_max must be >= 2")
-    table = dict(omega_table(config, l_max, scalar, prime))
+    return _superadditivity_from_table(config, omega_table(config, l_max, scalar, prime))
+
+
+def _superadditivity_from_table(config: PointConfig, table) -> Verdict:
+    l_max = len(table)
+    table = dict(table)
     n = config.dimension
     bad = []
     for l1 in range(1, l_max):
@@ -244,14 +275,17 @@ def waldschmidt_upper_check(config: PointConfig, l_max: int, scalar="field",
     """omega_l <= (l+n-1)|S|^{1/n} - (n-1) per level, compared through the
     integer power (omega_l + n - 1)^n <= (l + n - 1)^n * r."""
     _require_uniform(config, "Waldschmidt's upper bound")
+    return _waldschmidt_upper_from_table(config, omega_table(config, l_max, scalar, prime))
+
+
+def _waldschmidt_upper_from_table(config: PointConfig, table) -> Verdict:
     n = config.dimension
     r = config.r
     bad = []
-    for l in range(1, l_max + 1):
-        om = omega_l(config, l, scalar, prime)
+    for l, om in table:
         if (om + n - 1) ** n > (l + n - 1) ** n * r:
             bad.append(f"l={l}: ({om}+{n - 1})^{n} > ({l}+{n - 1})^{n}*{r}")
-    detail = "; ".join(bad) if bad else f"holds for l = 1..{l_max}"
+    detail = "; ".join(bad) if bad else f"holds for l = 1..{len(table)}"
     return Verdict("waldschmidt-upper", not bad, detail)
 
 
@@ -309,17 +343,16 @@ def invariant_report(config: PointConfig, l_max: int, scalar="field", prime=None
     lower, upper = _interval_from_table(table, config.dimension)
     w_lower = max(Fraction(config.r * l, om) for l, om in table)
     if witness:
-        w_lower = max(w_lower, omega_s_witness_bound(config, 1, table[0][1],
-                                                     scalar, prime))
+        # the analytic term of omega_s_witness_bound at l = 1 is already in w_lower
+        w_lower = max(w_lower, _witnessed_ratio(config, 1, table[0][1]))
     verdicts = [Verdict("interval-order", lower <= upper,
                         f"[{frac_str(lower)}, {frac_str(upper)}]")]
-    for l, ok in nagata_check(config, l_max, scalar, prime):
-        om = dict(table)[l]
+    for (l, ok), (_, om) in zip(_nagata_from_table(config, table), table):
         verdicts.append(Verdict(
             f"nagata-l{l}", ok,
             f"omega={om}: {om}^{config.dimension} "
             f"{'>' if ok else '<='} {l}^{config.dimension}*{config.r}"))
     if l_max >= 2:
-        verdicts.append(superadditivity_check(config, l_max, scalar, prime))
-    verdicts.append(waldschmidt_upper_check(config, l_max, scalar, prime))
+        verdicts.append(_superadditivity_from_table(config, table))
+    verdicts.append(_waldschmidt_upper_from_table(config, table))
     return InvariantReport(config, table, lower, upper, w_lower, tuple(verdicts))

@@ -35,6 +35,13 @@ def test_omega_subcommand_grid(tmp_path):
     assert (out / "omega.csv").read_text().splitlines()[0] == "l,omega_l"
 
 
+def test_omega_subcommand_rational(tmp_path):
+    code, out = run_cli(tmp_path, "omega", "--n", "2", "--r", "10", "--seed", "3",
+                        "--scalar", "rational")
+    assert code == EXIT_OK
+    assert read_report(out, "omega")["results"]["table"] == [[1, 4]]
+
+
 def test_nagata_subcommand_passes_for_r12(tmp_path):
     code, out = run_cli(tmp_path, "nagata", "--n", "2", "--r", "12",
                         "--l-max", "2", "--seed", "3")

@@ -265,28 +265,17 @@ def test_rank_accumulator_matches_one_shot(rows, rnd):
     # (the whole matrix always does) has dependent columns inside it
     rows = [[*r, 3 * r[-1], r[0] - r[-1]] for r in rows]
     nc = len(rows[0])
-    for fld in (None, *FIELD_KINDS):
+    for fld in FIELD_KINDS:
         want = rank(ExactMatrix.from_rows(rows, fld))
         for partition in column_partitions(nc, rnd):
             acc = RankAccumulator(fld)
             added = 0
             for cols in partition:
                 block = [[row[j] for j in cols] for row in rows]
-                if fld is None:
-                    added += acc.add(block if len(cols) > 1 else [r[0] for r in block])
-                else:
-                    packed = fld.vec(block)
-                    added += acc.add(packed)
-                    assert (packed == fld.vec(block)).all()  # input left intact
+                packed = fld.vec(block)
+                added += acc.add(packed)
+                assert (packed == fld.vec(block)).all()  # input left intact
             assert acc.rank == added == want
-
-
-def test_rank_accumulator_fraction_entries():
-    acc = RankAccumulator(None)
-    assert acc.add([Fraction(1, 2), Fraction(1, 3)])
-    assert not acc.add([Fraction(3, 2), Fraction(1)])  # scalar multiple
-    assert acc.add([Fraction(0), Fraction(1, 7)])
-    assert acc.rank == 2
 
 
 def test_exact_matrix_validation():

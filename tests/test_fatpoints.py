@@ -6,8 +6,8 @@ from math import prod
 
 import pytest
 
-from nagata import fatpoints
-from nagata.configs import generic_points, make_config, two_point_example
+from nagata import fatpoints, invariants
+from nagata.configs import generic_points, grid_points, make_config, two_point_example
 from nagata.exactla import PrimeField
 from nagata.fatpoints import (
     DimensionSearch,
@@ -212,15 +212,17 @@ def test_kernel_polynomials_reject_order_below_requirement(monkeypatch):
         kernel_polynomials(problem)
 
 
-def test_column_cap_enforced():
-    cfg = generic_points(2, 3, seed=0)
-    search = DimensionSearch(cfg, uniform_orders(cfg, 1), None, column_cap=5)
-    dim1 = search.dimension_at(1)  # 3 columns
-    with pytest.raises(ValueError, match="column cap"):
-        search.dimension_at(3)  # degree 2 would bring 6 columns
-    # raised before any column of degree 2 was added; the search is intact
-    assert search._cols == 3
-    assert search.dimension_at(1) == dim1
+def test_column_cap_enforced(monkeypatch):
+    # the cap guards only the exact rank: a degree whose monomials outnumber
+    # its conditions needs none, whatever its size
+    grid = grid_points(2, 4)  # omega_1 = 4: 15 columns, 16 conditions
+    nine = generic_points(2, 9, seed=7)  # omega_1 = 3: 10 columns, 9 conditions
+    assert invariants.omega_l(grid, 1, "rational") == 4
+    monkeypatch.setattr(invariants, "RATIONAL_COLUMN_CAP", 14)
+    with pytest.raises(ValueError, match="column cap 14 exceeded at degree 4"):
+        invariants.omega_l(grid, 1, "rational")
+    monkeypatch.setattr(invariants, "RATIONAL_COLUMN_CAP", 5)
+    assert invariants.omega_l(nine, 1, "rational") == 3
 
 
 TABLE_FIELDS = (F, PrimeField(2**31 - 1), PrimeField(4294967311))
@@ -249,6 +251,10 @@ def test_condition_tables_match_condition_row(cfg, fld):
             if fld is not None:
                 want = [fld.from_rational(x) for x in want]
             assert list(mat.row(i)) == want
+    if fld is None:  # incremental dimensions are modular only
+        with pytest.raises(TypeError, match="PrimeField"):
+            DimensionSearch(cfg, orders, fld)
+        return
     search = DimensionSearch(cfg, orders, fld)
     for d in range(max(orders) + 3):
         assert search.dimension_at(d) == vanishing_dimension(

@@ -5,7 +5,10 @@ from fractions import Fraction
 
 import pytest
 
+from nagata import invariants
 from nagata.configs import generic_points, grid_points, make_config, two_point_example
+from nagata.exactla import M61, PrimeField, ReductionError
+from nagata.fatpoints import InterpolationProblem, uniform_orders, vanishing_dimension
 from nagata.invariants import (
     HARBOURNE_CR,
     harbourne_table_check,
@@ -18,6 +21,7 @@ from nagata.invariants import (
     waldschmidt_interval,
     waldschmidt_upper_check,
 )
+from nagata.seeds import derive_seed
 
 ORIGIN = make_config([[0, 0]], label="origin")
 
@@ -42,6 +46,56 @@ def test_omega_grid_is_special():
 def test_omega_rational_domain_agrees():
     cfg = generic_points(2, 5, seed=3)
     assert omega_l(cfg, 2, scalar="rational") == omega_l(cfg, 2)
+
+
+def rational_scan(cfg, l):
+    """Reference: the least d with a nonzero kernel over Q, one whole-matrix
+    exact rank per degree."""
+    orders = uniform_orders(cfg, l)
+    d = max(orders)
+    while vanishing_dimension(InterpolationProblem(cfg, d, orders, None)) < 1:
+        d += 1
+    return d
+
+
+def harbourne_config(r):
+    return generic_points(2, r, derive_seed(0, f"harbourne-r{r}"), 1000)
+
+
+# special systems: at omega_p the monomials do not outnumber the conditions
+SPECIAL_CASES = [
+    *((f"grid4-l{l}", grid_points(2, 4), l) for l in (1, 2, 3)),
+    *((f"two-point-l{l}", two_point_example(), l) for l in (2, 3)),
+    *((f"harbourne-r{r}-m{m}", harbourne_config(r), m)
+      for r, m in ((2, 3), (2, 4), (3, 4), (3, 5), (5, 3), (5, 4))),
+    # collinear, so the cube of their line has orders (3, 3, 3)
+    ("weighted", make_config([[0, 0], [Fraction(1, 2), 1], [1, 2]],
+                             multiplicities=[3, 3, 1]), 1),
+]
+
+
+@pytest.mark.parametrize("cfg, l", [c[1:] for c in SPECIAL_CASES],
+                         ids=[c[0] for c in SPECIAL_CASES])
+def test_rational_omega_matches_exact_scan(cfg, l):
+    at_omega_p = InterpolationProblem(cfg, omega_l(cfg, l), uniform_orders(cfg, l))
+    assert at_omega_p.n_columns <= at_omega_p.n_conditions  # no count certifies it
+    assert omega_l(cfg, l, "rational") == rational_scan(cfg, l)
+
+
+def test_rational_omega_without_modular_image():
+    # 1/(2^61 - 1) has no image mod M61: the exact scan starts at max(orders)
+    cfg = make_config([[Fraction(1, M61), 0], [1, 2], [2, 5], [4, 1], [3, 3]])
+    with pytest.raises(ReductionError):
+        omega_l(cfg, 2)
+    assert omega_l(cfg, 2, "rational") == rational_scan(cfg, 2) == 4
+
+
+def test_rational_omega_survives_an_unlucky_prime(monkeypatch):
+    # the configs of `nagata omega --n 2 --r 10 --seed 3`: rank drops mod 7
+    cfg = generic_points(2, 10, derive_seed(3, "configs"), 1000)
+    monkeypatch.setattr(invariants, "DEFAULT_FIELD", PrimeField(7))
+    assert omega_l(cfg, 1) == 3
+    assert omega_l(cfg, 1, "rational") == 4
 
 
 def test_omega_monotone_and_bounded():
@@ -175,6 +229,30 @@ def test_invariant_report_structure():
     assert csv_text.splitlines()[0] == "l,omega_l,omega_lower,omega_upper,w_lower,verdicts"
     assert len(csv_text.splitlines()) == 3
     assert report.all_pass  # r=10: strictness holds, all checks green
+
+
+def test_invariant_report_reads_one_table(monkeypatch):
+    cfg = generic_points(2, 16, seed=13)
+    l_max = 3
+    calls = []
+    real = invariants.omega_l
+
+    def counted(*args, **kwargs):
+        calls.append(args[1])
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(invariants, "omega_l", counted)
+    report = invariant_report(cfg, l_max)
+    assert len(calls) <= l_max
+    nagata = [v for v in report.verdicts if v.name.startswith("nagata-l")]
+    assert [(int(v.name[len("nagata-l"):]), v.passed) for v in nagata] == \
+        nagata_check(cfg, l_max)
+    assert report.verdicts[-2] == superadditivity_check(cfg, l_max)
+    assert report.verdicts[-1] == waldschmidt_upper_check(cfg, l_max)
+    assert report.table == omega_table(cfg, l_max)
+    analytic = max(Fraction(cfg.r * l, om) for l, om in report.table)
+    assert report.w_lower == max(analytic,
+                                 omega_s_witness_bound(cfg, 1, report.table[0][1]))
 
 
 def test_invariant_report_flags_boundary_failure():
