@@ -106,13 +106,11 @@ def _report_validator():
 
 
 def _resolve_config(args) -> PointConfig | None:
-    sources = [s for s in ("config", "config_json", "example", "grid")
-               if getattr(args, s, None)]
-    if getattr(args, "r", None) is not None:
-        sources.append("generator")
+    sources = [s for s in ("config", "config_json", "example", "grid", "r")
+               if getattr(args, s, None) is not None]
     if len(sources) > 1:
         raise CliError(f"conflicting config sources: {sources}")
-    if getattr(args, "config", None):
+    if getattr(args, "config", None) is not None:
         path = Path(args.config)
         if not path.exists():
             raise CliError(f"config: file {path} does not exist")
@@ -120,16 +118,16 @@ def _resolve_config(args) -> PointConfig | None:
             return PointConfig.from_json(path.read_text())
         except Exception as e:
             raise CliError(f"config: {e}") from e
-    if getattr(args, "config_json", None):
+    if getattr(args, "config_json", None) is not None:
         try:
             return PointConfig.from_json(args.config_json)
         except Exception as e:
             raise CliError(f"config-json: {e}") from e
-    if getattr(args, "example", None):
+    if getattr(args, "example", None) is not None:
         if args.example != "two-point":
             raise CliError(f"example: unknown name {args.example!r}")
         return two_point_example()
-    if getattr(args, "grid", None):
+    if getattr(args, "grid", None) is not None:
         n = getattr(args, "n", None) or 2
         return grid_points(n, args.grid)
     if getattr(args, "r", None) is not None:
@@ -449,6 +447,13 @@ def build_parser() -> _Parser:
 
 def spec_from_args(args) -> ExperimentSpec:
     command = args.command
+    if args.prime is not None:  # a prime must reach an omega_l search
+        if args.prime < 2:
+            raise CliError(f"prime: {args.prime} is not a prime")
+        if command in ("green-profile", "collide", "schwarz"):
+            raise CliError(f"prime: {command} runs no prime-field search")
+        if args.scalar == "rational":
+            raise CliError("prime: --scalar rational runs no prime-field search")
     params: dict = {}
     config = None
     if command in ("omega", "interval", "nagata"):

@@ -15,7 +15,10 @@ domains are supported:
 * rationals -- ``fractions.Fraction`` entries.  Elimination is fraction-free
   (Bareiss) on denominator-cleared integer rows, so intermediate entries are
   minors of the input and stay bounded.  It is the only exact eliminator:
-  ``RankAccumulator`` is modular only.
+  ``RankAccumulator`` is modular only.  Kernels stay in integers too: the
+  last Bareiss pivot D is the determinant of the pivot minor, so by Cramer's
+  rule D times a kernel vector with one free entry 1 is integral, and
+  back-substitution divides exactly.  Fractions appear only in the output.
 
 Exact checks take one matrix product on Python-int object arrays
 (``integer_rows``, ``exact_products``): reduced mod p over a field, and over
@@ -353,54 +356,48 @@ def rank(m: ExactMatrix) -> int:
     return len(piv)
 
 
-def _normalize_first_nonzero(v: list, field: PrimeField | None) -> list:
-    for x in v:
-        if x:
-            if field is None:
-                return [y / x for y in v]
-            inv = field.inv(int(x))
-            return [int(y) * inv % field.modulus for y in v]
-    raise ValueError("zero vector cannot be normalized")
-
-
 def kernel_basis(m: ExactMatrix) -> list:
-    """Basis of the right kernel of m, cols - rank(m) vectors.
+    """Basis of the right kernel of m, cols - rank(m) vectors: the reduced
+    row echelon basis, one vector per free column, fixed by the column rank
+    profile.  Each vector has its first nonzero entry normalized to 1 and is
+    verified to satisfy m @ v = 0 exactly before being returned.
 
-    Each vector has its first nonzero entry normalized to 1 and is verified
-    to satisfy m @ v = 0 exactly before being returned.
+    Over Q the kernel is solved from the Bareiss echelon of the integer rows
+    in integers.  Let D be the last pivot, the determinant of the pivot minor
+    M.  The vector with D in free column f and 0 in the other free columns
+    has pivot entries -det(M with its f-th column swapped in) by Cramer's
+    rule, so it is integral.  Back-substitution from the last pivot row up
+    computes it exactly, one product per pivot row for all free columns; a
+    quotient with a remainder raises.  Fractions are made once, from the
+    verified integer vectors.
     """
     if m.cols == 0:
         return []
-    rows = m.row_lists()
     if m.field is None:
-        ech, piv_cols = _bareiss_echelon(_int_rows_from_rational(rows))
-        zero, one = Fraction(0), Fraction(1)
-
-        def solve(free: int) -> list:
-            v = [zero] * m.cols
-            v[free] = one
-            for i in reversed(range(len(piv_cols))):
-                pc = piv_cols[i]
-                s = sum(ech[i][j] * v[j] for j in range(pc + 1, m.cols) if v[j])
-                v[pc] = Fraction(-s, ech[i][pc])
-            return v
-
+        ech, piv_cols = _bareiss_echelon(_int_rows_from_rational(m.row_lists()))
     else:
-        ech, piv_cols = _field_rref(m.field, rows)
-        p = m.field.modulus
-
-        def solve(free: int) -> list:
-            v = [0] * m.cols
-            v[free] = 1
-            for i, pc in enumerate(piv_cols):
-                v[pc] = -int(ech[i][free]) % p
-            return v
-
-    piv_set = set(piv_cols)
-    basis = [tuple(_normalize_first_nonzero(solve(free), m.field))
-             for free in range(m.cols) if free not in piv_set]
-    _verify_in_kernel(m, basis)
-    return basis
+        ech, piv_cols = _field_rref(m.field, m.row_lists())
+    free = sorted(set(range(m.cols)) - set(piv_cols))
+    x = np.zeros((m.cols, len(free)), dtype=object)
+    if m.field is None:
+        x[free, range(len(free))] = ech[-1][piv_cols[-1]] if ech else 1
+        for row, pc in zip(reversed(ech), reversed(piv_cols)):
+            s = -np.array(row[pc + 1:], dtype=object).dot(x[pc + 1:])
+            x[pc] = s // row[pc]
+            if (s % row[pc]).any():
+                raise RuntimeError(f"back-substitution at pivot column {pc} is not integral")
+    else:
+        x[free, range(len(free))] = 1
+        for i, pc in enumerate(piv_cols):
+            x[pc] = -ech[i, free].astype(object) % m.field.modulus
+    vectors = x.T.tolist()
+    _verify_in_kernel(m, vectors)
+    leads = [next(filter(None, v)) for v in vectors]
+    if m.field is None:
+        return [tuple(Fraction(y, d) for y in v) for v, d in zip(vectors, leads)]
+    p = m.field.modulus
+    invs = [pow(d, -1, p) for d in leads]
+    return [tuple(y * c % p for y in v) for v, c in zip(vectors, invs)]
 
 
 def _verify_in_kernel(m: ExactMatrix, vectors: list) -> None:

@@ -569,6 +569,8 @@ def collision_experiment(config: PointConfig, l: int, d: int, t_sequence,
         raise TypeError("pass t values as exact rationals (Fractions or strings)")
     if not ts:
         raise ValueError("empty t sequence")
+    if any(b >= a for a, b in zip(ts, ts[1:])):
+        raise ValueError("t_sequence must be strictly decreasing toward the collision")
     omega_hat = Fraction(omega_l(config, l, scalar), l)
     radii, pts = annulus_grid(r_min, r_max, n_radii, n_dirs, config.dimension,
                               mode, derive_seed(seed, "collision-dirs"))

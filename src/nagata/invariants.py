@@ -62,7 +62,7 @@ def resolve_scalar(scalar, prime: int | None = None) -> PrimeField | None:
     if scalar == "rational":
         return None
     if scalar == "field":
-        return PrimeField(prime) if prime else DEFAULT_FIELD
+        return DEFAULT_FIELD if prime is None else PrimeField(prime)
     raise ValueError(f"unknown scalar domain {scalar!r} (use 'field' or 'rational')")
 
 

@@ -196,6 +196,10 @@ def test_all_reports_validate_against_schema(tmp_path):
      "boundary_samples"),
 ])
 def test_bad_sample_counts_are_one_line_errors(tmp_path, capsys, argv, name):
+    assert_one_line_error(tmp_path, capsys, argv, name)
+
+
+def assert_one_line_error(tmp_path, capsys, argv, name):
     out = tmp_path / "reports"
     code = main([*argv, "--out", str(out)])
     assert code == EXIT_ERROR
@@ -203,6 +207,33 @@ def test_bad_sample_counts_are_one_line_errors(tmp_path, capsys, argv, name):
     assert err.startswith("error: ") and name in err
     assert err.count("\n") == 1 and "Traceback" not in err
     assert not out.exists() or not any(out.iterdir())
+
+
+@pytest.mark.parametrize("argv, name", [
+    # --prime must reach a prime-field omega_l search
+    (["omega", "--n", "2", "--r", "10", "--seed", "3", "--prime", "0"], "prime"),
+    (["omega", "--grid", "2", "--prime", "-5"], "prime"),
+    (["omega", "--grid", "2", "--scalar", "rational", "--prime", "7"], "prime"),
+    (["interval", "--grid", "2", "--scalar", "rational", "--prime", "7"], "prime"),
+    (["collide", "--example", "two-point", "--t", "1/2", "--prime", "7"], "prime"),
+    (["schwarz", "--example", "two-point", "--prime", "7"], "prime"),
+    (["green-profile", "--exact", "ball-origin", "--prime", "7"], "prime"),
+    # --grid 0 is a grid source, not an absent one
+    (["omega", "--grid", "0"], "s must be >= 1"),
+    (["omega", "--grid", "0", "--r", "5"], "conflicting config sources"),
+    (["green-profile", "--grid", "0", "--t", "1/10"], "s must be >= 1"),
+    # the scales must shrink toward the collision
+    (["collide", "--example", "two-point", "--t", "1/4,1/2"], "t_sequence"),
+])
+def test_bad_arguments_are_one_line_errors(tmp_path, capsys, argv, name):
+    assert_one_line_error(tmp_path, capsys, argv, name)
+
+
+def test_prime_reaches_the_field_search(tmp_path):
+    code, out = run_cli(tmp_path, "omega", "--grid", "2", "--prime", "7")
+    assert code == EXIT_OK
+    report = read_report(out, "omega")
+    assert report["spec"]["prime"] == 7 and report["results"]["table"] == [[1, 2]]
 
 
 def test_non_finite_report_is_refused(tmp_path, capsys, monkeypatch):

@@ -4,9 +4,11 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from nagata import exactla
+from nagata.configs import generic_points
 from nagata.exactla import (
     M61,
     ExactMatrix,
@@ -19,28 +21,54 @@ from nagata.exactla import (
     kernel_basis,
     rank,
 )
+from nagata.fatpoints import InterpolationProblem, condition_matrix
+from nagata.seeds import derive_seed
 
 F = PrimeField()
 
 
-def frac_rref_rank(rows):
-    """Independent oracle: plain Fraction Gauss-Jordan."""
+def frac_rref(rows):
+    """Independent oracle: plain Fraction Gauss-Jordan.  Returns the nonzero
+    rows of the reduced row echelon form (pivots 1) and the pivot columns."""
     work = [[Fraction(x) for x in r] for r in rows]
     nr = len(work)
     nc = len(work[0]) if nr else 0
-    piv = 0
+    pivots = []
     for c in range(nc):
+        piv = len(pivots)
         sel = next((i for i in range(piv, nr) if work[i][c] != 0), None)
         if sel is None:
             continue
         work[piv], work[sel] = work[sel], work[piv]
         pv = work[piv][c]
+        work[piv] = [a / pv for a in work[piv]]
         for i in range(nr):
             if i != piv and work[i][c] != 0:
-                f = work[i][c] / pv
+                f = work[i][c]
                 work[i] = [a - f * b for a, b in zip(work[i], work[piv])]
-        piv += 1
-    return piv
+        pivots.append(c)
+    return work[:len(pivots)], pivots
+
+
+def frac_rref_rank(rows):
+    return len(frac_rref(rows)[1])
+
+
+def frac_kernel(rows, nc):
+    """The RREF kernel basis of an nc-column matrix, one vector per free
+    column, first nonzero entry 1, from the Fraction oracle."""
+    red, pivots = frac_rref(rows)
+    basis = []
+    for free in range(nc):
+        if free in pivots:
+            continue
+        v = [Fraction(0)] * nc
+        v[free] = Fraction(1)
+        for row, pc in zip(red, pivots):
+            v[pc] = -row[free]
+        lead = next(x for x in v if x)
+        basis.append(tuple(x / lead for x in v))
+    return basis
 
 
 def test_is_prime_basics():
@@ -209,6 +237,58 @@ def test_kernel_vectors_annihilate_matrix(rows):
             assert sum(a * b for a, b in zip(m.row(i), v)) == 0
         first = next(x for x in v if x)
         assert first == 1
+
+
+entry = st.one_of(st.integers(-9, 9), st.fractions(-9, 9, max_denominator=12))
+
+
+@st.composite
+def kernel_cases(draw):
+    """(rows, cols): up to 6 x 8, integer and rational entries, rank at most
+    a drawn k (k = 0 gives the zero matrix), some rows and columns zeroed."""
+    nr, nc, k = draw(st.integers(0, 6)), draw(st.integers(1, 8)), draw(st.integers(0, 6))
+    base = draw(st.lists(st.lists(entry, min_size=nc, max_size=nc), min_size=k, max_size=k))
+    coeff = st.sampled_from([-2, -1, 1, 2, 3])
+    mix = draw(st.lists(st.lists(coeff, min_size=k, max_size=k), min_size=nr, max_size=nr))
+    rows = [[sum((c * b[j] for c, b in zip(cs, base)), Fraction(0)) for j in range(nc)]
+            for cs in mix]
+    zero_rows = draw(st.sets(st.integers(0, 5), max_size=2))
+    zero_cols = draw(st.sets(st.integers(0, 7), max_size=2))
+    return [[0 if i in zero_rows or j in zero_cols else x for j, x in enumerate(r)]
+            for i, r in enumerate(rows)], nc
+
+
+@settings(deadline=None, max_examples=150)
+@given(kernel_cases())
+@example(([], 4))  # 0-row matrix: the unit vectors
+@example(([[0, 0, 0], [0, 0, 0]], 3))  # rank 0
+@example(([[1, 0], [0, 2], [3, 4]], 2))  # empty kernel
+@example(([[Fraction(1, 2), 0, 3], [1, 0, 6]], 3))  # zero column, rank 1
+def test_rational_kernel_matches_fraction_rref(case):
+    rows, nc = case
+    m = ExactMatrix(len(rows), nc, tuple(Fraction(x) for r in rows for x in r))
+    basis = kernel_basis(m)
+    assert basis == frac_kernel(rows, nc)
+    assert all(type(x) is Fraction for v in basis for x in v)
+
+
+def test_rational_kernel_on_a_condition_matrix():
+    # the smallest rational kernel of the kernel-exact family: r=6, l=3, d=8
+    cfg = generic_points(2, 6, derive_seed(2024, "kernel-exact-r6"), 1000)
+    mat = condition_matrix(InterpolationProblem.uniform(cfg, 3, 8, None))
+    basis = kernel_basis(mat)
+    assert len(basis) == 9
+    assert basis == frac_kernel(mat.row_lists(), mat.cols)
+
+
+def test_inexact_back_substitution_raises(monkeypatch):
+    # an echelon whose last pivot, 3, is not the pivot minor's determinant, 6:
+    # the first row's quotient -3/2 is not an integer
+    monkeypatch.setattr(exactla, "_bareiss_echelon",
+                        lambda rows: ([[2, 0, 1], [0, 3, 1]], [0, 1]))
+    m = ExactMatrix.from_rows([[2, 0, 1], [0, 3, 1]])
+    with pytest.raises(RuntimeError, match="not integral"):
+        kernel_basis(m)
 
 
 SMALL_P = 2**31 - 1  # "small" kind: uint64 products without splitting

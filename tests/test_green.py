@@ -452,6 +452,9 @@ def test_collision_validation():
         collision_experiment(TWO, 1, 2, ["1/2"], mode="polydisc", n_radii=1)
     with pytest.raises(ValueError, match="n_dirs"):
         collision_experiment(TWO, 1, 2, ["1/2"], mode="polydisc", n_dirs=0)
+    for ts in (["1/4", "1/2"], ["1/4", "1/4"], ["1/2", "1/10", "1/4"]):
+        with pytest.raises(ValueError, match="t_sequence"):
+            collision_experiment(TWO, 1, 2, ts, mode="polydisc")
 
 
 def test_collision_table_serialization():
