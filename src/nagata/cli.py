@@ -6,6 +6,9 @@ metadata, and that validates against the schema shipped with the package.
 Exit status 0 means success, 2 means at least one mathematical verdict failed
 (so a scan over seeds can be gated in CI), 1 means an operational error.
 All randomness flows from the single --seed through named sub-streams.
+One table, ``_COMMANDS``, declares each subcommand once (help, runner, own
+options, config source, search options); it builds both the parser and the
+spec.
 """
 
 from __future__ import annotations
@@ -20,6 +23,7 @@ from dataclasses import dataclass, field as dc_field
 from fractions import Fraction
 from importlib import resources
 from pathlib import Path
+from typing import Callable, NamedTuple
 
 import jsonschema
 
@@ -60,7 +64,7 @@ class ExperimentSpec:
     command: str
     params: dict = dc_field(default_factory=dict)
     config: PointConfig | None = None
-    scalar: str = "field"
+    scalar: str | None = None  # set only where an omega_l search reads it
     prime: int | None = None
     seed: int = 0
     out: Path = Path("reports")
@@ -70,10 +74,11 @@ class ExperimentSpec:
         d = {
             "command": self.command,
             "params": _json_safe(self.params),
-            "scalar": self.scalar,
             "seed": self.seed,
             "format": self.format,
         }
+        if self.scalar is not None:
+            d["scalar"] = self.scalar
         if self.prime is not None:
             d["prime"] = self.prime
         if self.config is not None:
@@ -107,10 +112,10 @@ def _report_validator():
 
 def _resolve_config(args) -> PointConfig | None:
     sources = [s for s in ("config", "config_json", "example", "grid", "r")
-               if getattr(args, s, None) is not None]
+               if getattr(args, s) is not None]
     if len(sources) > 1:
         raise CliError(f"conflicting config sources: {sources}")
-    if getattr(args, "config", None) is not None:
+    if args.config is not None:
         path = Path(args.config)
         if not path.exists():
             raise CliError(f"config: file {path} does not exist")
@@ -118,37 +123,19 @@ def _resolve_config(args) -> PointConfig | None:
             return PointConfig.from_json(path.read_text())
         except Exception as e:
             raise CliError(f"config: {e}") from e
-    if getattr(args, "config_json", None) is not None:
+    if args.config_json is not None:
         try:
             return PointConfig.from_json(args.config_json)
         except Exception as e:
             raise CliError(f"config-json: {e}") from e
-    if getattr(args, "example", None) is not None:
-        if args.example != "two-point":
-            raise CliError(f"example: unknown name {args.example!r}")
+    if args.example is not None:
         return two_point_example()
-    if getattr(args, "grid", None) is not None:
-        n = getattr(args, "n", None) or 2
-        return grid_points(n, args.grid)
-    if getattr(args, "r", None) is not None:
-        n = getattr(args, "n", None) or 2
-        return generic_points(n, args.r, derive_seed(args.seed, "configs"),
-                              getattr(args, "bound", None) or 1000)
+    if args.grid is not None:
+        return grid_points(args.n, args.grid)
+    if args.r is not None:
+        return generic_points(args.n, args.r, derive_seed(args.seed, "configs"),
+                              args.bound)
     return None
-
-
-def _require_config(args) -> PointConfig:
-    cfg = _resolve_config(args)
-    if cfg is None:
-        raise CliError("config: give --config, --config-json, --example, --grid, or --r")
-    return cfg
-
-
-def _parse_fraction(text: str, name: str) -> Fraction:
-    try:
-        return Fraction(text)
-    except (ValueError, ZeroDivisionError) as e:
-        raise CliError(f"{name}: {text!r} is not an exact rational") from e
 
 
 # ---------------------------------------------------------------------------
@@ -295,21 +282,10 @@ def _run_schwarz(spec: ExperimentSpec):
     return results, verdicts, rows
 
 
-_RUNNERS = {
-    "omega": _run_omega,
-    "interval": _run_interval,
-    "nagata": _run_nagata,
-    "harbourne": _run_harbourne,
-    "green-profile": _run_green_profile,
-    "collide": _run_collide,
-    "schwarz": _run_schwarz,
-}
-
-
 def run(spec: ExperimentSpec) -> int:
     """Execute a spec, write report artifacts, return the exit status."""
     start = time.monotonic()
-    results, verdicts, rows = _RUNNERS[spec.command](spec)
+    results, verdicts, rows = _COMMANDS[spec.command].run(spec)
     elapsed_ms = int((time.monotonic() - start) * 1000)
     report = {
         "spec": spec.to_json_dict(),
@@ -347,29 +323,117 @@ def run(spec: ExperimentSpec) -> int:
 
 class _Parser(argparse.ArgumentParser):
     def error(self, message):  # argparse default exit code 2 is reserved
-        self.print_usage(sys.stderr)
         raise CliError(message)
 
 
-def _add_common(sub):
-    sub.add_argument("--scalar", choices=["field", "rational"], default="field")
-    sub.add_argument("--prime", type=int, help="prime-field modulus override")
-    sub.add_argument("--seed", type=int, default=0, help="master seed")
-    sub.add_argument("--out", type=Path, default=Path("reports"))
-    sub.add_argument("--format", choices=["json", "csv", "both"], default="json")
+def _fraction(text: str) -> Fraction:
+    try:
+        return Fraction(text)
+    except (ValueError, ZeroDivisionError):
+        raise argparse.ArgumentTypeError(f"{text!r} is not an exact rational") from None
 
 
-def _add_config_source(sub, generator=True):
-    sub.add_argument("--config", help="path to a PointConfig JSON file")
-    sub.add_argument("--config-json", dest="config_json",
-                     help="inline PointConfig JSON")
-    sub.add_argument("--example", choices=["two-point"],
-                     help="named example configuration")
-    sub.add_argument("--grid", type=int, metavar="S", help="grid side length s")
-    if generator:
-        sub.add_argument("--n", type=int, help="ambient dimension (default 2)")
-        sub.add_argument("--r", type=int, help="number of generic points")
-        sub.add_argument("--bound", type=int, help="coordinate box (default 1000)")
+def _fractions(text: str) -> list:
+    return [_fraction(x) for x in text.split(",")]
+
+
+def _floats(text: str) -> list:
+    try:
+        return [float(x) for x in text.split(",")]
+    except ValueError as e:
+        raise argparse.ArgumentTypeError(str(e)) from None
+
+
+class Subcommand(NamedTuple):
+    """One subcommand.  Its own options, given as ``(flag, argparse kwargs)``,
+    land in ``spec.params`` under their dests; ``search`` names which of
+    ``scalar``/``prime`` reach an omega_l search on its path."""
+
+    help: str
+    run: Callable  # spec -> (results dict, verdicts, csv rows)
+    options: tuple
+    config: str = "required"  # "required", "optional" or "none"
+    search: tuple = ("scalar", "prime")
+
+
+_CONFIG_SOURCE = (
+    ("--config", dict(help="path to a PointConfig JSON file")),
+    ("--config-json", dict(help="inline PointConfig JSON")),
+    ("--example", dict(choices=["two-point"], help="named example configuration")),
+    ("--grid", dict(type=int, metavar="S", help="grid side length s")),
+    ("--n", dict(type=int, default=2, help="ambient dimension (default 2)")),
+    ("--r", dict(type=int, help="number of generic points")),
+    ("--bound", dict(type=int, default=1000, help="coordinate box (default 1000)")),
+)
+
+_SEARCH = {
+    "scalar": dict(choices=["field", "rational"], default="field"),
+    "prime": dict(type=int, help="prime-field modulus override"),
+}
+
+_COMMON = (
+    ("--seed", dict(type=int, default=0, help="master seed")),
+    ("--out", dict(type=Path, default=Path("reports"))),
+    ("--format", dict(choices=["json", "csv", "both"], default="json")),
+)
+
+_BOUNDARY_SAMPLES = ("--boundary-samples", dict(type=int, default=4096))
+
+_COMMANDS = {
+    "omega": Subcommand("omega_l table", _run_omega, (
+        ("--l-max", dict(type=int, default=1)),
+    )),
+    "interval": Subcommand("Waldschmidt interval and report", _run_interval, (
+        ("--l-max", dict(type=int, default=2)),
+    )),
+    "nagata": Subcommand("strict Nagata inequality per level", _run_nagata, (
+        ("--l-max", dict(type=int, default=1)),
+    )),
+    "harbourne": Subcommand("small-r least-degree table check", _run_harbourne, (
+        ("--m-max", dict(type=int, default=4)),
+    ), config="none"),
+    "green-profile": Subcommand("radial profile and log slope", _run_green_profile, (
+        ("--exact", dict(choices=["ball-origin", "two-point-limit"],
+                         help="profile a closed form instead of an approximant")),
+        ("--mode", dict(choices=["ball", "polydisc"], default="ball")),
+        ("--t", dict(type=_fraction, help="exact rational pole scale, e.g. 1/10")),
+        ("--l", dict(type=int, default=1)),
+        ("--d", dict(type=int, default=2)),
+        ("--radii", dict(type=_floats,
+                         help="comma-separated decreasing radii in (0,1)")),
+        ("--sphere-samples", dict(type=int, default=512)),
+        _BOUNDARY_SAMPLES,
+        ("--axis", dict(type=int, help="restrict sampling to one axis")),
+    ), config="optional", search=()),
+    "collide": Subcommand("pole-collision convergence table", _run_collide, (
+        ("--t", dict(type=_fractions, required=True, dest="t_sequence", metavar="T",
+                     help="comma-separated decreasing rational scales, "
+                          "e.g. 0.5,0.25,0.1")),
+        ("--l", dict(type=int, default=1)),
+        ("--d", dict(type=int, default=2)),
+        ("--mode", dict(choices=["ball", "polydisc"], default="polydisc")),
+        ("--r-min", dict(type=float, default=0.3)),
+        ("--r-max", dict(type=float, default=0.95)),
+        ("--n-radii", dict(type=int, default=20)),
+        ("--n-dirs", dict(type=int, default=20)),
+        _BOUNDARY_SAMPLES,
+        ("--with-oracle", dict(action="store_true",
+                               help="report the pointwise gap to the two-point "
+                                    "closed form")),
+    ), search=("scalar",)),
+    "schwarz": Subcommand("Schwarz-type norm inequality check", _run_schwarz, (
+        ("--l", dict(type=int, default=1)),
+        ("--d", dict(type=int, help="degree cap (default: omega_l)")),
+        ("--rho", dict(type=float, default=0.25)),
+        ("--R", dict(type=float, default=8.0)),
+        ("--epsilon", dict(type=float, default=0.1)),
+        _BOUNDARY_SAMPLES,
+    ), search=("scalar",)),
+}
+
+
+def _dest(flag: str, kwargs: dict) -> str:
+    return kwargs.get("dest", flag[2:].replace("-", "_"))
 
 
 @functools.cache  # one parser per process, built on the first call to main
@@ -379,134 +443,25 @@ def build_parser() -> _Parser:
                                  "experiments")
     parser.add_argument("--version", action="version", version=__version__)
     subs = parser.add_subparsers(dest="command", required=True)
-
-    s = subs.add_parser("omega", parents=[], help="omega_l table")
-    _add_config_source(s)
-    s.add_argument("--l-max", dest="l_max", type=int, default=1)
-    _add_common(s)
-
-    s = subs.add_parser("interval", help="Waldschmidt interval and report")
-    _add_config_source(s)
-    s.add_argument("--l-max", dest="l_max", type=int, default=2)
-    _add_common(s)
-
-    s = subs.add_parser("nagata", help="strict Nagata inequality per level")
-    _add_config_source(s)
-    s.add_argument("--l-max", dest="l_max", type=int, default=1)
-    _add_common(s)
-
-    s = subs.add_parser("harbourne", help="small-r least-degree table check")
-    s.add_argument("--m-max", dest="m_max", type=int, default=4)
-    _add_common(s)
-
-    s = subs.add_parser("green-profile", help="radial profile and log slope")
-    _add_config_source(s)
-    s.add_argument("--exact", choices=["ball-origin", "two-point-limit"],
-                   help="profile a closed form instead of an approximant")
-    s.add_argument("--mode", choices=["ball", "polydisc"], default="ball")
-    s.add_argument("--t", help="exact rational pole scale, e.g. 1/10")
-    s.add_argument("--l", type=int, default=1)
-    s.add_argument("--d", type=int, default=2)
-    s.add_argument("--radii", help="comma-separated decreasing radii in (0,1)")
-    s.add_argument("--sphere-samples", dest="sphere_samples", type=int, default=512)
-    s.add_argument("--boundary-samples", dest="boundary_samples", type=int,
-                   default=4096)
-    s.add_argument("--axis", type=int, help="restrict sampling to one axis")
-    _add_common(s)
-
-    s = subs.add_parser("collide", help="pole-collision convergence table")
-    _add_config_source(s)
-    s.add_argument("--t", required=True,
-                   help="comma-separated decreasing rational scales, e.g. 0.5,0.25,0.1")
-    s.add_argument("--l", type=int, default=1)
-    s.add_argument("--d", type=int, default=2)
-    s.add_argument("--mode", choices=["ball", "polydisc"], default="polydisc")
-    s.add_argument("--r-min", dest="r_min", type=float, default=0.3)
-    s.add_argument("--r-max", dest="r_max", type=float, default=0.95)
-    s.add_argument("--n-radii", dest="n_radii", type=int, default=20)
-    s.add_argument("--n-dirs", dest="n_dirs", type=int, default=20)
-    s.add_argument("--boundary-samples", dest="boundary_samples", type=int,
-                   default=4096)
-    s.add_argument("--with-oracle", dest="with_oracle", action="store_true",
-                   help="report the pointwise gap to the two-point closed form")
-    _add_common(s)
-
-    s = subs.add_parser("schwarz", help="Schwarz-type norm inequality check")
-    _add_config_source(s)
-    s.add_argument("--l", type=int, default=1)
-    s.add_argument("--d", type=int, help="degree cap (default: omega_l)")
-    s.add_argument("--rho", type=float, default=0.25)
-    s.add_argument("--R", type=float, default=8.0)
-    s.add_argument("--epsilon", type=float, default=0.1)
-    s.add_argument("--boundary-samples", dest="boundary_samples", type=int,
-                   default=4096)
-    _add_common(s)
-
+    for name, cmd in _COMMANDS.items():
+        sub = subs.add_parser(name, help=cmd.help)
+        for flag, kwargs in (*(_CONFIG_SOURCE if cmd.config != "none" else ()),
+                             *cmd.options,
+                             *((f"--{s}", _SEARCH[s]) for s in cmd.search),
+                             *_COMMON):
+            sub.add_argument(flag, **kwargs)
     return parser
 
 
 def spec_from_args(args) -> ExperimentSpec:
-    command = args.command
-    if args.prime is not None:  # a prime must reach an omega_l search
-        if args.prime < 2:
-            raise CliError(f"prime: {args.prime} is not a prime")
-        if command in ("green-profile", "collide", "schwarz"):
-            raise CliError(f"prime: {command} runs no prime-field search")
-        if args.scalar == "rational":
-            raise CliError("prime: --scalar rational runs no prime-field search")
-    params: dict = {}
-    config = None
-    if command in ("omega", "interval", "nagata"):
-        config = _require_config(args)
-        if args.l_max < 1:
-            raise CliError("l-max: must be >= 1")
-        params["l_max"] = args.l_max
-    elif command == "harbourne":
-        if args.m_max < 1:
-            raise CliError("m-max: must be >= 1")
-        params["m_max"] = args.m_max
-    elif command == "green-profile":
-        config = _resolve_config(args)
-        params["exact"] = args.exact
-        params["mode"] = args.mode
-        params["l"] = args.l
-        params["d"] = args.d
-        params["sphere_samples"] = args.sphere_samples
-        params["boundary_samples"] = args.boundary_samples
-        params["axis"] = args.axis
-        if args.t:
-            params["t"] = _parse_fraction(args.t, "t")
-        if args.radii:
-            try:
-                params["radii"] = [float(x) for x in args.radii.split(",")]
-            except ValueError as e:
-                raise CliError(f"radii: {e}") from e
-        if not args.exact and config is None:
-            raise CliError("config: give a config source or --exact")
-    elif command == "collide":
-        config = _require_config(args)
-        params["t_sequence"] = [_parse_fraction(x, "t") for x in args.t.split(",")]
-        params["l"] = args.l
-        params["d"] = args.d
-        params["mode"] = args.mode
-        params["r_min"] = args.r_min
-        params["r_max"] = args.r_max
-        params["n_radii"] = args.n_radii
-        params["n_dirs"] = args.n_dirs
-        params["boundary_samples"] = args.boundary_samples
-        params["with_oracle"] = args.with_oracle
-    elif command == "schwarz":
-        config = _require_config(args)
-        params["l"] = args.l
-        params["d"] = args.d
-        params["rho"] = args.rho
-        params["R"] = args.R
-        params["epsilon"] = args.epsilon
-        params["boundary_samples"] = args.boundary_samples
-    return ExperimentSpec(
-        command=command, params=params, config=config, scalar=args.scalar,
-        prime=args.prime, seed=args.seed, out=args.out, format=args.format,
-    )
+    cmd = _COMMANDS[args.command]
+    config = _resolve_config(args) if cmd.config != "none" else None
+    if config is None and cmd.config == "required":
+        raise CliError("config: give --config, --config-json, --example, --grid, or --r")
+    params = {_dest(flag, kw): getattr(args, _dest(flag, kw)) for flag, kw in cmd.options}
+    return ExperimentSpec(command=args.command, params=params, config=config,
+                          seed=args.seed, out=args.out, format=args.format,
+                          **{s: getattr(args, s) for s in cmd.search})
 
 
 def main(argv=None) -> int:

@@ -60,6 +60,9 @@ def resolve_scalar(scalar, prime: int | None = None) -> PrimeField | None:
     if isinstance(scalar, PrimeField):
         return scalar
     if scalar == "rational":
+        if prime is not None:
+            raise ValueError(f"prime {prime} given, but the rational domain runs "
+                             "no prime-field search")
         return None
     if scalar == "field":
         return DEFAULT_FIELD if prime is None else PrimeField(prime)

@@ -224,6 +224,18 @@ def assert_one_line_error(tmp_path, capsys, argv, name):
     (["green-profile", "--grid", "0", "--t", "1/10"], "s must be >= 1"),
     # the scales must shrink toward the collision
     (["collide", "--example", "two-point", "--t", "1/4,1/2"], "t_sequence"),
+    # --n and --bound are read by value, not by truthiness
+    (["omega", "--grid", "2", "--n", "0"], "dimension must be >= 1"),
+    (["omega", "--r", "3", "--bound", "0"], "bound 0 too small"),
+    # green-profile runs no omega_l search
+    (["green-profile", "--exact", "ball-origin", "--scalar", "rational"], "scalar"),
+    (["omega", "--grid", "2", "--l-max", "0"], "l_max"),
+    (["interval", "--grid", "2", "--l-max", "0"], "l_max"),
+    (["nagata", "--grid", "2", "--l-max", "0"], "l_max"),
+    (["harbourne", "--m-max", "0"], "m_max"),
+    # a parse error is one line too, with no usage block
+    (["omega", "--grid", "2", "--badflag"], "badflag"),
+    (["nonsense"], "nonsense"),
 ])
 def test_bad_arguments_are_one_line_errors(tmp_path, capsys, argv, name):
     assert_one_line_error(tmp_path, capsys, argv, name)
@@ -239,8 +251,8 @@ def test_prime_reaches_the_field_search(tmp_path):
 def test_non_finite_report_is_refused(tmp_path, capsys, monkeypatch):
     from nagata import cli
 
-    monkeypatch.setitem(cli._RUNNERS, "omega",
-                        lambda spec: ({"value": float("nan")}, [], []))
+    monkeypatch.setitem(cli._COMMANDS, "omega", cli._COMMANDS["omega"]._replace(
+        run=lambda spec: ({"value": float("nan")}, [], [])))
     out = tmp_path / "reports"
     code = main(["omega", "--grid", "2", "--out", str(out), "--format", "both"])
     assert code == EXIT_ERROR

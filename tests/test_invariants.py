@@ -104,6 +104,12 @@ def test_prime_zero_is_refused_not_taken_as_the_default():
         omega_l(cfg, 1, prime=0)
 
 
+def test_prime_is_refused_over_the_rationals():
+    cfg = make_config([[0, 0], [1, 0]])
+    with pytest.raises(ValueError, match="prime"):
+        omega_l(cfg, 1, "rational", prime=7)
+
+
 def test_omega_monotone_and_bounded():
     cfg = generic_points(2, 6, seed=5)
     table = dict(omega_table(cfg, 4))
