@@ -115,6 +115,11 @@ def _resolve_config(args) -> PointConfig | None:
                if getattr(args, s) is not None]
     if len(sources) > 1:
         raise CliError(f"conflicting config sources: {sources}")
+    if args.n is not None and args.grid is None and args.r is None:
+        raise CliError("n: --n applies only to --grid and --r")
+    if args.bound is not None and args.r is None:
+        raise CliError("bound: --bound applies only to --r")
+    n = 2 if args.n is None else args.n
     if args.config is not None:
         path = Path(args.config)
         if not path.exists():
@@ -131,10 +136,10 @@ def _resolve_config(args) -> PointConfig | None:
     if args.example is not None:
         return two_point_example()
     if args.grid is not None:
-        return grid_points(args.n, args.grid)
+        return grid_points(n, args.grid)
     if args.r is not None:
-        return generic_points(args.n, args.r, derive_seed(args.seed, "configs"),
-                              args.bound)
+        return generic_points(n, args.r, derive_seed(args.seed, "configs"),
+                              1000 if args.bound is None else args.bound)
     return None
 
 
@@ -195,30 +200,27 @@ def _run_harbourne(spec: ExperimentSpec):
 
 def _run_green_profile(spec: ExperimentSpec):
     p = spec.params
-    radii = p.get("radii")
+    radii = p["radii"]
     seed = derive_seed(spec.seed, "green")
-    if p.get("exact"):
-        name = p["exact"]
-        if name == "ball-origin":
+    if p["exact"] is not None:
+        if p["exact"] == "ball-origin":
             target, mode = (lambda z: ball_green_single_pole([0, 0], z)), "ball"
-        elif name == "two-point-limit":
+        else:  # "two-point-limit", the other --exact choice
             target, mode = polydisc_two_pole_limit, "polydisc"
-        else:
-            raise CliError(f"exact: unknown formula {name!r}")
         profile = radial_profile(target, radii, p["sphere_samples"], seed,
-                                 mode=mode, axis=p.get("axis"))
-        source = {"exact": name}
+                                 mode=mode, axis=p["axis"])
+        source = {"exact": p["exact"]}
     else:
         cfg = spec.config
         if cfg is None:
             raise CliError("config: a config (or --exact) is required")
-        if p.get("t") is None:
+        if p["t"] is None:
             raise CliError("t: required when profiling an approximant")
         g = build_approximant(cfg, p["t"], p["l"], p["d"],
                               p["boundary_samples"], seed, p["mode"])
         profile = radial_profile(g, radii, p["sphere_samples"],
                                  derive_seed(spec.seed, "green-profile"),
-                                 axis=p.get("axis"))
+                                 axis=p["axis"])
         source = {"config": cfg.to_json_dict(), "t": frac_str(p["t"]),
                   "eps_sample": g.eps_sample}
     results = {
@@ -361,9 +363,9 @@ _CONFIG_SOURCE = (
     ("--config-json", dict(help="inline PointConfig JSON")),
     ("--example", dict(choices=["two-point"], help="named example configuration")),
     ("--grid", dict(type=int, metavar="S", help="grid side length s")),
-    ("--n", dict(type=int, default=2, help="ambient dimension (default 2)")),
+    ("--n", dict(type=int, help="ambient dimension for --grid/--r (default 2)")),
     ("--r", dict(type=int, help="number of generic points")),
-    ("--bound", dict(type=int, default=1000, help="coordinate box (default 1000)")),
+    ("--bound", dict(type=int, help="coordinate box for --r (default 1000)")),
 )
 
 _SEARCH = {

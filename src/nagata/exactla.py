@@ -1,17 +1,20 @@
-"""Exact dense linear algebra over a large prime field or the rationals.
+"""Exact dense linear algebra over prime fields or the rationals.
 
 Rank and right-kernel computations for interpolation matrices.  Two scalar
 domains are supported:
 
-* ``PrimeField`` -- arithmetic mod a prime p < 2^62.  The default modulus is
-  the Mersenne prime 2^61 - 1; products need 128-bit intermediates, which
-  Python ints provide exactly and which the numpy hot path emulates with a
-  split 31/30-bit multiply in uint64.  Used as a fast generic-rank oracle.
-  Modular elimination works on whole arrays: ``vec_mul``/``vec_submul``
-  broadcast an array multiplier, so each pivot is one rank-1 update of
-  the block it touches (``B -= e * B[pivot]`` mod p), in ``_field_rref``
-  over the whole matrix and in ``RankAccumulator.add`` over a block of new
-  columns, from the pivot row down.
+* ``PrimeField`` -- arithmetic mod a prime p < 2^62, used as a fast
+  generic-rank oracle.  A modulus below 2^31 (invariants searches mod
+  2^31 - 1 by default) multiplies in one uint64 product.  The Mersenne
+  prime 2^61 - 1 (the constructor's default, and the modulus invariants
+  confirms a degree with) needs 122-bit products, which Python ints provide
+  exactly and which the numpy hot path emulates with a split 31/30-bit
+  multiply in uint64; any other modulus uses object arrays.  Modular
+  elimination works on whole arrays: ``vec_mul``/``vec_submul`` broadcast
+  an array multiplier, so each pivot is one rank-1 update of the block it
+  touches (``B -= e * B[pivot]`` mod p), in ``_field_rref`` over the whole
+  matrix and in ``RankAccumulator.add`` over a block of new columns, from
+  the pivot row down.
 * rationals -- ``fractions.Fraction`` entries.  Elimination is fraction-free
   (Bareiss) on denominator-cleared integer rows, so intermediate entries are
   minors of the input and stay bounded.  It is the only exact eliminator:

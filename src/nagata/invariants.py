@@ -12,9 +12,13 @@ upper bound, superadditivity).  Omega(S) itself is a limit over all l and is
 never reported as a point value, only as this interval.
 
 Everything here is exact: integer comparisons and Fraction arithmetic, never
-floating point.  Rank verdicts default to a fixed Mersenne prime field for
-speed; a rank can only drop mod p, so the rational domain certifies upward
-from the field value by a dimension count or one exact rank per degree.
+floating point.  A rank can only drop mod p, so a degree with no kernel mod p
+has none over Q.  The field domain searches mod the 31-bit prime 2^31 - 1
+(or a given prime) for speed, then confirms the degree found: a degree whose
+monomials outnumber its conditions has a kernel over any field, and any
+other counts only if it also has one mod the Mersenne prime 2^61 - 1.  The
+rational domain certifies upward from the search value by a dimension count
+or one exact rank per degree.
 """
 
 from __future__ import annotations
@@ -25,7 +29,6 @@ import json
 import math
 from dataclasses import dataclass, field as dc_field
 from fractions import Fraction
-from math import comb
 
 from .configs import PointConfig, frac_str, generic_points
 from .exactla import M61, PrimeField, ReductionError
@@ -33,12 +36,14 @@ from .fatpoints import (
     DimensionSearch,
     InterpolationProblem,
     kernel_polynomials,
+    monomial_count,
     uniform_orders,
     vanishing_dimension,
 )
 from .seeds import derive_seed
 
-DEFAULT_FIELD = PrimeField(M61)
+DEFAULT_FIELD = PrimeField(2**31 - 1)  # search modulus: one uint64 product per update
+_CONFIRM_FIELD = PrimeField(M61)
 
 # Least degree forced by r <= 9 general plane points at multiplicity m is
 # ceil(c_r * m) with these slopes (r = 1..9).
@@ -88,8 +93,12 @@ def omega_l(config: PointConfig, l: int, scalar="field", prime=None) -> int:
 
     Over a field: ascends from the largest required order (a vanishing order
     never exceeds the degree), appending monomial columns per degree to an
-    incremental rank accumulator and exiting at the first degree with
-    positive dimension -- so the preceding degree is always verified empty.
+    incremental rank accumulator mod the search prime (``prime``, default
+    2^31 - 1) and stopping at the first degree with positive dimension, so
+    every lower degree is empty over Q too.  That degree, or a later one, is
+    returned once a dimension count or a second search mod 2^61 - 1 confirms
+    a kernel there: the value is max(omega_p, omega_M61) <= omega_Q, so a
+    rank lost mod one prime alone costs a step, not a wrong value.
     Over Q: certified upward from the DEFAULT_FIELD value.  Deterministic.
     """
     fld = resolve_scalar(scalar, prime)
@@ -99,11 +108,34 @@ def omega_l(config: PointConfig, l: int, scalar="field", prime=None) -> int:
     return _field_omega(config, orders, fld)
 
 
-def _field_omega(config: PointConfig, orders: tuple, fld: PrimeField) -> int:
-    search = DimensionSearch(config, orders, fld)
-    d = max(orders)
+def _least_degree(search: DimensionSearch, d: int) -> int:
     while search.dimension_at(d) < 1:
         d += 1
+    return d
+
+
+def _field_omega(config: PointConfig, orders: tuple, fld: PrimeField) -> int:
+    """Search mod fld, then step up from its degree until a dimension count
+    or the search mod M61 shows a kernel.  A config with no image mod the
+    default prime is searched mod M61 alone; mod a prime the caller chose,
+    the ReductionError stands."""
+    try:
+        search = DimensionSearch(config, orders, fld)
+    except ReductionError:
+        if fld != DEFAULT_FIELD:
+            raise
+        fld = _CONFIRM_FIELD
+        search = DimensionSearch(config, orders, fld)
+    d = _least_degree(search, max(orders))
+    if fld == _CONFIRM_FIELD:
+        return d
+    confirm = None
+    while monomial_count(config.dimension, d) <= search.n_conditions:
+        if confirm is None:
+            confirm = DimensionSearch(config, orders, _CONFIRM_FIELD)
+        if confirm.dimension_at(d) >= 1:
+            return d
+        d += 1  # empty mod M61, so empty over Q
     return d
 
 
@@ -113,7 +145,7 @@ def _rational_omega(config: PointConfig, orders: tuple) -> int:
     any other is checked by one exact rank (at most RATIONAL_COLUMN_CAP
     columns).  A config with no image mod p starts at the largest order."""
     try:
-        d = _field_omega(config, orders, DEFAULT_FIELD)
+        d = _least_degree(DimensionSearch(config, orders, DEFAULT_FIELD), max(orders))
     except ReductionError:
         d = max(orders)
     while True:

@@ -236,9 +236,30 @@ def assert_one_line_error(tmp_path, capsys, argv, name):
     # a parse error is one line too, with no usage block
     (["omega", "--grid", "2", "--badflag"], "badflag"),
     (["nonsense"], "nonsense"),
+    # --n shapes only --grid and --r, --bound only --r
+    (["omega", "--example", "two-point", "--n", "3"], "n: --n applies only"),
+    (["omega", "--config-json", '{"dimension": 2, "points": [["0", "0"]]}',
+      "--n", "2"], "n: --n applies only"),
+    (["omega", "--config", "cfg.json", "--n", "2"], "n: --n applies only"),
+    (["green-profile", "--exact", "ball-origin", "--n", "2"], "n: --n applies only"),
+    (["omega", "--example", "two-point", "--bound", "5"], "bound: --bound applies only"),
+    (["omega", "--grid", "2", "--bound", "5"], "bound: --bound applies only"),
+    (["interval", "--config-json", '{"dimension": 2, "points": [["0", "0"]]}',
+      "--bound", "5"], "bound: --bound applies only"),
 ])
 def test_bad_arguments_are_one_line_errors(tmp_path, capsys, argv, name):
     assert_one_line_error(tmp_path, capsys, argv, name)
+
+
+def test_small_prime_rank_loss_is_confirmed_away(tmp_path):
+    # mod 7 this config has a cubic through its 10 points; over Q it has none
+    argv = ["--n", "2", "--r", "10", "--seed", "3", "--prime", "7"]
+    code, out = run_cli(tmp_path, "omega", *argv)
+    assert code == EXIT_OK
+    assert read_report(out, "omega")["results"]["table"] == [[1, 4]]
+    code, out = run_cli(tmp_path, "interval", *argv)
+    assert code == EXIT_OK
+    assert read_report(out, "interval")["results"]["table"] == [[1, 4], [2, 7]]
 
 
 def test_prime_reaches_the_field_search(tmp_path):

@@ -83,19 +83,33 @@ def test_rational_omega_matches_exact_scan(cfg, l):
 
 
 def test_rational_omega_without_modular_image():
-    # 1/(2^61 - 1) has no image mod M61: the exact scan starts at max(orders)
+    # 1/(2^61 - 1) has no image mod M61: the field search cannot confirm its
+    # degree (no count settles d = 4), while the rational scan certifies it
     cfg = make_config([[Fraction(1, M61), 0], [1, 2], [2, 5], [4, 1], [3, 3]])
     with pytest.raises(ReductionError):
         omega_l(cfg, 2)
     assert omega_l(cfg, 2, "rational") == rational_scan(cfg, 2) == 4
 
 
+def test_field_omega_without_image_mod_the_search_prime():
+    # 1/(2^31 - 1) has no image mod the default prime: searched mod M61 alone
+    cfg = make_config([[Fraction(1, 2**31 - 1), 0], [1, 2], [2, 5], [4, 1], [3, 3]])
+    assert omega_l(cfg, 2) == omega_l(cfg, 2, "rational") == rational_scan(cfg, 2) == 4
+
+
 def test_rational_omega_survives_an_unlucky_prime(monkeypatch):
-    # the configs of `nagata omega --n 2 --r 10 --seed 3`: rank drops mod 7
+    # the configs of `nagata omega --n 2 --r 10 --seed 3`: rank drops mod 7 at
+    # d = 3, where 10 monomials meet 10 conditions; M61 finds no kernel there
     cfg = generic_points(2, 10, derive_seed(3, "configs"), 1000)
+    assert omega_l(cfg, 1, prime=7) == 4
     monkeypatch.setattr(invariants, "DEFAULT_FIELD", PrimeField(7))
-    assert omega_l(cfg, 1) == 3
+    assert omega_l(cfg, 1) == 4
     assert omega_l(cfg, 1, "rational") == 4
+
+
+def test_harbourne_table_passes_with_a_small_search_prime(monkeypatch):
+    monkeypatch.setattr(invariants, "DEFAULT_FIELD", PrimeField(7))
+    assert harbourne_table_check(4, 2024).all_pass
 
 
 def test_prime_zero_is_refused_not_taken_as_the_default():
