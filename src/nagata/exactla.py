@@ -13,8 +13,12 @@ domains are supported:
   elimination works on whole arrays: ``vec_mul``/``vec_submul`` broadcast
   an array multiplier, so each pivot is one rank-1 update of the block it
   touches (``B -= e * B[pivot]`` mod p), in ``_field_rref`` over the whole
-  matrix and in ``RankAccumulator.add`` over a block of new columns, from
-  the pivot row down.
+  matrix and in ``RankAccumulator.add`` over a block of new columns.
+  ``RankAccumulator`` reduces a block by all the pivots of an earlier block
+  (a panel) at once, with one exact product mod p (``matmul``): both
+  factors are split into limbs of w = (53 - k.bit_length()) // 2 bits for
+  inner length k, so every dot of limbs stays below 2^53 and one float64
+  BLAS product computes all of them exactly.
 * rationals -- ``fractions.Fraction`` entries.  Elimination is fraction-free
   (Bareiss) on denominator-cleared integer rows, so intermediate entries are
   minors of the input and stay bounded.  It is the only exact eliminator:
@@ -37,6 +41,7 @@ values are immutable and safe to share between threads.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
@@ -142,7 +147,7 @@ class PrimeField:
     def inv(self, a: int) -> int:
         if a % self.modulus == 0:
             raise ZeroDivisionError("inverse of zero in prime field")
-        return pow(a, self.modulus - 2, self.modulus)
+        return pow(a, -1, self.modulus)
 
     def from_rational(self, x) -> int:
         """Reduce a rational mod p: numerator times inverse denominator.
@@ -162,7 +167,11 @@ class PrimeField:
 
     def vec(self, xs) -> np.ndarray:
         """Pack a sequence (or nested sequence) of integers into the internal
-        array form, reduced mod p."""
+        array form, reduced mod p.  Always a new array: one of the internal
+        dtype is reduced with one ``%``, anything else through Python ints."""
+        internal = object if self._kind == "object" else np.uint64
+        if isinstance(xs, np.ndarray) and xs.dtype == internal:
+            return xs % self.modulus
         a = np.array(xs, dtype=object) % self.modulus
         return a if self._kind == "object" else a.astype(np.uint64)
 
@@ -177,11 +186,50 @@ class PrimeField:
 
     def vec_submul(self, v: np.ndarray, c, e: np.ndarray) -> np.ndarray:
         """Elementwise (v - c*e) mod p, broadcasting v, c and e together."""
-        t = self.vec_mul(e, c)
+        return self._sub(v, self.vec_mul(e, c))
+
+    def _sub(self, v: np.ndarray, t: np.ndarray) -> np.ndarray:
+        """Elementwise (v - t) mod p."""
         if self._kind == "object":
             return (v - t) % self.modulus
         d = v - t  # wraps past 2^64 exactly when v < t; then d + p < p
         return np.minimum(d, d + _U(self.modulus))
+
+    def matmul(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+        """a @ b mod p, exactly, for 2-D arrays of field elements.
+
+        Each factor is split into t limbs of w bits, a = sum_i a_i 2^(w i),
+        with w = (53 - L) // 2 for the inner length k < 2^L (L is
+        ``k.bit_length()``) and t w >= the bit length of p.  A limb is below
+        2^w, so every dot of two limb arrays is an integer of at most
+        k (2^w - 1)^2 < 2^L 2^(2w) <= 2^53, and so is each of its partial
+        sums: float64 holds every one of them exactly, and one BLAS product
+        of all the limbs is exact in any summation order.  The limb products
+        of one weight s = i + j (at most t <= 62 of them, below 2^64) are
+        added in uint64, reduced mod p, scaled by 2^(w s) mod p and
+        accumulated.  Object arrays take one Python-int product.
+        """
+        p = self.modulus
+        if self._kind == "object":
+            return a.astype(object).dot(b.astype(object)) % p
+        (m, k), n = a.shape, b.shape[1]
+        w = (53 - k.bit_length()) // 2
+        t = -(-p.bit_length() // w)
+        shifts = _U(w) * np.arange(t, dtype=_U)
+        mask = _U((1 << w) - 1)
+        a_limbs = (a[None] >> shifts[:, None, None]) & mask  # t x m x k
+        b_limbs = (b[:, None] >> shifts[None, :, None]) & mask  # k x t x n
+        prod = (a_limbs.reshape(t * m, k).astype(np.float64)
+                @ b_limbs.reshape(k, t * n).astype(np.float64)).reshape(t, m, t, n)
+        del a_limbs, b_limbs  # freed before the weight sums, where memory peaks
+        out = np.zeros((m, n), dtype=_U)
+        for s in range(2 * t - 1):
+            part = sum(prod[i, :, s - i].astype(_U)
+                       for i in range(max(0, s - t + 1), min(s, t - 1) + 1))
+            part %= _U(p)
+            out += self.vec_mul(part, pow(2, w * s, p)) if s else part  # < 2p < 2^63
+            np.minimum(out, out - _U(p), out=out)
+        return out
 
 
 def _m61_mul(v: np.ndarray, c) -> np.ndarray:
@@ -423,54 +471,68 @@ def _verify_in_kernel(m: ExactMatrix, vectors: list) -> None:
 class RankAccumulator:
     """Online rank mod p of a growing list of vectors (appended columns).
 
-    ``add`` takes one vector or a block of columns (a 2-D array, conditions
-    x columns).  Each column is reduced against the echelon basis kept so
-    far, in increasing pivot order, then against the pivots found earlier in
-    its own block; the stored basis is therefore fixed by the insertion
-    order and the result is deterministic.  Blocks are reduced with one
-    broadcast update per stored pivot, over the rows from that pivot down
-    (a stored vector is zero above its pivot).
+    ``add`` takes one vector or a block of columns (conditions x columns),
+    reduced mod p as given, and stores the block's new basis vectors as one
+    panel (V, Q): their pivot rows Q and their entries V on the other rows
+    that were free when the panel was made, i.e. pivot rows of no earlier
+    panel.  A panel is the identity on Q and zero on every earlier pivot
+    row, so those rows are not stored.  A new block B, kept on the free
+    rows only, is reduced by each panel in insertion order with one exact
+    product, ``B <- B[free rows not in Q] - V @ B[Q]``: B is zero on Q after
+    it, so Q's rows are dropped.  The block's own columns are then
+    eliminated left to right, Gauss-Jordan, with the first nonzero row as
+    pivot, one broadcast update per new pivot.  Dropping rows keeps the
+    order of the rest, so the basis is fixed by the insertion order and
+    the result is deterministic.  The columns that raised the rank are
+    recorded, so the rank of any prefix of the columns added is known
+    (``prefix_rank``).
     """
 
     def __init__(self, field: PrimeField):
         if not isinstance(field, PrimeField):
             raise TypeError("RankAccumulator needs a PrimeField; use rank() for an exact rank")
         self.field = field
-        self._ech: list = []  # (pivot index, vector), sorted by pivot
+        self._panels: list = []  # (V, Q, rows kept), in insertion order
+        self._raised: list = []  # indices of the added columns that raised the rank
+        self._added = 0
 
     @property
     def rank(self) -> int:
-        return len(self._ech)
+        return len(self._raised)
+
+    def prefix_rank(self, k: int) -> int:
+        """Rank of the first k columns added."""
+        return bisect_left(self._raised, k)
 
     def add(self, entries) -> int:
         """Reduce a vector, or each column of a 2-D block in order; returns
         how many of them enlarged the span."""
         f = self.field
-        b = np.array(entries) if isinstance(entries, np.ndarray) else f.vec(entries)
+        b = f.vec(entries)
         if b.ndim == 1:
             b = b[:, None]
-        for pivot, evec in self._ech:
-            row = b[pivot]
-            if row.any():
-                b[pivot:] = f.vec_submul(b[pivot:], row, evec[pivot:, None])
-        added = 0
+        for v, q, kept in self._panels:
+            bq = b[q]
+            b = b[kept]
+            if bq.any():
+                b = f._sub(b, f.matmul(v, bq))
+        cols, rows = [], []
         for j in range(b.shape[1]):
             nz = np.flatnonzero(b[:, j])
             if not len(nz):
                 continue
             pivot = int(nz[0])
-            v = f.vec_mul(b[:, j], f.inv(int(b[pivot, j])))
-            self._insert(pivot, v)
-            added += 1
-            rest = b[pivot, j + 1:]
-            if rest.any():
-                b[pivot:, j + 1:] = f.vec_submul(b[pivot:, j + 1:], rest, v[pivot:, None])
-        return added
-
-    def _insert(self, pivot: int, v) -> None:
-        lo = 0
-        for k, (pk, _) in enumerate(self._ech):
-            if pk > pivot:
-                break
-            lo = k + 1
-        self._ech.insert(lo, (pivot, v))
+            b[:, j] = f.vec_mul(b[:, j], f.inv(int(b[pivot, j])))
+            coef = b[pivot].copy()
+            coef[j] = 0
+            if coef.any():
+                b = f.vec_submul(b, coef, b[:, j, None])
+            cols.append(j)
+            rows.append(pivot)
+        if cols:
+            kept = np.ones(b.shape[0], dtype=bool)
+            kept[rows] = False
+            self._panels.append((b[kept][:, cols], np.array(rows), kept))
+        self._raised.extend(self._added + j for j in cols)
+        self._added += b.shape[1]
+        return len(cols)

@@ -13,7 +13,7 @@ growth, and the formula is valid verbatim over a prime field with p >> m.
 
 Every factor C(b, a) * x^(b - a) of an entry is read from a per-point,
 per-coordinate table that grows by one column per degree, so a block of
-columns (a whole matrix, or one degree's new monomials in DimensionSearch)
+columns (a whole matrix, or a few degrees' new monomials in DimensionSearch)
 is a product of n gathered arrays.  ``condition_row`` evaluates the same
 formula independently and serves as the reference in the tests.
 
@@ -215,13 +215,18 @@ def vanishing_dimension(problem: InterpolationProblem) -> int:
     return problem.n_columns - rank(condition_matrix(problem))
 
 
+_PANEL_COLUMNS = 32  # least width of a block handed to the RankAccumulator
+
+
 class DimensionSearch:
     """Incremental dimension mod p of the interpolation system by degree, an
     upper bound on the dimension over Q (a rank can only drop mod p).
 
-    Each new degree's columns are built as one conditions x new-monomials
-    block and appended to a RankAccumulator, so walking the degree upward
-    costs one pass over the final matrix in total.
+    Missing degrees are built in blocks of whole degrees, at least
+    _PANEL_COLUMNS columns wide where enough degrees are asked for, and
+    appended to a RankAccumulator, so building up to a degree costs one pass
+    over its matrix in total.  The dimension at any degree already built is
+    its column count minus the rank of that column prefix.
     """
 
     def __init__(self, config: PointConfig, orders, field: PrimeField):
@@ -239,16 +244,17 @@ class DimensionSearch:
         return len(self._index)
 
     def dimension_at(self, degree: int) -> int:
-        """Vanishing dimension at the given degree (degrees must not decrease)."""
-        if degree < self._degree:
-            raise ValueError("DimensionSearch degree must be non-decreasing")
+        """Vanishing dimension at the given degree."""
         n = self.config.dimension
         while self._degree < degree:
-            new = monomials_exact_degree(n, self._degree + 1)
+            new = []
+            while self._degree < degree and len(new) < _PANEL_COLUMNS:
+                self._degree += 1
+                new += monomials_exact_degree(n, self._degree)
             self._acc.add(self._tables.block(new))
             self._cols += len(new)
-            self._degree += 1
-        return self._cols - self._acc.rank
+        cols = monomial_count(n, degree)
+        return cols - self._acc.prefix_rank(cols)
 
 
 # ---------------------------------------------------------------------------

@@ -91,14 +91,16 @@ def omega_l(config: PointConfig, l: int, scalar="field", prime=None) -> int:
     """Least degree d with a nonzero degree <= d polynomial vanishing to
     order >= l (times any per-point multiplicities) at every config point.
 
-    Over a field: ascends from the largest required order (a vanishing order
-    never exceeds the degree), appending monomial columns per degree to an
-    incremental rank accumulator mod the search prime (``prime``, default
-    2^31 - 1) and stopping at the first degree with positive dimension, so
-    every lower degree is empty over Q too.  That degree, or a later one, is
-    returned once a dimension count or a second search mod 2^61 - 1 confirms
-    a kernel there: the value is max(omega_p, omega_M61) <= omega_Q, so a
-    rank lost mod one prime alone costs a step, not a wrong value.
+    Over a field: builds the condition matrix mod the search prime
+    (``prime``, default 2^31 - 1) in column blocks up to the last degree
+    whose monomials do not outnumber the conditions (every later degree has
+    a kernel by the count), and reads off its rank profile the first degree
+    from the largest required order up (a vanishing order never exceeds the
+    degree) with positive dimension, so every lower degree is empty over Q
+    too.  That degree, or a later one, is returned once a dimension count or
+    a second search mod 2^61 - 1 confirms a kernel there: the value is
+    max(omega_p, omega_M61) <= omega_Q, so a rank lost mod one prime alone
+    costs a step, not a wrong value.
     Over Q: certified upward from the DEFAULT_FIELD value.  Deterministic.
     """
     fld = resolve_scalar(scalar, prime)
@@ -109,16 +111,24 @@ def omega_l(config: PointConfig, l: int, scalar="field", prime=None) -> int:
 
 
 def _least_degree(search: DimensionSearch, d: int) -> int:
-    while search.dimension_at(d) < 1:
-        d += 1
-    return d
+    """Least degree from d up with a kernel mod the search prime.  Every
+    degree past ``top``, the last whose monomials do not outnumber the
+    conditions, has one by the count, so the search builds up to top once
+    and reads the degrees d..top off its rank profile."""
+    n = search.config.dimension
+    top = d - 1
+    while monomial_count(n, top + 1) <= search.n_conditions:
+        top += 1
+    if top >= d:
+        search.dimension_at(top)
+    return next((e for e in range(d, top + 1) if search.dimension_at(e) >= 1), top + 1)
 
 
 def _field_omega(config: PointConfig, orders: tuple, fld: PrimeField) -> int:
-    """Search mod fld, then step up from its degree until a dimension count
-    or the search mod M61 shows a kernel.  A config with no image mod the
-    default prime is searched mod M61 alone; mod a prime the caller chose,
-    the ReductionError stands."""
+    """Search mod fld, then, unless a dimension count shows a kernel at its
+    degree, search mod M61 from there: the larger degree is returned.  A
+    config with no image mod the default prime is searched mod M61 alone;
+    mod a prime the caller chose, the ReductionError stands."""
     try:
         search = DimensionSearch(config, orders, fld)
     except ReductionError:
@@ -127,16 +137,9 @@ def _field_omega(config: PointConfig, orders: tuple, fld: PrimeField) -> int:
         fld = _CONFIRM_FIELD
         search = DimensionSearch(config, orders, fld)
     d = _least_degree(search, max(orders))
-    if fld == _CONFIRM_FIELD:
+    if fld == _CONFIRM_FIELD or monomial_count(config.dimension, d) > search.n_conditions:
         return d
-    confirm = None
-    while monomial_count(config.dimension, d) <= search.n_conditions:
-        if confirm is None:
-            confirm = DimensionSearch(config, orders, _CONFIRM_FIELD)
-        if confirm.dimension_at(d) >= 1:
-            return d
-        d += 1  # empty mod M61, so empty over Q
-    return d
+    return _least_degree(DimensionSearch(config, orders, _CONFIRM_FIELD), d)
 
 
 def _rational_omega(config: PointConfig, orders: tuple) -> int:

@@ -131,6 +131,36 @@ def test_vector_ops_other_moduli(p):
     ]
 
 
+# k.bit_length() takes every value from 1 to 10 here, so the limb width
+# (53 - k.bit_length()) // 2 of PrimeField.matmul takes every value from 26
+# down to 21, and the limb count of each prime changes where it can
+MATMUL_K = sorted({1, 600, *(2**j - 1 for j in range(2, 10)), *(2**j for j in range(1, 10))})
+MATMUL_PRIMES = (7, 2**31 - 1, M61, 4294967311)
+
+
+@settings(deadline=None, max_examples=120)
+@given(st.sampled_from(MATMUL_PRIMES), st.sampled_from(MATMUL_K) | st.integers(1, 600),
+       st.integers(1, 4), st.integers(1, 4), st.booleans(),
+       st.randoms(use_true_random=False))
+def test_matmul_matches_object_dot(p, k, m, n, top, rnd):
+    f = PrimeField(p)
+    draw = (lambda: p - 1) if top else (lambda: rnd.randrange(p))
+    a = [[draw() for _ in range(k)] for _ in range(m)]
+    b = [[draw() for _ in range(n)] for _ in range(k)]
+    want = np.array(a, dtype=object).dot(np.array(b, dtype=object)) % p
+    got = f.matmul(f.vec(a), f.vec(b))
+    assert got.dtype == f.vec(a).dtype and got.shape == (m, n)
+    assert got.tolist() == want.tolist()
+
+
+@pytest.mark.parametrize("p", MATMUL_PRIMES)
+def test_matmul_all_top_entries_at_every_limb_width(p):
+    f = PrimeField(p)
+    for k in MATMUL_K:
+        a, b = f.vec([[p - 1] * k] * 2), f.vec([[p - 1] * 3] * k)
+        assert f.matmul(a, b).tolist() == [[k * (p - 1) ** 2 % p] * 3] * 2
+
+
 @pytest.mark.parametrize("p", [M61, 97, 2**31 - 1, 4294967311])
 def test_vector_ops_broadcast_array_multiplier(p):
     f = PrimeField(p)
@@ -347,6 +377,8 @@ def test_rank_accumulator_matches_one_shot(rows, rnd):
     nc = len(rows[0])
     for fld in FIELD_KINDS:
         want = rank(ExactMatrix.from_rows(rows, fld))
+        prefix_want = [rank(ExactMatrix.from_rows([r[:k] for r in rows], fld))
+                       for k in range(nc + 1)]
         for partition in column_partitions(nc, rnd):
             acc = RankAccumulator(fld)
             added = 0
@@ -356,6 +388,25 @@ def test_rank_accumulator_matches_one_shot(rows, rnd):
                 added += acc.add(packed)
                 assert (packed == fld.vec(block)).all()  # input left intact
             assert acc.rank == added == want
+            assert [acc.prefix_rank(k) for k in range(nc + 1)] == prefix_want
+
+
+@pytest.mark.parametrize("p", [7, M61, SMALL_P, OBJECT_P])
+def test_rank_accumulator_reduces_raw_arrays_mod_p(p):
+    fld = PrimeField(p)
+    internal = object if fld._kind == "object" else np.uint64
+    cases = [
+        (np.array([[1, -1], [2, -2]], dtype=np.int64), 1),  # columns c and -c
+        (np.array([[p], [2 * p]], dtype=np.int64), 0),  # zero mod p
+        (np.array([[7], [14]], dtype=np.int64), 0 if p == 7 else 1),
+        # entries of the internal dtype at or past p: columns 0 and (1, 3)
+        (np.array([[p, p + 1], [2 * p, 2 * p + 3]], dtype=internal), 1),
+    ]
+    for block, want in cases:
+        before = block.copy()
+        acc = RankAccumulator(fld)
+        assert acc.add(block) == acc.rank == want
+        assert (block == before).all()  # input left intact
 
 
 def test_exact_matrix_validation():
@@ -363,3 +414,4 @@ def test_exact_matrix_validation():
         ExactMatrix(2, 2, (1, 2, 3))
     with pytest.raises(ValueError):
         ExactMatrix.from_rows([[1, 2], [3]])
+

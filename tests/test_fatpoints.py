@@ -255,10 +255,15 @@ def test_condition_tables_match_condition_row(cfg, fld):
         with pytest.raises(TypeError, match="PrimeField"):
             DimensionSearch(cfg, orders, fld)
         return
+    degrees = range(max(orders) + 3)
+    want = [vanishing_dimension(InterpolationProblem(cfg, d, orders, fld)) for d in degrees]
     search = DimensionSearch(cfg, orders, fld)
-    for d in range(max(orders) + 3):
-        assert search.dimension_at(d) == vanishing_dimension(
-            InterpolationProblem(cfg, d, orders, fld))
+    assert [search.dimension_at(d) for d in degrees] == want
+    # every degree is built now, so each answer is read off the rank profile;
+    # a fresh search asked for the top degree first builds all in one call
+    fresh = DimensionSearch(cfg, orders, fld)
+    for s in (search, fresh):
+        assert [s.dimension_at(d) for d in reversed(degrees)] == want[::-1]
 
 
 # Points with fractional and negative coordinates, n = 1, 2, 3.
