@@ -12,9 +12,20 @@ from __future__ import annotations
 
 import itertools
 import json
+import operator
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+
+
+def _integer(key: str, x) -> int:
+    """x as an int; a bool, a float or a string raises, naming the key."""
+    if not isinstance(x, bool):
+        try:
+            return operator.index(x)
+        except TypeError:
+            pass
+    raise TypeError(f"{key} must be an integer, got {x!r}")
 
 
 def frac_str(x: Fraction) -> str:
@@ -33,6 +44,10 @@ class PointConfig:
     seed: int | None = None
 
     def __post_init__(self):
+        object.__setattr__(self, "dimension", _integer("dimension", self.dimension))
+        if self.multiplicities is not None:
+            object.__setattr__(self, "multiplicities", tuple(
+                _integer("multiplicities", m) for m in self.multiplicities))
         if self.dimension < 1:
             raise ValueError("dimension must be >= 1")
         if len(self.points) < 1:
@@ -105,7 +120,7 @@ class PointConfig:
     def from_json_dict(cls, d: dict) -> "PointConfig":
         pts = tuple(tuple(Fraction(x) for x in p) for p in d["points"])
         mults = tuple(d["multiplicities"]) if "multiplicities" in d else None
-        return cls(int(d["dimension"]), pts, mults, d.get("label", ""), d.get("seed"))
+        return cls(d["dimension"], pts, mults, d.get("label", ""), d.get("seed"))
 
     @classmethod
     def from_json(cls, s: str) -> "PointConfig":
@@ -117,7 +132,7 @@ def make_config(points, multiplicities=None, label="", seed=None) -> PointConfig
     pts = tuple(tuple(Fraction(x) for x in p) for p in points)
     if not pts:
         raise ValueError("need at least one point")
-    mults = tuple(int(m) for m in multiplicities) if multiplicities is not None else None
+    mults = tuple(multiplicities) if multiplicities is not None else None
     return PointConfig(len(pts[0]), pts, mults, label, seed)
 
 

@@ -7,18 +7,20 @@ domains are supported:
   generic-rank oracle.  A modulus below 2^31 (invariants searches mod
   2^31 - 1 by default) multiplies in one uint64 product.  The Mersenne
   prime 2^61 - 1 (the constructor's default, and the modulus invariants
-  confirms a degree with) needs 122-bit products, which Python ints provide
-  exactly and which the numpy hot path emulates with a split 31/30-bit
-  multiply in uint64; any other modulus uses object arrays.  Modular
-  elimination works on whole arrays: ``vec_mul``/``vec_submul`` broadcast
-  an array multiplier, so each pivot is one rank-1 update of the block it
-  touches (``B -= e * B[pivot]`` mod p), in ``_field_rref`` over the whole
-  matrix and in ``RankAccumulator.add`` over a block of new columns.
-  ``RankAccumulator`` reduces a block by all the pivots of an earlier block
-  (a panel) at once, with one exact product mod p (``matmul``): both
-  factors are split into limbs of w = (53 - k.bit_length()) // 2 bits for
-  inner length k, so every dot of limbs stays below 2^53 and one float64
-  BLAS product computes all of them exactly.
+  confirms a degree with) needs 122-bit products, which the numpy hot path
+  emulates with a split 31/30-bit multiply in uint64; any other modulus
+  uses object arrays of Python ints.  One routine eliminates mod p,
+  ``_gauss_jordan``: column by column, the first nonzero row is the pivot
+  and one broadcast update (``vec_submul``) clears its row from every other
+  column of the block.  It reveals the column rank profile, so it gives the
+  field ``rank``, the field ``kernel_basis`` (run on the transpose, whose
+  pivot columns are the reduced row echelon basis of the row space) and
+  the in-block step of ``RankAccumulator.add``.  ``RankAccumulator``
+  reduces a block by all the pivots of an earlier block (a panel) at once,
+  with one exact product mod p (``matmul``): both factors are split into
+  limbs of w = (53 - k.bit_length()) // 2 bits for inner length k, so every
+  dot of limbs stays below 2^53 and one float64 BLAS product computes all
+  of them exactly.
 * rationals -- ``fractions.Fraction`` entries.  Elimination is fraction-free
   (Bareiss) on denominator-cleared integer rows, so intermediate entries are
   minors of the input and stay bounded.  It is the only exact eliminator:
@@ -27,11 +29,11 @@ domains are supported:
   rule D times a kernel vector with one free entry 1 is integral, and
   back-substitution divides exactly.  Fractions appear only in the output.
 
-Exact checks take one matrix product on Python-int object arrays
-(``integer_rows``, ``exact_products``): reduced mod p over a field, and over
-Q on rows scaled by the lcm of their denominators, so no Fraction gcd is
-taken per product.  ``kernel_basis`` verifies m @ v = 0 for all its vectors
-this way, and fatpoints reads vanishing orders off condition rows with it.
+Exact checks take one matrix product (``exact_products``): ``matmul`` over
+a field, and over Q a Python-int product of rows scaled by the lcm of their
+denominators (``integer_rows``), so no Fraction gcd is taken per product.
+``kernel_basis`` verifies m @ v = 0 for all its vectors this way, and
+fatpoints reads vanishing orders off condition rows with it.
 
 Pivot rules are fixed (first nonzero row in column order for the field,
 largest-magnitude entry for integers, ties to the lowest row index), so every
@@ -95,13 +97,15 @@ class ReductionError(ArithmeticError):
 class PrimeField:
     """Prime field Z/pZ with p < 2^62, verified prime at construction.
 
-    Elements are plain ints in [0, p).  Vector operations dispatch to a
-    numpy fast path when the modulus allows overflow-free uint64 arithmetic
-    (the Mersenne default, or any p < 2^31); other moduli fall back to
-    object-dtype arrays of Python ints, which are slower but exact.
+    Scalars are plain ints in [0, p).  Arrays of elements have the field's
+    ``dtype``: uint64 when the modulus allows overflow-free uint64
+    arithmetic (the Mersenne default, or any p < 2^31), object arrays of
+    Python ints otherwise, which are slower but exact.  ``vec_mul`` and
+    ``vec_submul`` work elementwise and broadcast; ``matmul`` is an exact
+    matrix product mod p.
     """
 
-    __slots__ = ("modulus", "_kind")
+    __slots__ = ("modulus", "_kind", "dtype")
 
     def __init__(self, modulus: int = M61):
         if not isinstance(modulus, int):
@@ -117,6 +121,7 @@ class PrimeField:
             self._kind = "small"
         else:
             self._kind = "object"
+        self.dtype = object if self._kind == "object" else np.uint64
 
     def __repr__(self):
         return f"PrimeField({self.modulus})"
@@ -129,20 +134,8 @@ class PrimeField:
 
     # -- scalar arithmetic ------------------------------------------------
 
-    def element(self, x: int) -> int:
-        return x % self.modulus
-
-    def add(self, a: int, b: int) -> int:
-        return (a + b) % self.modulus
-
-    def sub(self, a: int, b: int) -> int:
-        return (a - b) % self.modulus
-
     def mul(self, a: int, b: int) -> int:
         return a * b % self.modulus
-
-    def neg(self, a: int) -> int:
-        return -a % self.modulus
 
     def inv(self, a: int) -> int:
         if a % self.modulus == 0:
@@ -166,14 +159,12 @@ class PrimeField:
     # -- vector arithmetic (hot path of elimination) ----------------------
 
     def vec(self, xs) -> np.ndarray:
-        """Pack a sequence (or nested sequence) of integers into the internal
-        array form, reduced mod p.  Always a new array: one of the internal
+        """Pack a sequence (or nested sequence) of integers into an array of
+        the field's dtype, reduced mod p.  Always a new array: one of that
         dtype is reduced with one ``%``, anything else through Python ints."""
-        internal = object if self._kind == "object" else np.uint64
-        if isinstance(xs, np.ndarray) and xs.dtype == internal:
+        if isinstance(xs, np.ndarray) and xs.dtype == self.dtype:
             return xs % self.modulus
-        a = np.array(xs, dtype=object) % self.modulus
-        return a if self._kind == "object" else a.astype(np.uint64)
+        return (np.array(xs, dtype=object) % self.modulus).astype(self.dtype, copy=False)
 
     def vec_mul(self, v: np.ndarray, c) -> np.ndarray:
         """Elementwise v*c mod p; c is a field element or an array of them
@@ -255,22 +246,28 @@ def _m61_mul(v: np.ndarray, c) -> np.ndarray:
 # Matrices
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ExactMatrix:
     """Dense matrix over a prime field (``field`` set) or the rationals.
 
-    ``entries`` is a row-major tuple; rational entries are Fractions (always
-    in lowest terms with positive denominator), field entries ints in [0, p).
+    ``entries`` is a read-only rows x cols array: Fractions (in lowest terms
+    with positive denominator) in an object array over Q, or the entries
+    reduced mod p into a new array of the field's dtype.
     """
 
     rows: int
     cols: int
-    entries: tuple
+    entries: np.ndarray
     field: PrimeField | None = None
 
     def __post_init__(self):
-        if len(self.entries) != self.rows * self.cols:
-            raise ValueError("entries length must equal rows * cols")
+        f = self.field
+        a = np.asarray(self.entries, dtype=object) if f is None else f.vec(self.entries)
+        if a.size != self.rows * self.cols:
+            raise ValueError("entries size must equal rows * cols")
+        a = a.reshape(self.rows, self.cols)
+        a.flags.writeable = False
+        object.__setattr__(self, "entries", a)
 
     @classmethod
     def from_rows(cls, rows, field: PrimeField | None = None) -> "ExactMatrix":
@@ -279,46 +276,28 @@ class ExactMatrix:
         nc = len(rows[0]) if nr else 0
         if any(len(r) != nc for r in rows):
             raise ValueError("ragged rows")
-        if field is None:
-            flat = tuple(Fraction(x) for r in rows for x in r)
-        else:
-            flat = tuple(int(x) % field.modulus for r in rows for x in r)
-        return cls(nr, nc, flat, field)
-
-    def row(self, i: int) -> tuple:
-        return self.entries[i * self.cols : (i + 1) * self.cols]
-
-    def row_lists(self) -> list:
-        return [list(self.row(i)) for i in range(self.rows)]
+        to = Fraction if field is None else field.from_rational
+        return cls(nr, nc, [to(x) for r in rows for x in r], field)
 
 
-def _int_rows_from_rational(rows) -> list:
-    """Scale each row by the lcm of its denominators (rank/kernel invariant).
-
-    Entries are ints or Fractions; the scaling is integer arithmetic only."""
+def integer_rows(rows) -> np.ndarray:
+    """Rational rows as a 2-D object array of Python ints, each row scaled by
+    the lcm of its denominators: rank, kernel and the zero pattern of every
+    dot product taken with a row stay as they are.  Entries are ints or
+    Fractions; the scaling is integer arithmetic only."""
     out = []
     for r in rows:
         m = lcm(*(x.denominator for x in r))
         out.append([x.numerator * (m // x.denominator) for x in r])
-    return out
-
-
-def integer_rows(rows, field: PrimeField | None) -> np.ndarray:
-    """Rows as a 2-D object array of Python ints that keeps the zero pattern
-    of every dot product taken with them: over Q each row is scaled by the
-    lcm of its denominators, over a field the elements are taken as they are.
-    """
-    if field is None:
-        rows = _int_rows_from_rational(rows)
-    return np.array(rows, dtype=object)
+    return np.array(out, dtype=object)
 
 
 def exact_products(a: np.ndarray, b: np.ndarray, field: PrimeField | None) -> np.ndarray:
-    """a @ b.T exactly, for arrays from ``integer_rows``: reduced mod p over a
-    field, plain integers over Q (zero exactly where the rational dot of the
-    unscaled rows is).  No Fraction, and so no gcd, enters the products."""
-    out = a.dot(b.T)
-    return out if field is None else out % field.modulus
+    """a @ b.T exactly: ``field.matmul`` on arrays of field elements, or a
+    Python-int product of rows from ``integer_rows`` over Q (zero exactly
+    where the rational dot of the unscaled rows is).  No Fraction, and so
+    no gcd, enters the products."""
+    return a.dot(b.T) if field is None else field.matmul(a, b.T)
 
 
 def _bareiss_echelon(rows: list) -> tuple[list, list]:
@@ -366,34 +345,31 @@ def _bareiss_echelon(rows: list) -> tuple[list, list]:
     return m[:pr], piv_cols
 
 
-def _field_rref(field: PrimeField, rows: list) -> tuple[np.ndarray, list]:
-    """Reduced row echelon form mod p; first-nonzero pivot in column order.
+def _gauss_jordan(field: PrimeField, b: np.ndarray) -> tuple[np.ndarray, list, list]:
+    """Column Gauss-Jordan elimination of the block b mod p, overwriting b.
 
-    Each pivot clears its column with one broadcast update of the whole
-    matrix from the pivot column rightward (the pivot row is zero to the
-    left of it)."""
-    if not rows:
-        return [], []
-    work = field.vec(rows)
-    nr, nc = work.shape
-    piv_cols = []
-    pr = 0
-    for pc in range(nc):
-        if pr == nr:
-            break
-        nz = np.flatnonzero(work[pr:, pc])
+    Columns are taken left to right; the first nonzero row of a column is
+    its pivot, the column is scaled to 1 there, and one broadcast update
+    clears the pivot row from every other column.  Returns (reduced block,
+    pivot columns, pivot rows).  The pivot columns are the column rank
+    profile of b, and in the reduced block they are the basis of its column
+    space that is the identity on the pivot rows; every other column is
+    zero.
+    """
+    cols, rows = [], []
+    for j in range(b.shape[1]):
+        nz = np.flatnonzero(b[:, j])
         if not len(nz):
             continue
-        sel = pr + int(nz[0])
-        if sel != pr:
-            work[[pr, sel]] = work[[sel, pr]]
-        work[pr, pc:] = field.vec_mul(work[pr, pc:], field.inv(int(work[pr, pc])))
-        col = work[:, pc].copy()
-        col[pr] = 0
-        work[:, pc:] = field.vec_submul(work[:, pc:], col[:, None], work[pr, pc:])
-        piv_cols.append(pc)
-        pr += 1
-    return work[:pr], piv_cols
+        pivot = int(nz[0])
+        b[:, j] = field.vec_mul(b[:, j], field.inv(int(b[pivot, j])))
+        coef = b[pivot].copy()
+        coef[j] = 0
+        if coef.any():
+            b = field.vec_submul(b, coef, b[:, j, None])
+        cols.append(j)
+        rows.append(pivot)
+    return b, cols, rows
 
 
 def rank(m: ExactMatrix) -> int:
@@ -401,9 +377,9 @@ def rank(m: ExactMatrix) -> int:
     if m.rows == 0 or m.cols == 0:
         return 0
     if m.field is None:
-        _, piv = _bareiss_echelon(_int_rows_from_rational(m.row_lists()))
+        _, piv = _bareiss_echelon(integer_rows(m.entries))
     else:
-        _, piv = _field_rref(m.field, m.row_lists())
+        _, piv, _ = _gauss_jordan(m.field, m.field.vec(m.entries))
     return len(piv)
 
 
@@ -412,6 +388,12 @@ def kernel_basis(m: ExactMatrix) -> list:
     row echelon basis, one vector per free column, fixed by the column rank
     profile.  Each vector has its first nonzero entry normalized to 1 and is
     verified to satisfy m @ v = 0 exactly before being returned.
+
+    Over a field, ``_gauss_jordan`` runs on m.T: its pivot rows are the
+    pivot columns of m, and its pivot columns are the reduced row echelon
+    basis of m's row space.  The vector of free column f is 1 at f, 0 at
+    the other free columns and minus that basis's entry in column f at
+    each pivot column.
 
     Over Q the kernel is solved from the Bareiss echelon of the integer rows
     in integers.  Let D be the last pivot, the determinant of the pivot minor
@@ -424,13 +406,16 @@ def kernel_basis(m: ExactMatrix) -> list:
     """
     if m.cols == 0:
         return []
-    if m.field is None:
-        ech, piv_cols = _bareiss_echelon(_int_rows_from_rational(m.row_lists()))
+    f = m.field
+    if f is None:
+        rows = integer_rows(m.entries)
+        ech, piv_cols = _bareiss_echelon(rows)
     else:
-        ech, piv_cols = _field_rref(m.field, m.row_lists())
+        rows = m.entries
+        red, piv_rows, piv_cols = _gauss_jordan(f, f.vec(rows.T))
     free = sorted(set(range(m.cols)) - set(piv_cols))
-    x = np.zeros((m.cols, len(free)), dtype=object)
-    if m.field is None:
+    x = np.zeros((m.cols, len(free)), dtype=object if f is None else f.dtype)
+    if f is None:
         x[free, range(len(free))] = ech[-1][piv_cols[-1]] if ech else 1
         for row, pc in zip(reversed(ech), reversed(piv_cols)):
             s = -np.array(row[pc + 1:], dtype=object).dot(x[pc + 1:])
@@ -439,25 +424,24 @@ def kernel_basis(m: ExactMatrix) -> list:
                 raise RuntimeError(f"back-substitution at pivot column {pc} is not integral")
     else:
         x[free, range(len(free))] = 1
-        for i, pc in enumerate(piv_cols):
-            x[pc] = -ech[i, free].astype(object) % m.field.modulus
+        x[piv_cols] = (f.modulus - red[np.ix_(free, piv_rows)].T) % f.modulus
+    _verify_in_kernel(rows, x.T, f)
     vectors = x.T.tolist()
-    _verify_in_kernel(m, vectors)
     leads = [next(filter(None, v)) for v in vectors]
-    if m.field is None:
+    if f is None:
         return [tuple(Fraction(y, d) for y in v) for v, d in zip(vectors, leads)]
-    p = m.field.modulus
+    p = f.modulus
     invs = [pow(d, -1, p) for d in leads]
     return [tuple(y * c % p for y in v) for v, c in zip(vectors, invs)]
 
 
-def _verify_in_kernel(m: ExactMatrix, vectors: list) -> None:
-    """Raise unless m @ v = 0 exactly for every vector, with one exact
-    product of m and all the vectors."""
-    if not m.rows or not vectors:
+def _verify_in_kernel(rows: np.ndarray, vectors: np.ndarray, field: PrimeField | None) -> None:
+    """Raise unless rows @ v = 0 exactly for every vector v (a row of
+    ``vectors``), with one exact product of all of them.  Over a field both
+    are arrays of field elements; over Q both come from ``integer_rows``."""
+    if not len(rows) or not len(vectors):
         return
-    rows = integer_rows([m.row(i) for i in range(m.rows)], m.field)
-    bad = exact_products(rows, integer_rows(vectors, m.field), m.field) != 0
+    bad = exact_products(rows, vectors, field) != 0
     for k in range(len(vectors)):
         if bad[:, k].any():
             i = int(np.argmax(bad[:, k]))
@@ -480,12 +464,11 @@ class RankAccumulator:
     rows only, is reduced by each panel in insertion order with one exact
     product, ``B <- B[free rows not in Q] - V @ B[Q]``: B is zero on Q after
     it, so Q's rows are dropped.  The block's own columns are then
-    eliminated left to right, Gauss-Jordan, with the first nonzero row as
-    pivot, one broadcast update per new pivot.  Dropping rows keeps the
-    order of the rest, so the basis is fixed by the insertion order and
-    the result is deterministic.  The columns that raised the rank are
-    recorded, so the rank of any prefix of the columns added is known
-    (``prefix_rank``).
+    eliminated by ``_gauss_jordan``.  Dropping rows keeps the order of the
+    rest, so the basis is fixed by the insertion order and the result is
+    deterministic.  The columns that raised the rank are recorded, so the
+    rank of any prefix of the columns added is known (``prefix_rank``).
+    Every block must have the row count of the first.
     """
 
     def __init__(self, field: PrimeField):
@@ -495,6 +478,7 @@ class RankAccumulator:
         self._panels: list = []  # (V, Q, rows kept), in insertion order
         self._raised: list = []  # indices of the added columns that raised the rank
         self._added = 0
+        self._height = None  # rows of every block, fixed by the first
 
     @property
     def rank(self) -> int:
@@ -511,24 +495,16 @@ class RankAccumulator:
         b = f.vec(entries)
         if b.ndim == 1:
             b = b[:, None]
+        if self._height is None:
+            self._height = b.shape[0]
+        elif b.shape[0] != self._height:
+            raise ValueError(f"block has {b.shape[0]} rows, the first block had {self._height}")
         for v, q, kept in self._panels:
             bq = b[q]
             b = b[kept]
             if bq.any():
                 b = f._sub(b, f.matmul(v, bq))
-        cols, rows = [], []
-        for j in range(b.shape[1]):
-            nz = np.flatnonzero(b[:, j])
-            if not len(nz):
-                continue
-            pivot = int(nz[0])
-            b[:, j] = f.vec_mul(b[:, j], f.inv(int(b[pivot, j])))
-            coef = b[pivot].copy()
-            coef[j] = 0
-            if coef.any():
-                b = f.vec_submul(b, coef, b[:, j, None])
-            cols.append(j)
-            rows.append(pivot)
+        b, cols, rows = _gauss_jordan(f, b)
         if cols:
             kept = np.ones(b.shape[0], dtype=bool)
             kept[rows] = False

@@ -206,8 +206,7 @@ def condition_matrix(problem: InterpolationProblem) -> ExactMatrix:
     """Assemble the full conditions x monomials matrix in the scalar domain."""
     block = _ConditionTables(problem.config.points, problem.condition_index(),
                              problem.field).block(monomials(problem.n, problem.degree))
-    return ExactMatrix(block.shape[0], block.shape[1], tuple(block.ravel().tolist()),
-                       problem.field)
+    return ExactMatrix(*block.shape, block, problem.field)
 
 
 def vanishing_dimension(problem: InterpolationProblem) -> int:
@@ -302,7 +301,7 @@ def vanishing_order(vectors, point, basis, field: PrimeField | None = None) -> t
     """
     if not all(any(v) for v in vectors):
         raise ValueError("zero polynomial has no vanishing order")
-    vecs = integer_rows(vectors, field)
+    vecs = integer_rows(vectors) if field is None else field.vec(vectors)
     n = len(point)
     degree = max(sum(b) for b in basis)
     index = [(0, alpha) for alpha in monomials(n, degree)]
@@ -314,7 +313,9 @@ def vanishing_order(vectors, point, basis, field: PrimeField | None = None) -> t
         if not len(todo):
             break
         stop = start + comb(t + n - 1, n - 1)
-        shell = integer_rows(tables.block(basis, slice(start, stop)), field)
+        shell = tables.block(basis, slice(start, stop))
+        if field is None:
+            shell = integer_rows(shell)
         hit = (exact_products(shell, vecs[todo], field) != 0).any(axis=0)
         orders[todo[hit]] = t
         todo = todo[~hit]

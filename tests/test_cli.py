@@ -246,6 +246,15 @@ def assert_one_line_error(tmp_path, capsys, argv, name):
     (["omega", "--grid", "2", "--bound", "5"], "bound: --bound applies only"),
     (["interval", "--config-json", '{"dimension": 2, "points": [["0", "0"]]}',
       "--bound", "5"], "bound: --bound applies only"),
+    # dimension and multiplicities are integers, not truncated floats or bools
+    (["omega", "--config-json", '{"dimension": 2.5, "points": [["0", "0"]]}'],
+     "config-json: dimension must be an integer"),
+    (["omega", "--config-json",
+      '{"dimension": 2, "points": [["0", "0"], ["1", "1"]], "multiplicities": [1.5, 1]}'],
+     "config-json: multiplicities must be an integer"),
+    (["omega", "--config-json",
+      '{"dimension": 2, "points": [["0", "0"], ["1", "1"]], "multiplicities": [true, 1]}'],
+     "config-json: multiplicities must be an integer"),
 ])
 def test_bad_arguments_are_one_line_errors(tmp_path, capsys, argv, name):
     assert_one_line_error(tmp_path, capsys, argv, name)

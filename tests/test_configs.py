@@ -68,6 +68,27 @@ def test_validation_rejects_duplicates_and_bad_mults():
         make_config([])
 
 
+@pytest.mark.parametrize("mults", [[1.5, 2], [True, 2], [2.0, 1], ["2", 1]])
+def test_multiplicities_must_be_integers(mults):
+    with pytest.raises(TypeError, match=f"multiplicities must be an integer, got {mults[0]!r}"):
+        make_config([[0, 0], [1, 1]], multiplicities=mults)
+
+
+@pytest.mark.parametrize("dimension", [2.5, 2.0, True, "2"])
+def test_json_dimension_must_be_an_integer(dimension):
+    d = {"dimension": dimension, "points": [["0", "0"]]}
+    with pytest.raises(TypeError, match=f"dimension must be an integer, got {dimension!r}"):
+        PointConfig.from_json_dict(d)
+
+
+def test_integral_numpy_scalars_are_stored_as_ints():
+    import numpy as np
+
+    cfg = make_config([[0], [1]], multiplicities=[np.int64(2), 1])
+    assert cfg.multiplicities == (2, 1) and type(cfg.multiplicities[0]) is int
+    assert PointConfig(np.int64(1), cfg.points).dimension == 1
+
+
 def test_scaled_and_drop_point():
     cfg = two_point_example()
     s = cfg.scaled(Fraction(1, 10))

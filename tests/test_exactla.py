@@ -17,6 +17,7 @@ from nagata.exactla import (
     ReductionError,
     _bareiss_echelon,
     _verify_in_kernel,
+    integer_rows,
     is_prime,
     kernel_basis,
     rank,
@@ -27,10 +28,12 @@ from nagata.seeds import derive_seed
 F = PrimeField()
 
 
-def frac_rref(rows):
-    """Independent oracle: plain Fraction Gauss-Jordan.  Returns the nonzero
-    rows of the reduced row echelon form (pivots 1) and the pivot columns."""
-    work = [[Fraction(x) for x in r] for r in rows]
+def rref(rows, p=None):
+    """Independent oracle: plain Gauss-Jordan on scalars, Fractions over Q
+    or ints mod p.  Returns the nonzero rows of the reduced row echelon form
+    (pivots 1) and the pivot columns."""
+    norm = (lambda a: a) if p is None else (lambda a: a % p)
+    work = [[Fraction(x) if p is None else x % p for x in r] for r in rows]
     nr = len(work)
     nc = len(work[0]) if nr else 0
     pivots = []
@@ -40,34 +43,36 @@ def frac_rref(rows):
         if sel is None:
             continue
         work[piv], work[sel] = work[sel], work[piv]
-        pv = work[piv][c]
-        work[piv] = [a / pv for a in work[piv]]
+        inv = 1 / work[piv][c] if p is None else pow(work[piv][c], -1, p)
+        work[piv] = [norm(a * inv) for a in work[piv]]
         for i in range(nr):
             if i != piv and work[i][c] != 0:
                 f = work[i][c]
-                work[i] = [a - f * b for a, b in zip(work[i], work[piv])]
+                work[i] = [norm(a - f * b) for a, b in zip(work[i], work[piv])]
         pivots.append(c)
     return work[:len(pivots)], pivots
 
 
-def frac_rref_rank(rows):
-    return len(frac_rref(rows)[1])
+def rref_rank(rows, p=None):
+    return len(rref(rows, p)[1])
 
 
-def frac_kernel(rows, nc):
+def rref_kernel(rows, nc, p=None):
     """The RREF kernel basis of an nc-column matrix, one vector per free
-    column, first nonzero entry 1, from the Fraction oracle."""
-    red, pivots = frac_rref(rows)
+    column, first nonzero entry 1, from the scalar oracle."""
+    norm = (lambda a: a) if p is None else (lambda a: a % p)
+    red, pivots = rref(rows, p)
     basis = []
     for free in range(nc):
         if free in pivots:
             continue
-        v = [Fraction(0)] * nc
-        v[free] = Fraction(1)
+        v = [0] * nc
+        v[free] = 1
         for row, pc in zip(red, pivots):
-            v[pc] = -row[free]
+            v[pc] = norm(-row[free])
         lead = next(x for x in v if x)
-        basis.append(tuple(x / lead for x in v))
+        inv = 1 / Fraction(lead) if p is None else pow(lead, -1, p)
+        basis.append(tuple(norm(x * inv) for x in v))
     return basis
 
 
@@ -225,7 +230,7 @@ def test_rank_plus_kernel_equals_cols(rows):
 @given(small_matrix)
 def test_bareiss_rank_matches_fraction_oracle(rows):
     _, piv = _bareiss_echelon([list(r) for r in rows])
-    assert len(piv) == frac_rref_rank(rows)
+    assert len(piv) == rref_rank(rows)
 
 
 @settings(deadline=None, max_examples=100)
@@ -264,7 +269,7 @@ def test_kernel_vectors_annihilate_matrix(rows):
     m = ExactMatrix.from_rows(rows)
     for v in kernel_basis(m):
         for i in range(m.rows):
-            assert sum(a * b for a, b in zip(m.row(i), v)) == 0
+            assert sum(a * b for a, b in zip(m.entries[i], v)) == 0
         first = next(x for x in v if x)
         assert first == 1
 
@@ -298,8 +303,28 @@ def test_rational_kernel_matches_fraction_rref(case):
     rows, nc = case
     m = ExactMatrix(len(rows), nc, tuple(Fraction(x) for r in rows for x in r))
     basis = kernel_basis(m)
-    assert basis == frac_kernel(rows, nc)
+    assert basis == rref_kernel(rows, nc)
     assert all(type(x) is Fraction for v in basis for x in v)
+
+
+@settings(deadline=None, max_examples=80)
+@given(kernel_cases())
+@example(([], 4))  # 0-row matrix: the unit vectors
+@example(([[0, 0, 0], [0, 0, 0]], 3))  # rank 0
+@example(([[1, 1], [1, 4]], 2))  # rank 2 over Q, rank 1 mod 3
+def test_field_rank_and_kernel_match_mod_p_rref(case):
+    rows, nc = case
+    for fld in (*FIELD_KINDS, PrimeField(3), PrimeField(7)):
+        p = fld.modulus
+        try:
+            reduced = [[fld.from_rational(x) for x in r] for r in rows]
+        except ReductionError:
+            continue
+        m = ExactMatrix(len(rows), nc, [x for r in reduced for x in r], fld)
+        assert rank(m) == rref_rank(reduced, p)
+        basis = kernel_basis(m)
+        assert basis == rref_kernel(reduced, nc, p)
+        assert all(type(x) is int for v in basis for x in v)
 
 
 def test_rational_kernel_on_a_condition_matrix():
@@ -308,7 +333,7 @@ def test_rational_kernel_on_a_condition_matrix():
     mat = condition_matrix(InterpolationProblem.uniform(cfg, 3, 8, None))
     basis = kernel_basis(mat)
     assert len(basis) == 9
-    assert basis == frac_kernel(mat.row_lists(), mat.cols)
+    assert basis == rref_kernel(mat.entries.tolist(), mat.cols)
 
 
 def test_inexact_back_substitution_raises(monkeypatch):
@@ -346,7 +371,14 @@ def test_verify_in_kernel_rejects_vector_off_by_one_entry(fld):
     assert len(basis) == 3
     if fld is None:
         assert any(x.denominator > 1 for v in basis for x in v)
-    _verify_in_kernel(m, basis)
+
+    def verify(vectors):
+        if fld is None:
+            _verify_in_kernel(integer_rows(m.entries), integer_rows(vectors), None)
+        else:
+            _verify_in_kernel(m.entries, fld.vec(vectors), fld)
+
+    verify(basis)
     for k in range(len(basis)):
         for j in range(m.cols):
             bad = list(basis)
@@ -354,7 +386,7 @@ def test_verify_in_kernel_rejects_vector_off_by_one_entry(fld):
             v[j] = v[j] + 1 if fld is None else (v[j] + 1) % fld.modulus
             bad[k] = tuple(v)
             with pytest.raises(RuntimeError, match=f"kernel vector {k} fails"):
-                _verify_in_kernel(m, bad)
+                verify(bad)
 
 
 def column_partitions(nc, rnd):
@@ -376,9 +408,8 @@ def test_rank_accumulator_matches_one_shot(rows, rnd):
     rows = [[*r, 3 * r[-1], r[0] - r[-1]] for r in rows]
     nc = len(rows[0])
     for fld in FIELD_KINDS:
-        want = rank(ExactMatrix.from_rows(rows, fld))
-        prefix_want = [rank(ExactMatrix.from_rows([r[:k] for r in rows], fld))
-                       for k in range(nc + 1)]
+        want = rref_rank(rows, fld.modulus)
+        prefix_want = [rref_rank([r[:k] for r in rows], fld.modulus) for k in range(nc + 1)]
         for partition in column_partitions(nc, rnd):
             acc = RankAccumulator(fld)
             added = 0
@@ -389,6 +420,18 @@ def test_rank_accumulator_matches_one_shot(rows, rnd):
                 assert (packed == fld.vec(block)).all()  # input left intact
             assert acc.rank == added == want
             assert [acc.prefix_rank(k) for k in range(nc + 1)] == prefix_want
+
+
+@pytest.mark.parametrize("fld", FIELD_KINDS, ids=["m61", "small", "object"])
+def test_rank_accumulator_rejects_blocks_of_another_height(fld):
+    acc = RankAccumulator(fld)
+    acc.add([0, 0, 0])
+    with pytest.raises(ValueError, match="block has 2 rows, the first block had 3"):
+        acc.add([1, 2])
+    assert acc.add([[1], [2], [3]]) == 1  # a panel is stored now
+    with pytest.raises(ValueError, match="block has 4 rows, the first block had 3"):
+        acc.add(fld.vec([[1, 0]] * 4))
+    assert acc.rank == 1 and acc.prefix_rank(2) == 1
 
 
 @pytest.mark.parametrize("p", [7, M61, SMALL_P, OBJECT_P])
@@ -414,4 +457,23 @@ def test_exact_matrix_validation():
         ExactMatrix(2, 2, (1, 2, 3))
     with pytest.raises(ValueError):
         ExactMatrix.from_rows([[1, 2], [3]])
+    for fld in (None, *FIELD_KINDS):
+        m = ExactMatrix.from_rows([[1, -2], [3, 4]], fld)
+        assert m.entries.shape == (2, 2) and not m.entries.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            m.entries[0, 0] = 5
+    # a rational entry is reduced mod p, not truncated to an integer
+    half = ExactMatrix.from_rows([[Fraction(1, 2), -3]], PrimeField(7))
+    assert half.entries.tolist() == [[4, 4]]
+    with pytest.raises(ReductionError):
+        ExactMatrix.from_rows([[Fraction(1, 7)]], PrimeField(7))
+    for fld in (*FIELD_KINDS, PrimeField(7)):  # entries at or past p are reduced
+        p = fld.modulus
+        raw = [[p + 1, 2**62 + 5, 3 * p], [2 * p, 1, 2**63 + p]]
+        want = [[x % p for x in r] for r in raw]
+        for entries in (raw, np.array(raw, dtype=fld.dtype)):
+            m = ExactMatrix(2, 3, entries, fld)
+            assert m.entries.tolist() == want
+            assert rank(m) == rref_rank(want, p)
+            assert kernel_basis(m) == rref_kernel(want, 3, p)
 

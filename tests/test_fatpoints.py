@@ -245,12 +245,15 @@ def test_condition_tables_match_condition_row(cfg, fld):
         basis = monomials(pr.n, d)
         mat = condition_matrix(pr)
         assert (mat.rows, mat.cols) == (pr.n_conditions, len(basis))
-        assert {type(x) for x in mat.entries} == {int if fld else Fraction}
+        assert mat.entries.dtype == (fld.dtype if fld else object)
+        assert not mat.entries.flags.writeable
+        rows = mat.entries.tolist()
+        assert {type(x) for r in rows for x in r} == {int if fld else Fraction}
         for i, (j, alpha) in enumerate(pr.condition_index()):
             want = condition_row(cfg.points[j], alpha, basis)
             if fld is not None:
                 want = [fld.from_rational(x) for x in want]
-            assert list(mat.row(i)) == want
+            assert rows[i] == want
     if fld is None:  # incremental dimensions are modular only
         with pytest.raises(TypeError, match="PrimeField"):
             DimensionSearch(cfg, orders, fld)
