@@ -263,7 +263,7 @@ def _run_collide(spec: ExperimentSpec):
 def _run_schwarz(spec: ExperimentSpec):
     p = spec.params
     cfg = spec.config
-    result = schwarz_check(cfg, p["l"], p.get("d"), p["rho"], p["R"],
+    result = schwarz_check(cfg, p["l"], p["d"], p["rho"], p["R"],
                            p["epsilon"], p["boundary_samples"],
                            derive_seed(spec.seed, "green"), scalar=spec.scalar)
     verdicts = [v.to_verdict() for v in result.verdicts]

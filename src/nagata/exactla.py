@@ -187,22 +187,25 @@ class PrimeField:
         return np.minimum(d, d + _U(self.modulus))
 
     def matmul(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-        """a @ b mod p, exactly, for 2-D arrays of field elements.
+        """a @ b mod p, exactly, for 2-D arrays of the field's dtype.
 
-        Each factor is split into t limbs of w bits, a = sum_i a_i 2^(w i),
-        with w = (53 - L) // 2 for the inner length k < 2^L (L is
-        ``k.bit_length()``) and t w >= the bit length of p.  A limb is below
-        2^w, so every dot of two limb arrays is an integer of at most
-        k (2^w - 1)^2 < 2^L 2^(2w) <= 2^53, and so is each of its partial
-        sums: float64 holds every one of them exactly, and one BLAS product
-        of all the limbs is exact in any summation order.  The limb products
-        of one weight s = i + j (at most t <= 62 of them, below 2^64) are
-        added in uint64, reduced mod p, scaled by 2^(w s) mod p and
-        accumulated.  Object arrays take one Python-int product.
+        Both factors are reduced mod p first, so any uint64 entry counts by
+        its residue.  Each is then split into t limbs of w bits,
+        a = sum_i a_i 2^(w i), with w = (53 - L) // 2 for the inner length
+        k < 2^L (L is ``k.bit_length()``) and t w >= the bit length of p.
+        A limb is below 2^w, so every dot of two limb arrays is an integer
+        of at most k (2^w - 1)^2 < 2^L 2^(2w) <= 2^53, and so is each of
+        its partial sums: float64 holds every one of them exactly, and one
+        BLAS product of all the limbs is exact in any summation order.  The
+        limb products of one weight s = i + j (at most t <= 62 of them,
+        below 2^64) are added in uint64, reduced mod p, scaled by
+        2^(w s) mod p and accumulated.  Object arrays take one Python-int
+        product.
         """
         p = self.modulus
         if self._kind == "object":
             return a.astype(object).dot(b.astype(object)) % p
+        a, b = a % _U(p), b % _U(p)
         (m, k), n = a.shape, b.shape[1]
         w = (53 - k.bit_length()) // 2
         t = -(-p.bit_length() // w)

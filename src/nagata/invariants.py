@@ -13,12 +13,12 @@ never reported as a point value, only as this interval.
 
 Everything here is exact: integer comparisons and Fraction arithmetic, never
 floating point.  A rank can only drop mod p, so a degree with no kernel mod p
-has none over Q.  The field domain searches mod the 31-bit prime 2^31 - 1
-(or a given prime) for speed, then confirms the degree found: a degree whose
-monomials outnumber its conditions has a kernel over any field, and any
-other counts only if it also has one mod the Mersenne prime 2^61 - 1.  The
-rational domain certifies upward from the search value by a dimension count
-or one exact rank per degree.
+has none over Q.  omega_l runs one search and one confirmation loop in both
+scalar domains.  It searches mod the 31-bit prime 2^31 - 1 (or a given
+prime) for speed, then steps up from the degree found until one is
+confirmed: a degree whose monomials outnumber its conditions has a kernel
+over any field, and any other counts only if it has one mod the Mersenne
+prime 2^61 - 1 (over a field) or by one exact rank (over Q).
 """
 
 from __future__ import annotations
@@ -91,23 +91,48 @@ def omega_l(config: PointConfig, l: int, scalar="field", prime=None) -> int:
     """Least degree d with a nonzero degree <= d polynomial vanishing to
     order >= l (times any per-point multiplicities) at every config point.
 
-    Over a field: builds the condition matrix mod the search prime
-    (``prime``, default 2^31 - 1) in column blocks up to the last degree
-    whose monomials do not outnumber the conditions (every later degree has
-    a kernel by the count), and reads off its rank profile the first degree
-    from the largest required order up (a vanishing order never exceeds the
-    degree) with positive dimension, so every lower degree is empty over Q
-    too.  That degree, or a later one, is returned once a dimension count or
-    a second search mod 2^61 - 1 confirms a kernel there: the value is
-    max(omega_p, omega_M61) <= omega_Q, so a rank lost mod one prime alone
-    costs a step, not a wrong value.
-    Over Q: certified upward from the DEFAULT_FIELD value.  Deterministic.
+    Searches mod ``prime`` (2^31 - 1 by default and over Q) for the first
+    degree from the largest order up with a kernel mod p, so every lower
+    degree is empty over Q too (a vanishing order never exceeds the degree).
+    With no image mod the default prime the value starts at the largest
+    order; mod a chosen prime the ReductionError stands.  A search mod
+    2^61 - 1 is the value.  Otherwise one loop steps up until a degree's
+    monomials outnumber its conditions (a kernel over any field) or
+    ``has_kernel`` confirms it: over a field mod 2^61 - 1, searched lazily
+    and only up to the degree asked, giving max(omega_p, omega_M61) <=
+    omega_Q, so a rank lost mod one prime alone costs a step, not a wrong
+    value; over Q by one exact rank (at most RATIONAL_COLUMN_CAP columns).
+    Deterministic.
     """
     fld = resolve_scalar(scalar, prime)
     orders = uniform_orders(config, l)
-    if fld is None:
-        return _rational_omega(config, orders)
-    return _field_omega(config, orders, fld)
+    search_field = fld or DEFAULT_FIELD
+    try:
+        d = _least_degree(DimensionSearch(config, orders, search_field), max(orders))
+    except ReductionError:
+        if search_field != DEFAULT_FIELD:
+            raise
+        d = max(orders)
+    if fld == _CONFIRM_FIELD:
+        return d
+    confirm = None  # the M61 search, built at the first degree left open
+
+    def has_kernel(e: int) -> bool:
+        nonlocal confirm
+        if fld is None:
+            problem = InterpolationProblem(config, e, orders, None)
+            if problem.n_columns > RATIONAL_COLUMN_CAP:
+                raise ValueError(f"column cap {RATIONAL_COLUMN_CAP} exceeded at degree "
+                                 f"{e}; use the prime-field domain")
+            return vanishing_dimension(problem) >= 1
+        if confirm is None:
+            confirm = DimensionSearch(config, orders, _CONFIRM_FIELD)
+        return confirm.dimension_at(e) >= 1
+
+    n_conditions = InterpolationProblem(config, 0, orders).n_conditions
+    while monomial_count(config.dimension, d) <= n_conditions and not has_kernel(d):
+        d += 1
+    return d
 
 
 def _least_degree(search: DimensionSearch, d: int) -> int:
@@ -122,45 +147,6 @@ def _least_degree(search: DimensionSearch, d: int) -> int:
     if top >= d:
         search.dimension_at(top)
     return next((e for e in range(d, top + 1) if search.dimension_at(e) >= 1), top + 1)
-
-
-def _field_omega(config: PointConfig, orders: tuple, fld: PrimeField) -> int:
-    """Search mod fld, then, unless a dimension count shows a kernel at its
-    degree, search mod M61 from there: the larger degree is returned.  A
-    config with no image mod the default prime is searched mod M61 alone;
-    mod a prime the caller chose, the ReductionError stands."""
-    try:
-        search = DimensionSearch(config, orders, fld)
-    except ReductionError:
-        if fld != DEFAULT_FIELD:
-            raise
-        fld = _CONFIRM_FIELD
-        search = DimensionSearch(config, orders, fld)
-    d = _least_degree(search, max(orders))
-    if fld == _CONFIRM_FIELD or monomial_count(config.dimension, d) > search.n_conditions:
-        return d
-    return _least_degree(DimensionSearch(config, orders, _CONFIRM_FIELD), d)
-
-
-def _rational_omega(config: PointConfig, orders: tuple) -> int:
-    """Degrees below the modular value have kernel 0 mod p, hence over Q.
-    From there a degree with more monomials than conditions has a kernel;
-    any other is checked by one exact rank (at most RATIONAL_COLUMN_CAP
-    columns).  A config with no image mod p starts at the largest order."""
-    try:
-        d = _least_degree(DimensionSearch(config, orders, DEFAULT_FIELD), max(orders))
-    except ReductionError:
-        d = max(orders)
-    while True:
-        problem = InterpolationProblem(config, d, orders, None)
-        if problem.n_columns > problem.n_conditions:
-            return d
-        if problem.n_columns > RATIONAL_COLUMN_CAP:
-            raise ValueError(f"column cap {RATIONAL_COLUMN_CAP} exceeded at degree "
-                             f"{d}; use the prime-field domain")
-        if vanishing_dimension(problem) >= 1:
-            return d
-        d += 1
 
 
 def omega_table(config: PointConfig, l_max: int, scalar="field", prime=None) -> tuple:

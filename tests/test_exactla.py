@@ -166,6 +166,25 @@ def test_matmul_all_top_entries_at_every_limb_width(p):
         assert f.matmul(a, b).tolist() == [[k * (p - 1) ** 2 % p] * 3] * 2
 
 
+def test_matmul_reduces_unreduced_factors():
+    # mod 7 one 26-bit limb holds a reduced entry; 2^40 lies above it, and is 2 mod 7
+    got = PrimeField(7).matmul(np.array([[2**40]], dtype=np.uint64),
+                               np.array([[1]], dtype=np.uint64))
+    assert got.tolist() == [[2]]
+
+
+@settings(deadline=None, max_examples=60)
+@given(st.sampled_from((7, 2**31 - 1, M61)), st.sampled_from(MATMUL_K),
+       st.integers(1, 3), st.integers(1, 3), st.randoms(use_true_random=False))
+def test_matmul_of_any_uint64_entries_matches_object_dot(p, k, m, n, rnd):
+    # entries up to 2^64 - 1, unreduced, for the small and M61 kinds
+    draw = lambda: rnd.choice((rnd.randrange(2**64), 2**64 - 1, p, p + rnd.randrange(p)))
+    a = np.array([[draw() for _ in range(k)] for _ in range(m)], dtype=np.uint64)
+    b = np.array([[draw() for _ in range(n)] for _ in range(k)], dtype=np.uint64)
+    want = a.astype(object).dot(b.astype(object)) % p
+    assert PrimeField(p).matmul(a, b).tolist() == want.tolist()
+
+
 @pytest.mark.parametrize("p", [M61, 97, 2**31 - 1, 4294967311])
 def test_vector_ops_broadcast_array_multiplier(p):
     f = PrimeField(p)

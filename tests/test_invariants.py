@@ -8,7 +8,12 @@ import pytest
 from nagata import invariants
 from nagata.configs import generic_points, grid_points, make_config, two_point_example
 from nagata.exactla import M61, PrimeField, ReductionError
-from nagata.fatpoints import InterpolationProblem, uniform_orders, vanishing_dimension
+from nagata.fatpoints import (
+    DimensionSearch,
+    InterpolationProblem,
+    uniform_orders,
+    vanishing_dimension,
+)
 from nagata.invariants import (
     HARBOURNE_CR,
     harbourne_table_check,
@@ -79,7 +84,9 @@ SPECIAL_CASES = [
 def test_rational_omega_matches_exact_scan(cfg, l):
     at_omega_p = InterpolationProblem(cfg, omega_l(cfg, l), uniform_orders(cfg, l))
     assert at_omega_p.n_columns <= at_omega_p.n_conditions  # no count certifies it
-    assert omega_l(cfg, l, "rational") == rational_scan(cfg, l)
+    want = rational_scan(cfg, l)
+    assert omega_l(cfg, l, "rational") == want
+    assert omega_l(cfg, l) == want  # the M61 branch of the same loop
 
 
 def test_rational_omega_without_modular_image():
@@ -95,6 +102,28 @@ def test_field_omega_without_image_mod_the_search_prime():
     # 1/(2^31 - 1) has no image mod the default prime: searched mod M61 alone
     cfg = make_config([[Fraction(1, 2**31 - 1), 0], [1, 2], [2, 5], [4, 1], [3, 3]])
     assert omega_l(cfg, 2) == omega_l(cfg, 2, "rational") == rational_scan(cfg, 2) == 4
+
+
+def test_a_degree_the_count_settles_needs_no_confirmation():
+    # 2 conditions, 3 linear monomials: the M61 search, which would raise a
+    # ReductionError on 1/M61, is never built
+    assert omega_l(make_config([[Fraction(1, M61), 0], [1, 2]]), 1) == 1
+
+
+def test_m61_confirmation_builds_only_to_the_degree_it_confirms(monkeypatch):
+    # 72 conditions: the count leaves degrees up to 10 open, but the M61
+    # kernel at degree 8 ends the confirmation there
+    asked = []
+
+    class Recording(DimensionSearch):
+        def dimension_at(self, degree):
+            if self.field.modulus == M61:
+                asked.append(degree)
+            return super().dimension_at(degree)
+
+    monkeypatch.setattr(invariants, "DimensionSearch", Recording)
+    assert omega_l(generic_points(2, 2, 5), 8) == 8
+    assert asked and max(asked) == 8
 
 
 def test_rational_omega_survives_an_unlucky_prime(monkeypatch):
