@@ -18,10 +18,21 @@ is a product of n gathered arrays.  ``condition_row`` evaluates the same
 formula independently and serves as the reference in the tests.
 
 The dimension of the linear system is column count minus rank; kernel vectors
-convert to polynomials.  The same rows give their exact vanishing orders: the
-(z - p)^alpha Taylor coefficient of a polynomial is the dot of its coefficient
-vector with the row of (p, alpha), so the order at p is the least t whose
-shell of rows |alpha| = t has a nonzero dot with it.
+convert to polynomials.  The searches take that rank of a smaller matrix.
+Translating by a point p_j0 of the largest order m0, P(z) -> P(z + p_j0), is
+a unipotent change of basis of the polynomials of degree <= d (determinant 1
+over Q, and mod any p where p_j0 reduces) that keeps every Taylor
+coefficient, each at its point moved by -p_j0.  At the origin the order-m0
+conditions just say that the coefficients of the N(m0 - 1) monomials of
+degree below m0 are 0, so the dimension is N(d) - N(m0 - 1) minus the rank
+of the other points' translated conditions on the monomials of degree m0..d
+(``DimensionSearch`` mod p, ``rational_dimension`` over Q).
+``vanishing_dimension`` and ``condition_matrix`` stay on the full matrix.
+
+The condition rows also give exact vanishing orders: the (z - p)^alpha
+Taylor coefficient of a polynomial is the dot of its coefficient vector with
+the row of (p, alpha), so the order at p is the least t whose shell of rows
+|alpha| = t has a nonzero dot with it.
 """
 
 from __future__ import annotations
@@ -214,6 +225,42 @@ def vanishing_dimension(problem: InterpolationProblem) -> int:
     return problem.n_columns - rank(condition_matrix(problem))
 
 
+def _translated_conditions(config: PointConfig, orders: tuple, field: PrimeField | None):
+    """The system with its first point of largest order moved to the origin.
+
+    Returns (m0, tables): m0 = max(orders), and the condition tables of
+    every other point translated by p_j0, the first point of order m0
+    (None when there is no other point).  Every coordinate is reduced first,
+    in config order, so a point with no image mod p raises the same
+    ReductionError wherever it stands; the residues are then translated mod
+    p, and may coincide.
+    """
+    m0 = max(orders)
+    j0 = orders.index(m0)
+    to = Fraction if field is None else field.from_rational
+    coords = [[to(c) for c in p] for p in config.points]
+    points = [[x - y for x, y in zip(p, coords[j0])]
+              for j, p in enumerate(coords) if j != j0]
+    others = orders[:j0] + orders[j0 + 1:]
+    index = [(i, alpha) for i, m in enumerate(others)
+             for alpha in monomials(config.dimension, m - 1)]
+    return m0, _ConditionTables(points, index, field) if index else None
+
+
+def rational_dimension(config: PointConfig, orders, degree: int) -> int:
+    """Vanishing dimension over Q at ``degree``, by one exact rank of the
+    reduced matrix: the conditions of every point but the one moved to the
+    origin, on the monomials of degree m0..degree (see DimensionSearch).
+    Equal to ``vanishing_dimension`` of the same problem over Q."""
+    m0, tables = _translated_conditions(config, tuple(orders), None)
+    basis = [beta for t in range(m0, degree + 1)
+             for beta in monomials_exact_degree(config.dimension, t)]
+    if tables is None or not basis:
+        return len(basis)
+    block = tables.block(basis)
+    return len(basis) - rank(ExactMatrix(*block.shape, block, None))
+
+
 _PANEL_COLUMNS = 32  # least width of a block handed to the RankAccumulator
 
 
@@ -221,30 +268,50 @@ class DimensionSearch:
     """Incremental dimension mod p of the interpolation system by degree, an
     upper bound on the dimension over Q (a rank can only drop mod p).
 
+    One point's conditions are solved outright.  Let p_j0 be the first
+    point of the largest order m0.  The translation P(z) -> P(z + p_j0)
+    maps the polynomials of degree <= d onto themselves by a unipotent
+    change of basis (each monomial goes to itself plus monomials of lower
+    degree), so its determinant is 1, over Q and mod any p where p_j0
+    reduces.  It keeps every Taylor coefficient: the (z - p)^alpha
+    coefficient of P is the (z - (p - p_j0))^alpha coefficient of the
+    translate.  So the dimension at every degree is that of the translated
+    system, where p_j0 sits at the origin and its conditions say that the
+    coefficients of the N(m0 - 1) monomials of degree below m0 are 0.  With
+    those columns gone, its rows are gone too:
+
+        dim(d) = (N(d) - N(m0 - 1)) - rank(the other points' translated
+                 conditions on the monomials of degree m0..d),
+
+    and dim(d) = 0 for d < m0.  ``n_conditions`` stays the full count, so
+    that counting monomials against it compares the full problem; the
+    reduced one loses N(m0 - 1) on both sides.
+
     Missing degrees are built in blocks of whole degrees, at least
     _PANEL_COLUMNS columns wide where enough degrees are asked for, and
     appended to a RankAccumulator, so building up to a degree costs one pass
     over its matrix in total.  The dimension at any degree already built is
-    its column count minus the rank of that column prefix.
+    its column count minus the rank of that column prefix.  With no other
+    point it is the column count, and nothing is built.
     """
 
     def __init__(self, config: PointConfig, orders, field: PrimeField):
         self.config = config
         self.orders = tuple(orders)
         self.field = field
-        self._index = InterpolationProblem(config, 0, self.orders, field).condition_index()
-        self._tables = _ConditionTables(config.points, self._index, field)
+        self.n_conditions = InterpolationProblem(config, 0, self.orders, field).n_conditions
         self._acc = RankAccumulator(field)
+        m0, self._tables = _translated_conditions(config, self.orders, field)
+        self._below = monomial_count(config.dimension, m0 - 1)
         self._cols = 0
-        self._degree = -1
-
-    @property
-    def n_conditions(self) -> int:
-        return len(self._index)
+        self._degree = m0 - 1
 
     def dimension_at(self, degree: int) -> int:
         """Vanishing dimension at the given degree."""
         n = self.config.dimension
+        cols = max(0, monomial_count(n, degree) - self._below)
+        if self._tables is None:
+            return cols
         while self._degree < degree:
             new = []
             while self._degree < degree and len(new) < _PANEL_COLUMNS:
@@ -252,7 +319,6 @@ class DimensionSearch:
                 new += monomials_exact_degree(n, self._degree)
             self._acc.add(self._tables.block(new))
             self._cols += len(new)
-        cols = monomial_count(n, degree)
         return cols - self._acc.prefix_rank(cols)
 
 

@@ -18,7 +18,10 @@ scalar domains.  It searches mod the 31-bit prime 2^31 - 1 (or a given
 prime) for speed, then steps up from the degree found until one is
 confirmed: a degree whose monomials outnumber its conditions has a kernel
 over any field, and any other counts only if it has one mod the Mersenne
-prime 2^61 - 1 (over a field) or by one exact rank (over Q).
+prime 2^61 - 1 (over a field) or by one exact rank (over Q).  Every one of
+those ranks, mod p or over Q, is of the reduced matrix of fatpoints: one
+point of the largest order moved to the origin, its conditions and the
+monomials below its order dropped, with the same dimension.
 """
 
 from __future__ import annotations
@@ -37,8 +40,8 @@ from .fatpoints import (
     InterpolationProblem,
     kernel_polynomials,
     monomial_count,
+    rational_dimension,
     uniform_orders,
-    vanishing_dimension,
 )
 from .seeds import derive_seed
 
@@ -101,8 +104,10 @@ def omega_l(config: PointConfig, l: int, scalar="field", prime=None) -> int:
     ``has_kernel`` confirms it: over a field mod 2^61 - 1, searched lazily
     and only up to the degree asked, giving max(omega_p, omega_M61) <=
     omega_Q, so a rank lost mod one prime alone costs a step, not a wrong
-    value; over Q by one exact rank (at most RATIONAL_COLUMN_CAP columns).
-    Deterministic.
+    value; over Q by one exact rank of the reduced matrix
+    (``rational_dimension``: one point's conditions and the monomials below
+    its order dropped), taken only where the full problem has at most
+    RATIONAL_COLUMN_CAP columns.  Deterministic.
     """
     fld = resolve_scalar(scalar, prime)
     orders = uniform_orders(config, l)
@@ -120,11 +125,10 @@ def omega_l(config: PointConfig, l: int, scalar="field", prime=None) -> int:
     def has_kernel(e: int) -> bool:
         nonlocal confirm
         if fld is None:
-            problem = InterpolationProblem(config, e, orders, None)
-            if problem.n_columns > RATIONAL_COLUMN_CAP:
+            if monomial_count(config.dimension, e) > RATIONAL_COLUMN_CAP:
                 raise ValueError(f"column cap {RATIONAL_COLUMN_CAP} exceeded at degree "
                                  f"{e}; use the prime-field domain")
-            return vanishing_dimension(problem) >= 1
+            return rational_dimension(config, orders, e) >= 1
         if confirm is None:
             confirm = DimensionSearch(config, orders, _CONFIRM_FIELD)
         return confirm.dimension_at(e) >= 1

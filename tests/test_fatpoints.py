@@ -2,13 +2,13 @@
 
 import random
 from fractions import Fraction
-from math import prod
+from math import comb, prod
 
 import pytest
 
 from nagata import fatpoints, invariants
 from nagata.configs import generic_points, grid_points, make_config, two_point_example
-from nagata.exactla import PrimeField
+from nagata.exactla import PrimeField, ReductionError
 from nagata.fatpoints import (
     DimensionSearch,
     InterpolationProblem,
@@ -19,6 +19,7 @@ from nagata.fatpoints import (
     monomials,
     poly_mul,
     proportional,
+    rational_dimension,
     uniform_orders,
     vanishing_dimension,
     vanishing_order,
@@ -267,6 +268,63 @@ def test_condition_tables_match_condition_row(cfg, fld):
     fresh = DimensionSearch(cfg, orders, fld)
     for s in (search, fresh):
         assert [s.dimension_at(d) for d in reversed(degrees)] == want[::-1]
+
+
+# The largest order is tied and not on point 0, so the point moved to the
+# origin is point 1 (j0 = 1).
+TIED_CONFIG = make_config([[2, -1], [Fraction(1, 3), 4], [-2, Fraction(5, 2)], [3, 3]],
+                          multiplicities=[1, 3, 2, 3])
+
+
+@pytest.mark.parametrize("cfg", [TIED_CONFIG, *TABLE_CONFIGS],
+                         ids=["tied-j0-1", "n1", "n2", "n3"])
+@pytest.mark.parametrize("fld", [None, *TABLE_FIELDS],
+                         ids=["Q", "m61", "small", "object"])
+def test_reduced_dimensions_match_the_full_matrix(cfg, fld):
+    orders = uniform_orders(cfg, 1)
+    degrees = range(max(orders) + 4)
+    want = [vanishing_dimension(InterpolationProblem(cfg, d, orders, fld)) for d in degrees]
+    if fld is None:
+        assert [rational_dimension(cfg, orders, d) for d in degrees] == want
+    else:
+        search = DimensionSearch(cfg, orders, fld)
+        assert [search.dimension_at(d) for d in degrees] == want
+    assert want[max(orders) - 1] == 0 and want[-1] > 0
+
+
+def test_reduced_dimensions_with_points_congruent_mod_p():
+    # (7, 0) is the point moved to the origin, and (0, 0) lands there mod 7
+    f7 = PrimeField(7)
+    cfg = make_config([[0, 0], [7, 0], [1, 3]], multiplicities=[1, 2, 1])
+    orders = uniform_orders(cfg, 1)
+    degrees = range(max(orders) + 4)
+    want = [vanishing_dimension(InterpolationProblem(cfg, d, orders, f7)) for d in degrees]
+    search = DimensionSearch(cfg, orders, f7)
+    assert [search.dimension_at(d) for d in degrees] == want
+    # mod 7 the order-1 condition at (0, 0) is one of the three at (7, 0)
+    assert want[:4] == [0, 0, 2, 6]
+    assert vanishing_dimension(InterpolationProblem(cfg, 2, orders, None)) == 1
+
+
+def test_dimension_search_builds_no_column_below_the_largest_order():
+    cfg = generic_points(2, 9, 0)
+    search = DimensionSearch(cfg, uniform_orders(cfg, 8), F)
+    assert search.dimension_at(23) == 0
+    assert search._cols == comb(25, 2) - comb(9, 2) == 264
+    assert search.n_conditions == 9 * comb(9, 2)
+    one = DimensionSearch(make_config([[1, 2]]), (3,), F)
+    assert [one.dimension_at(d) for d in range(7)] == [0, 0, 0, 4, 9, 15, 22]
+    assert one._cols == 0
+
+
+def test_the_point_moved_to_the_origin_must_still_reduce():
+    cfg = make_config([[Fraction(1, 7), 0], [1, 2]])
+    msg = "denominator 7 divisible by modulus 7; re-draw the prime"
+    with pytest.raises(ReductionError) as search_error:
+        DimensionSearch(cfg, (2, 2), PrimeField(7)).dimension_at(2)
+    with pytest.raises(ReductionError) as omega_error:
+        invariants.omega_l(cfg, 2, prime=7)
+    assert str(search_error.value) == str(omega_error.value) == msg
 
 
 # Points with fractional and negative coordinates, n = 1, 2, 3.

@@ -76,6 +76,9 @@ SPECIAL_CASES = [
     # collinear, so the cube of their line has orders (3, 3, 3)
     ("weighted", make_config([[0, 0], [Fraction(1, 2), 1], [1, 2]],
                              multiplicities=[3, 3, 1]), 1),
+    # the same line, with the point moved to the origin (order 3) not first
+    ("weighted-last", make_config([[0, 0], [Fraction(1, 2), 1], [1, 2]],
+                                  multiplicities=[1, 3, 3]), 1),
 ]
 
 
