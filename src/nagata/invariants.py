@@ -2,7 +2,7 @@
 
 omega_l(S, l) is the least degree of a nonzero polynomial vanishing to order
 >= l at every point of S.  From a finite table of these values the module
-derives the Waldschmidt interval, certified over Q (over a field, its lower end)
+derives the Waldschmidt interval, certified over Q (over a field, see omega_l)
 
     max_l omega_l/(l + n - 1)  <=  Omega(S)  <=  min_l omega_l/l,
 
@@ -12,16 +12,15 @@ upper bound, superadditivity).  Omega(S) itself is a limit over all l and is
 never reported as a point value, only as this interval.
 
 Everything here is exact: integer comparisons and Fraction arithmetic, never
-floating point.  A rank can only drop mod p, so a degree with no kernel mod p
-has none over Q.  omega_l runs one search and one confirmation loop in both
-scalar domains.  It searches mod the 31-bit prime 2^31 - 1 (or a given
-prime) for speed, then steps up from the degree found until one is
-confirmed: a degree whose monomials outnumber its conditions has a kernel
-over any field, and any other counts only if it has one mod the Mersenne
-prime 2^61 - 1 (over a field) or by one exact rank (over Q).  Every one of
-those ranks, mod p or over Q, is of the reduced matrix of fatpoints: one
-point of the largest order moved to the origin, its conditions and the
-monomials below its order dropped, with the same dimension.
+floating point.  omega_l is bounded above by counts alone (more monomials
+than conditions, or a product of two lower levels) and below by a search mod
+2^31 - 1 or a given prime: a rank can only drop mod p, so a degree with no
+kernel mod p has none over Q.  Where the search finds none below the bound,
+the bound is the value over Q in both scalar domains; otherwise one loop
+steps up to it until a kernel mod 2^61 - 1 (over a field) or one exact rank
+(over Q) confirms a degree.  Every rank is of the reduced matrix of
+fatpoints: one point of the largest order moved to the origin, its
+conditions and the monomials below its order dropped, the same dimension.
 """
 
 from __future__ import annotations
@@ -94,32 +93,33 @@ def omega_l(config: PointConfig, l: int, scalar="field", prime=None) -> int:
     """Least degree d with a nonzero degree <= d polynomial vanishing to
     order >= l (times any per-point multiplicities) at every config point.
 
-    Searches mod ``prime`` (2^31 - 1 by default and over Q) for the first
-    degree from the largest order up with a kernel mod p, so every lower
-    degree is empty over Q too (a vanishing order never exceeds the degree).
-    With no image mod the default prime the value starts at the largest
-    order; mod a chosen prime the ReductionError stands.  A search mod
-    2^61 - 1 is the value.  Otherwise one loop steps up until a degree's
-    monomials outnumber its conditions (a kernel over any field) or
-    ``has_kernel`` confirms it: over a field mod 2^61 - 1, searched lazily
-    and only up to the degree asked, giving max(omega_p, omega_M61) <=
-    omega_Q, so a rank lost mod one prime alone costs a step, not a wrong
-    value; over Q by one exact rank of the reduced matrix
-    (``rational_dimension``: one point's conditions and the monomials below
-    its order dropped), taken only where the full problem has at most
-    RATIONAL_COLUMN_CAP columns.  Deterministic.
+    Searches mod ``prime`` (2^31 - 1 by default and over Q) below U =
+    ``_upper_bound``; with no kernel mod p there, U is the value.  From
+    the first kernel mod p one loop steps up to U until ``has_kernel``
+    confirms a degree: mod 2^61 - 1 (max(omega_p, omega_M61) <= omega_Q), or
+    over Q by one exact rank of at most RATIONAL_COLUMN_CAP columns.  A search
+    mod 2^61 - 1 is the value.  With no image mod the default prime the value
+    starts at the largest order; mod a chosen prime the ReductionError stands.
     """
     fld = resolve_scalar(scalar, prime)
     orders = uniform_orders(config, l)
+    bound = _upper_bound(config, l)
     search_field = fld or DEFAULT_FIELD
     try:
-        d = _least_degree(DimensionSearch(config, orders, search_field), max(orders))
+        search = DimensionSearch(config, orders, search_field)
     except ReductionError:
         if search_field != DEFAULT_FIELD:
             raise
         d = max(orders)
-    if fld == _CONFIRM_FIELD:
-        return d
+    else:
+        # where the count leaves the bound open, it has a kernel mod p too
+        top = bound - (monomial_count(config.dimension, bound) > search.n_conditions)
+        search.dimension_at(top)  # the whole matrix in one pass
+        d = next((e for e in range(max(orders), top + 1)
+                  if search.dimension_at(e) >= 1), top + 1)
+        if d > bound:
+            raise RuntimeError(f"no kernel mod {search_field.modulus} at degree "
+                               f"{bound}, the count-and-product bound on omega_l")
     confirm = None  # the M61 search, built at the first degree left open
 
     def has_kernel(e: int) -> bool:
@@ -133,24 +133,24 @@ def omega_l(config: PointConfig, l: int, scalar="field", prime=None) -> int:
             confirm = DimensionSearch(config, orders, _CONFIRM_FIELD)
         return confirm.dimension_at(e) >= 1
 
-    n_conditions = InterpolationProblem(config, 0, orders).n_conditions
-    while monomial_count(config.dimension, d) <= n_conditions and not has_kernel(d):
+    while d < bound and fld != _CONFIRM_FIELD and not has_kernel(d):
         d += 1
     return d
 
 
-def _least_degree(search: DimensionSearch, d: int) -> int:
-    """Least degree from d up with a kernel mod the search prime.  Every
-    degree past ``top``, the last whose monomials do not outnumber the
-    conditions, has one by the count, so the search builds up to top once
-    and reads the degrees d..top off its rank profile."""
-    n = search.config.dimension
-    top = d - 1
-    while monomial_count(n, top + 1) <= search.n_conditions:
-        top += 1
-    if top >= d:
-        search.dimension_at(top)
-    return next((e for e in range(d, top + 1) if search.dimension_at(e) >= 1), top + 1)
+def _upper_bound(config: PointConfig, l: int) -> int:
+    """U(l) >= omega_l over Q from monomial counts alone,
+    U(l) = min(count(l), min over a + b = l of U(a) + U(b)), where count(a)
+    is the least degree whose monomials outnumber the conditions at level a
+    (a kernel over any field), and a product of nonzero level-a and level-b
+    polynomials is nonzero and vanishes to the orders of level a + b."""
+    n = config.dimension
+    bound = []  # U(1), U(2), ...
+    for a in range(1, l + 1):
+        conditions = sum(monomial_count(n, m - 1) for m in uniform_orders(config, a))
+        count = next(d for d in range(conditions + 1) if monomial_count(n, d) > conditions)
+        bound.append(min([count] + [bound[b] + bound[a - b - 2] for b in range(a - 1)]))
+    return bound[-1]
 
 
 def omega_table(config: PointConfig, l_max: int, scalar="field", prime=None) -> tuple:
@@ -175,8 +175,8 @@ def waldschmidt_interval(config: PointConfig, l_max: int, scalar="field",
                          prime=None) -> tuple:
     """Enclosure of the singular degree Omega(S) from levels 1..l_max:
     (max_l omega_l/(l+n-1), min_l omega_l/l), exact rationals.  Over a field
-    only the lower end is certified (omega_l mod p <= omega_l over Q); use
-    scalar="rational" for a certified upper end."""
+    the upper end is certified only where omega_l stops at its bound at every
+    level; use scalar="rational" for a certified upper end."""
     _require_uniform(config, "the Waldschmidt sandwich")
     table = omega_table(config, l_max, scalar, prime)
     return _interval_from_table(table, config.dimension)

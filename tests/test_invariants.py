@@ -4,6 +4,8 @@ import math
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from nagata import invariants
 from nagata.configs import generic_points, grid_points, make_config, two_point_example
@@ -11,11 +13,13 @@ from nagata.exactla import M61, PrimeField, ReductionError
 from nagata.fatpoints import (
     DimensionSearch,
     InterpolationProblem,
+    rational_dimension,
     uniform_orders,
     vanishing_dimension,
 )
 from nagata.invariants import (
     HARBOURNE_CR,
+    _upper_bound,
     harbourne_table_check,
     invariant_report,
     nagata_check,
@@ -93,12 +97,13 @@ def test_rational_omega_matches_exact_scan(cfg, l):
 
 
 def test_rational_omega_without_modular_image():
-    # 1/(2^61 - 1) has no image mod M61: the field search cannot confirm its
-    # degree (no count settles d = 4), while the rational scan certifies it
-    cfg = make_config([[Fraction(1, M61), 0], [1, 2], [2, 5], [4, 1], [3, 3]])
+    # 1/(2^61 - 1) has no image mod M61: the field search cannot confirm the
+    # line y = 0 (the bound is 2), while the rational scan certifies it
+    cfg = make_config([[Fraction(1, M61), 0], [1, 0], [2, 0], [3, 0]])
+    assert _upper_bound(cfg, 1) == 2
     with pytest.raises(ReductionError):
-        omega_l(cfg, 2)
-    assert omega_l(cfg, 2, "rational") == rational_scan(cfg, 2) == 4
+        omega_l(cfg, 1)
+    assert omega_l(cfg, 1, "rational") == rational_scan(cfg, 1) == 1
 
 
 def test_field_omega_without_image_mod_the_search_prime():
@@ -114,8 +119,7 @@ def test_a_degree_the_count_settles_needs_no_confirmation():
 
 
 def test_m61_confirmation_builds_only_to_the_degree_it_confirms(monkeypatch):
-    # 72 conditions: the count leaves degrees up to 10 open, but the M61
-    # kernel at degree 8 ends the confirmation there
+    # the bound is 9, but the M61 kernel at degree 8 ends the confirmation there
     asked = []
 
     class Recording(DimensionSearch):
@@ -125,8 +129,78 @@ def test_m61_confirmation_builds_only_to_the_degree_it_confirms(monkeypatch):
             return super().dimension_at(degree)
 
     monkeypatch.setattr(invariants, "DimensionSearch", Recording)
-    assert omega_l(generic_points(2, 2, 5), 8) == 8
+    assert _upper_bound(grid_points(2, 4), 2) == 9
+    assert omega_l(grid_points(2, 4), 2) == 8
     assert asked and max(asked) == 8
+
+
+P31 = 2**31 - 1
+
+
+@st.composite
+def small_configs(draw):
+    """Up to four points on a line or in the plane, coordinates in -2..2,
+    some moved by 2^31 - 1 (so they coincide mod the search prime), some on
+    the line y = 2x + 1, some with multiplicities 1..2."""
+    n, r = draw(st.integers(1, 2)), draw(st.integers(1, 4))
+    coord = st.builds(lambda t, k: t + k * P31, st.integers(-2, 2), st.integers(0, 1))
+    if n == 2 and draw(st.booleans()):
+        xs = draw(st.lists(coord, min_size=r, max_size=r, unique=True))
+        points = [(x, 2 * x + 1) for x in xs]
+    else:
+        points = draw(st.lists(st.tuples(*[coord] * n), min_size=r, max_size=r,
+                               unique=True))
+    mults = draw(st.none() | st.lists(st.integers(1, 2), min_size=r, max_size=r))
+    return make_config(points, mults)
+
+
+@settings(deadline=None, max_examples=60)
+@given(small_configs(), st.integers(1, 2))
+def test_upper_bound_is_at_least_the_rational_scan(cfg, l):
+    want = rational_scan(cfg, l)
+    assert want <= _upper_bound(cfg, l)
+    assert omega_l(cfg, l, "rational") == want
+    assert omega_l(cfg, l) <= want  # a rank can only drop mod p
+
+
+@pytest.mark.parametrize("r", range(1, 10))
+def test_upper_bound_is_the_harbourne_ceiling(r):
+    cfg = generic_points(2, r, seed=0)
+    assert [_upper_bound(cfg, m) for m in range(1, 9)] == [
+        math.ceil(HARBOURNE_CR[r - 1] * m) for m in range(1, 9)]
+
+
+@pytest.mark.parametrize("scalar", ["field", "rational"])
+def test_harbourne_table_needs_no_confirmation(monkeypatch, scalar):
+    # every cell stops at its bound: no M61 search, no exact rank
+    built, ranked = [], []
+
+    class Recording(DimensionSearch):
+        def __init__(self, config, orders, field):
+            built.append(field.modulus)
+            super().__init__(config, orders, field)
+
+    def recording_dimension(*args):
+        ranked.append(args)
+        return rational_dimension(*args)
+
+    monkeypatch.setattr(invariants, "DimensionSearch", Recording)
+    monkeypatch.setattr(invariants, "rational_dimension", recording_dimension)
+    assert harbourne_table_check(8, 2024, scalar).all_pass
+    assert built and M61 not in built
+    assert not ranked
+
+
+@pytest.mark.parametrize("scalar", ["field", "rational"])
+@pytest.mark.parametrize("cfg, l", [(generic_points(2, 5, seed=3), 1),  # by the count
+                                    (generic_points(2, 2, seed=3), 4)],  # by a product
+                         ids=["count", "product"])
+def test_a_bound_below_omega_raises(monkeypatch, scalar, cfg, l):
+    assert omega_l(cfg, l, scalar) == _upper_bound(cfg, l)
+    monkeypatch.setattr(invariants, "_upper_bound",
+                        lambda c, k, bound=_upper_bound: bound(c, k) - 1)
+    with pytest.raises(RuntimeError, match="bound"):
+        omega_l(cfg, l, scalar)
 
 
 def test_rational_omega_survives_an_unlucky_prime(monkeypatch):
