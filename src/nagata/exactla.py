@@ -21,13 +21,27 @@ domains are supported:
   limbs of w = (53 - k.bit_length()) // 2 bits for inner length k, so every
   dot of limbs stays below 2^53 and one float64 BLAS product computes all
   of them exactly.
-* rationals -- ``fractions.Fraction`` entries.  Elimination is fraction-free
-  (Bareiss) on denominator-cleared integer rows, so intermediate entries are
-  minors of the input and stay bounded.  It is the only exact eliminator:
-  ``RankAccumulator`` is modular only.  Kernels stay in integers too: the
-  last Bareiss pivot D is the determinant of the pivot minor, so by Cramer's
-  rule D times a kernel vector with one free entry 1 is integral, and
-  back-substitution divides exactly.  Fractions appear only in the output.
+* rationals -- ``fractions.Fraction`` entries, eliminated mod p by the same
+  routine: ``RankAccumulator`` is modular only, and there is no exact
+  eliminator.  A kernel over Q is a p-adic lift (Dixon) of the solution mod
+  p.  ``_gauss_jordan`` on the denominator-cleared integer rows, transposed,
+  mod p = 2^31 - 1 gives the rank rho, rho independent rows R and the
+  column rank profile P.  B = a[R, P] is inverted mod p once, and
+  B X = -a[R, F] (F the free columns) is lifted one p-adic digit at a time:
+  ``matmul`` for B^-1 r mod p, and one exact float64 product of signed w-bit
+  limbs for B x, on the same 2^53 argument.  X is rebuilt from its digits
+  with one shared denominator (rational reconstruction), at digit counts
+  growing by about a quarter and at the cap p^N > 2 prod_i |a_i|^2 over the
+  rows of R (Hadamard), where it is exact.  Vectors are returned only once
+  m @ v = 0 holds exactly and each is zero on every pivot column right of
+  its free column; together these prove that rho is the rank over Q, that
+  P is its column rank profile and that the vectors are the reduced row
+  echelon basis.  A prime that fails the checks at the cap, or fails the
+  second, divides a nonzero minor of the input: the lift moves to the next
+  prime below, so every result is a function of the matrix alone.  The rank
+  over Q is rho where rho = min(rows, cols), and otherwise comes from the
+  kernel of the side with fewer columns.  Fractions appear only in the
+  output.
 
 Exact checks take one matrix product (``exact_products``): ``matmul`` over
 a field, and over Q a Python-int product of rows scaled by the lcm of their
@@ -35,10 +49,10 @@ denominators (``integer_rows``), so no Fraction gcd is taken per product.
 ``kernel_basis`` verifies m @ v = 0 for all its vectors this way, and
 fatpoints reads vanishing orders off condition rows with it.
 
-Pivot rules are fixed (first nonzero row in column order for the field,
-largest-magnitude entry for integers, ties to the lowest row index), so every
-result is a deterministic function of the input matrix alone.  All public
-values are immutable and safe to share between threads.
+The pivot rule is fixed (first nonzero row in column order), and so is the
+sequence of lift primes, so every result is a deterministic function of the
+input matrix alone.  All public values are immutable and safe to share
+between threads.
 """
 
 from __future__ import annotations
@@ -46,7 +60,7 @@ from __future__ import annotations
 from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm
+from math import gcd, isqrt, lcm, prod
 
 import numpy as np
 
@@ -303,51 +317,6 @@ def exact_products(a: np.ndarray, b: np.ndarray, field: PrimeField | None) -> np
     return a.dot(b.T) if field is None else field.matmul(a, b.T)
 
 
-def _bareiss_echelon(rows: list) -> tuple[list, list]:
-    """Fraction-free row echelon form of integer rows.
-
-    Pivot: largest-magnitude entry in the current column (ties to the lowest
-    row index).  Returns (echelon rows, pivot column indices); all arithmetic
-    is exact, divisions are guaranteed exact by the Sylvester identity.
-    """
-    m = [list(r) for r in rows]
-    nr = len(m)
-    nc = len(m[0]) if nr else 0
-    prev = 1
-    piv_cols = []
-    pr = 0
-    for pc in range(nc):
-        if pr == nr:
-            break
-        best = -1
-        best_abs = 0
-        for i in range(pr, nr):
-            a = abs(m[i][pc])
-            if a > best_abs:
-                best, best_abs = i, a
-        if best < 0:
-            continue
-        if best != pr:
-            m[pr], m[best] = m[best], m[pr]
-        piv = m[pr][pc]
-        prow = m[pr]
-        for i in range(pr + 1, nr):
-            row = m[i]
-            a = row[pc]
-            # every row below is transformed, a == 0 included: the exact
-            # divisibility of later steps needs the pivot scaling
-            if a:
-                for j in range(pc, nc):
-                    row[j] = (piv * row[j] - a * prow[j]) // prev
-            else:
-                for j in range(pc, nc):
-                    row[j] = piv * row[j] // prev
-        prev = piv
-        piv_cols.append(pc)
-        pr += 1
-    return m[:pr], piv_cols
-
-
 def _gauss_jordan(field: PrimeField, b: np.ndarray) -> tuple[np.ndarray, list, list]:
     """Column Gauss-Jordan elimination of the block b mod p, overwriting b.
 
@@ -376,14 +345,24 @@ def _gauss_jordan(field: PrimeField, b: np.ndarray) -> tuple[np.ndarray, list, l
 
 
 def rank(m: ExactMatrix) -> int:
-    """Rank of m over its scalar domain."""
+    """Rank of m over its scalar domain.
+
+    Over Q the rank mod 2^31 - 1 of the integer rows is the rank when it
+    equals min(rows, cols), since a rank can only drop mod p.  Otherwise the
+    kernel of the side with fewer columns (m, or its transpose) is lifted
+    and verified as in ``kernel_basis``, the next prime down taking over
+    from an unlucky one, and the rank is that side's column count minus the
+    kernel's dimension.
+    """
     if m.rows == 0 or m.cols == 0:
         return 0
-    if m.field is None:
-        _, piv = _bareiss_echelon(integer_rows(m.entries))
-    else:
+    if m.field is not None:
         _, piv, _ = _gauss_jordan(m.field, m.field.vec(m.entries))
-    return len(piv)
+        return len(piv)
+    a = integer_rows(m.entries)
+    if m.cols > m.rows:
+        a = a.T
+    return a.shape[1] - _rational_kernel(a).shape[1]
 
 
 def kernel_basis(m: ExactMatrix) -> list:
@@ -398,43 +377,31 @@ def kernel_basis(m: ExactMatrix) -> list:
     the other free columns and minus that basis's entry in column f at
     each pivot column.
 
-    Over Q the kernel is solved from the Bareiss echelon of the integer rows
-    in integers.  Let D be the last pivot, the determinant of the pivot minor
-    M.  The vector with D in free column f and 0 in the other free columns
-    has pivot entries -det(M with its f-th column swapped in) by Cramer's
-    rule, so it is integral.  Back-substitution from the last pivot row up
-    computes it exactly, one product per pivot row for all free columns; a
-    quotient with a remainder raises.  Fractions are made once, from the
-    verified integer vectors.
+    Over Q the vectors come from ``_rational_kernel`` on the integer rows:
+    the same elimination mod 2^31 - 1, then a p-adic lift of the solution
+    on the pivot columns (one exact float64 product of limbs below 2^53 per
+    digit) and its rational reconstruction.  They are returned only once
+    m @ v = 0 holds and each is zero on the pivot columns right of its free
+    column, which proves them this basis; where a prime fails that, the
+    primes below 2^31 - 1 are tried in turn.  Fractions are made once, from
+    the verified integer vectors.
     """
     if m.cols == 0:
         return []
     f = m.field
     if f is None:
-        rows = integer_rows(m.entries)
-        ech, piv_cols = _bareiss_echelon(rows)
-    else:
-        rows = m.entries
-        red, piv_rows, piv_cols = _gauss_jordan(f, f.vec(rows.T))
-    free = sorted(set(range(m.cols)) - set(piv_cols))
-    x = np.zeros((m.cols, len(free)), dtype=object if f is None else f.dtype)
-    if f is None:
-        x[free, range(len(free))] = ech[-1][piv_cols[-1]] if ech else 1
-        for row, pc in zip(reversed(ech), reversed(piv_cols)):
-            s = -np.array(row[pc + 1:], dtype=object).dot(x[pc + 1:])
-            x[pc] = s // row[pc]
-            if (s % row[pc]).any():
-                raise RuntimeError(f"back-substitution at pivot column {pc} is not integral")
-    else:
-        x[free, range(len(free))] = 1
-        x[piv_cols] = (f.modulus - red[np.ix_(free, piv_rows)].T) % f.modulus
-    _verify_in_kernel(rows, x.T, f)
-    vectors = x.T.tolist()
-    leads = [next(filter(None, v)) for v in vectors]
-    if f is None:
+        vectors = _rational_kernel(integer_rows(m.entries).reshape(m.rows, m.cols)).T.tolist()
+        leads = [next(filter(None, v)) for v in vectors]
         return [tuple(Fraction(y, d) for y in v) for v, d in zip(vectors, leads)]
+    red, piv_rows, piv_cols = _gauss_jordan(f, f.vec(m.entries.T))
+    free = sorted(set(range(m.cols)) - set(piv_cols))
+    x = np.zeros((m.cols, len(free)), dtype=f.dtype)
+    x[free, range(len(free))] = 1
+    x[piv_cols] = (f.modulus - red[np.ix_(free, piv_rows)].T) % f.modulus
+    _verify_in_kernel(m.entries, x.T, f)
     p = f.modulus
-    invs = [pow(d, -1, p) for d in leads]
+    vectors = x.T.tolist()
+    invs = [pow(next(filter(None, v)), -1, p) for v in vectors]
     return [tuple(y * c % p for y in v) for v, c in zip(vectors, invs)]
 
 
@@ -449,6 +416,223 @@ def _verify_in_kernel(rows: np.ndarray, vectors: np.ndarray, field: PrimeField |
         if bad[:, k].any():
             i = int(np.argmax(bad[:, k]))
             raise RuntimeError(f"kernel vector {k} fails m @ v = 0 at row {i}")
+
+
+# ---------------------------------------------------------------------------
+# Kernels over Q by p-adic lifting
+
+_LIFT_FIELD = PrimeField((1 << 31) - 1)  # the lift's first prime; the next ones descend
+
+
+def _lift_fields():
+    """PrimeField(p) for the primes p <= 2^31 - 1, in descending order."""
+    yield _LIFT_FIELD
+    p = _LIFT_FIELD.modulus - 2
+    while True:
+        if is_prime(p):
+            yield PrimeField(p)
+        p -= 2
+
+
+def _rational_kernel(a: np.ndarray) -> np.ndarray:
+    """Right kernel over Q of the integer matrix a (a 2-D object array of
+    Python ints), as an n x k object array of ints: column j is D times the
+    reduced row echelon kernel vector of the j-th free column, for one D > 0.
+
+    Each prime of ``_lift_fields`` in turn goes to ``_lift_at``, which
+    returns verified vectors, or None when the prime is unlucky.  Every
+    unlucky prime divides one nonzero minor of a, of absolute value at most
+    H, the product of the norms of a's nonzero rows (Hadamard).  So the
+    unlucky primes multiply to at most H, and a product past it raises.
+    """
+    norms = [sum(x * x for x in row) for row in a.tolist()]  # squared row norms
+    bound = prod(s for s in norms if s)  # H^2
+    failed = 1
+    for field in _lift_fields():
+        x = _lift_at(field, a, norms)
+        if x is not None:
+            return x
+        failed *= field.modulus
+        if failed * failed > bound:
+            raise RuntimeError(f"no prime lifts the kernel of the {a.shape[0]} x {a.shape[1]} "
+                               f"matrix: the primes tried multiply past its Hadamard bound")
+
+
+def _lift_at(field: PrimeField, a: np.ndarray, norms: list):
+    """The kernel of the integer matrix a from one prime p, as
+    ``_rational_kernel`` returns it, or None when p is unlucky.
+
+    ``_gauss_jordan`` on a.T mod p gives the rank rho, rho independent rows
+    R and the column rank profile P mod p.  B = a[R, P] is invertible mod
+    p, so over Q too, and B X = -a[R, F], F the free columns, has one
+    rational solution, which ``_lift_solution`` finds as X = Y / D.  The
+    vector of free column f (D at f, 0 at the other free columns, Y[:, f] on
+    P) is returned only after two checks:
+
+    * a @ v = 0 (``_verify_in_kernel``): the n - rho independent vectors lie
+      in the kernel, so rank_Q <= rho, and B gives rank_Q >= rho;
+    * v is zero on every pivot column right of f: then each free column is
+      a combination of the pivot columns left of it, so P is the column rank
+      profile over Q, and v is the one kernel vector that is D at f and 0 at
+      the other free columns, the reduced row echelon one times D.
+
+    p is unlucky when the second check fails, or when no candidate passes
+    the first up to the lift's cap.  Let M be a nonzero maximal minor on the
+    profile columns over Q.  Where p does not divide M, those columns stay
+    independent mod p, every prefix of the columns keeps its rank, P is the
+    profile over Q, and the candidate at the cap is the basis.
+    """
+    _, rows, cols = _gauss_jordan(field, field.vec(a.T))  # rows of a, columns of a
+    n = a.shape[1]
+    free = sorted(set(range(n)) - set(cols))
+    x = np.zeros((n, len(free)), dtype=object)
+    if not free:
+        return x
+    right = np.array(cols, dtype=int)[:, None] > np.array(free)[None, :]
+    cap = 2 * prod(norms[i] for i in rows)  # >= 2 |det B| |any Cramer numerator|
+    a_rows = a[rows]
+    for y, d in _lift_solution(field, a_rows[:, cols], -a_rows[:, free], cap):
+        x[cols] = y
+        x[free, range(len(free))] = d
+        try:
+            _verify_in_kernel(a, x.T, None)
+        except RuntimeError:
+            continue
+        return None if (y[right] != 0).any() else x
+    return None
+
+
+def _lift_solution(field: PrimeField, b: np.ndarray, rhs: np.ndarray, cap: int):
+    """Candidates (Y, D) for the solution X = Y / D over Q of B X = rhs, for
+    integer B square and invertible mod p, Y integral and D > 0.
+
+    Dixon's p-adic lift: with C = B^-1 mod p and the residue r = rhs at
+    first, each digit is x = C r mod p (``matmul``) and r becomes
+    (r - B x) / p, exact since B x = r mod p; after N digits,
+    X = sum_i x_i p^i mod p^N.  ``_reconstruct`` makes a candidate when the
+    digit count reaches 1, 2, 3, ... growing by about a quarter each time,
+    and at the cap: once p^N > cap >= 2 H^2, with H bounding |det B| and
+    every Cramer numerator, it gives X exactly.  Nothing is lifted past the
+    cap.
+
+    r stays in int64 limbs, r = sum_s r_s 2^(w s), with w = (53 - L) // 2
+    for k < 2^L rows of B, as in ``PrimeField.matmul``.  B is split into
+    signed w-bit limbs (``_limbs``) and each digit x < p < 2^31 into
+    unsigned ones, so every dot of a B limb with an x limb is below
+    k 2^(2w) <= 2^53 in absolute value and one float64 product gives all of
+    B x exactly; the limb products of weight j + i are subtracted from
+    r_(j+i).  Then r is divided by p from its top limb down, carrying each
+    remainder (below p) into the next limb.  A quotient limb is below
+    2^w + 2^25 in absolute value (p > 2^30), so every int64 stays below
+    2^58, and r mod p is sum_s r_s (2^(w s) mod p), taken over 16 limbs at
+    a time below 2^62.
+    """
+    if not len(b):
+        yield rhs, 1
+        return
+    p = field.modulus
+    inv = _inverse(field, b)
+    k = len(b)
+    w = (53 - k.bit_length()) // 2
+    tx = -(-p.bit_length() // w)  # limbs of a digit
+    b_limbs = _limbs(b, w)
+    t = len(b_limbs)
+    b_limbs = b_limbs.reshape(t * k, k).astype(np.float64)
+    r = _limbs(rhs, w, t + tx - 1)
+    powers = np.array([pow(2, w * s, p) for s in range(len(r))], dtype=np.int64)
+    shifts = _U(w) * np.arange(tx, dtype=_U)
+    mask = _U((1 << w) - 1)
+    xs, base, pending = 0, 1, []  # xs = X mod base; the digits in pending come next
+    modulus = 1
+    digits, attempt = 0, 1
+    while modulus <= cap:
+        residue = sum(np.tensordot(powers[s:s + 16], r[s:s + 16], 1) % p
+                      for s in range(0, len(r), 16))
+        x = field.matmul(inv, residue.astype(_U))
+        x_limbs = (x[:, None] >> shifts[None, :, None]) & mask  # k x tx x cols
+        bx = (b_limbs @ x_limbs.reshape(k, -1).astype(np.float64)).astype(np.int64)
+        bx = bx.reshape(t, k, tx, -1)
+        for i in range(tx):
+            r[i:i + t] -= bx[:, :, i]
+        rem = 0
+        for s in reversed(range(len(r))):
+            cur = (rem << w) + r[s]
+            r[s] = cur // p
+            rem = cur - r[s] * p
+        pending.append(x)
+        modulus *= p
+        digits += 1
+        if digits == attempt or modulus > cap:
+            attempt += digits // 4 + 1
+            high = 0
+            for x in reversed(pending):
+                high = high * p + x.astype(object)
+            xs, base, pending = xs + high * base, modulus, []
+            candidate = _reconstruct(xs, modulus)
+            if candidate is not None:
+                yield candidate
+
+
+def _inverse(field: PrimeField, b: np.ndarray) -> np.ndarray:
+    """B^-1 mod p for a square B invertible mod p.  ``_gauss_jordan`` on
+    [B; I] pivots every column in B's part and makes it a permutation
+    matrix S (column j is 1 at pivot row j), so I's part becomes
+    T = B^-1 S, and B^-1 = T S^T."""
+    k = len(b)
+    red, _, rows = _gauss_jordan(field, field.vec(np.vstack([b, np.eye(k, dtype=int)])))
+    inv = np.empty((k, k), dtype=field.dtype)
+    inv[:, rows] = red[k:]
+    return inv
+
+
+def _limbs(a: np.ndarray, w: int, count: int = 1) -> np.ndarray:
+    """Signed w-bit limbs of an integer array, as int64: at least count of
+    them, with a = sum_i limbs[i] 2^(w i), limb i holding bits
+    w i .. w (i + 1) - 1 of |a| with a's sign."""
+    mag = np.abs(a)
+    t = max(count, -(-max(int(v).bit_length() for v in mag.flat) // w))
+    mask = (1 << w) - 1
+    limbs = np.stack([((mag >> (w * i)) & mask).astype(np.int64) for i in range(t)])
+    return limbs * np.where(a < 0, -1, 1)
+
+
+def _reconstruct(xs: np.ndarray, modulus: int):
+    """(Y, D) with Y = D xs mod modulus, |Y| <= h and 0 < D <= h for
+    h = isqrt(modulus // 2), or None.  As 2 h^2 < modulus, each fraction
+    Y / D in these bounds is the only one congruent to its entry.  D is
+    shared: each entry in turn is reduced with the current D, and one that
+    does not fit gives D a new factor (``_fraction``); the entries before
+    it are scaled by that factor at the end."""
+    h = isqrt(modulus // 2)
+    d, ys = 1, []
+    for u in xs.flat:
+        y = u * d % modulus
+        if y > h:
+            y -= modulus
+        if y < -h:
+            found = _fraction(y % modulus, modulus, h, h // d)
+            if found is None:
+                return None
+            y, e = found
+            d *= e
+        ys.append((y, d))
+    ys = [y * (d // di) for y, di in ys]
+    if any(abs(y) > h for y in ys):
+        return None
+    return np.array(ys, dtype=object).reshape(xs.shape), d
+
+
+def _fraction(u: int, modulus: int, num_bound: int, den_bound: int):
+    """(n, e) with n / e = u mod modulus, |n| <= num_bound and
+    1 < e <= den_bound, by Wang's rational reconstruction (the extended
+    Euclidean algorithm), or None."""
+    r0, r1, t0, t1 = modulus, u, 0, 1
+    while r1 > num_bound:
+        q = r0 // r1
+        r0, r1, t0, t1 = r1, r0 - q * r1, t1, t0 - q * t1
+    g = gcd(t1, r1) * (1 if t1 > 0 else -1)
+    n, e = r1 // g, t1 // g
+    return (n, e) if 1 < e <= den_bound else None
 
 
 # ---------------------------------------------------------------------------

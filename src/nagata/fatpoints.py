@@ -39,7 +39,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb
+from math import comb, prod
 
 import numpy as np
 
@@ -173,13 +173,21 @@ class _ConditionTables:
     of monomials by fancy indexing.  Entries are field elements, or
     Fractions when ``field`` is None.  The tables grow by one column per
     degree through Pascal's rule, T[a, b] = x T[a, b-1] + T[a-1, b-1].
+
+    ``integral`` (over Q only) builds them from the numerator n of each
+    coordinate x = n / c in lowest terms, in Python ints.  The entry of
+    condition alpha at monomial beta is then prod_i c_i^(beta_i - alpha_i)
+    times the rational one.
     """
 
-    def __init__(self, points, index, field: PrimeField | None):
+    def __init__(self, points, index, field: PrimeField | None, integral: bool = False):
         if not index:  # orders >= 1 always give at least one row per point
             raise RuntimeError("empty condition set")
         self.field = field
-        if field is None:
+        if integral:
+            neg_x = np.array([[-Fraction(c).numerator for c in p] for p in points], dtype=object)
+            self._zero, one = 0, 1
+        elif field is None:
             neg_x = np.array([[-Fraction(c) for c in p] for p in points], dtype=object)
             self._zero, one = Fraction(0), Fraction(1)
         else:
@@ -364,14 +372,29 @@ def vanishing_order(vectors, point, basis, field: PrimeField | None = None) -> t
     nonzero.  The shells t = 0, 1, ... are blocks of the point's condition
     tables, each multiplied exactly by the vectors whose order is still
     open; a nonzero polynomial of degree <= d has order <= d.
+
+    Over Q the products stay in integers: the vectors are scaled to integer
+    rows, the tables are those of the numerators of the point's coordinates
+    (``_ConditionTables``, integral), and the entry of each vector at beta
+    is scaled by prod_i c_i^(d - beta_i), c_i the coordinates' denominators.
+    The product for condition alpha is then prod_i c_i^(d - alpha_i) times
+    the Taylor coefficient, so the zero pattern, and with it every order,
+    is unchanged.
     """
     if not all(any(v) for v in vectors):
         raise ValueError("zero polynomial has no vanishing order")
-    vecs = integer_rows(vectors) if field is None else field.vec(vectors)
     n = len(point)
     degree = max(sum(b) for b in basis)
     index = [(0, alpha) for alpha in monomials(n, degree)]
-    tables = _ConditionTables([point], index, field)
+    tables = _ConditionTables([point], index, field, integral=field is None)
+    if field is None:
+        vecs = integer_rows(vectors)
+        dens = [Fraction(c).denominator for c in point]
+        if any(c != 1 for c in dens):
+            vecs = vecs * np.array([prod(c ** (degree - b) for c, b in zip(dens, beta))
+                                    for beta in basis], dtype=object)
+    else:
+        vecs = field.vec(vectors)
     orders = np.zeros(len(vectors), dtype=int)
     todo = np.arange(len(vectors))
     start = 0
@@ -380,8 +403,6 @@ def vanishing_order(vectors, point, basis, field: PrimeField | None = None) -> t
             break
         stop = start + comb(t + n - 1, n - 1)
         shell = tables.block(basis, slice(start, stop))
-        if field is None:
-            shell = integer_rows(shell)
         hit = (exact_products(shell, vecs[todo], field) != 0).any(axis=0)
         orders[todo[hit]] = t
         todo = todo[~hit]
@@ -423,7 +444,8 @@ def kernel_polynomials(problem: InterpolationProblem) -> list:
         raise ValueError(
             f"system empty at this degree (d={problem.degree}, orders={problem.orders})"
         )
-    per_point = [vanishing_order(vectors, pt, basis, problem.field)
+    scaled = integer_rows(vectors) if problem.field is None else vectors  # once, not per point
+    per_point = [vanishing_order(scaled, pt, basis, problem.field)
                  for pt in problem.config.points]
     out = []
     for v, achieved in zip(vectors, zip(*per_point)):

@@ -86,7 +86,7 @@ class Verdict:
         return {"name": self.name, "pass": self.passed, "detail": self.detail}
 
 
-RATIONAL_COLUMN_CAP = 300  # fraction-free rank over Q is impractical beyond
+RATIONAL_COLUMN_CAP = 300  # widest matrix whose exact rank over Q (a p-adic lift) omega_l takes
 
 
 def omega_l(config: PointConfig, l: int, scalar="field", prime=None) -> int:

@@ -1,6 +1,7 @@
 """Exact linear algebra: field arithmetic, rank, kernels, incremental rank."""
 
 from fractions import Fraction
+from math import prod
 
 import numpy as np
 import pytest
@@ -15,7 +16,6 @@ from nagata.exactla import (
     PrimeField,
     RankAccumulator,
     ReductionError,
-    _bareiss_echelon,
     _verify_in_kernel,
     integer_rows,
     is_prime,
@@ -247,9 +247,8 @@ def test_rank_plus_kernel_equals_cols(rows):
 
 @settings(deadline=None, max_examples=150)
 @given(small_matrix)
-def test_bareiss_rank_matches_fraction_oracle(rows):
-    _, piv = _bareiss_echelon([list(r) for r in rows])
-    assert len(piv) == rref_rank(rows)
+def test_rational_rank_matches_fraction_oracle(rows):
+    assert rank(ExactMatrix.from_rows(rows)) == rref_rank(rows)
 
 
 @settings(deadline=None, max_examples=100)
@@ -296,12 +295,18 @@ def test_kernel_vectors_annihilate_matrix(rows):
 entry = st.one_of(st.integers(-9, 9), st.fractions(-9, 9, max_denominator=12))
 
 
+# entries of up to 100 bits: the lift takes many digits and several
+# reconstruction attempts, and B's limbs several weights
+big_entry = st.one_of(st.integers(-2**100, 2**100),
+                      st.fractions(-2**60, 2**60, max_denominator=2**40))
+
+
 @st.composite
-def kernel_cases(draw):
+def kernel_cases(draw, entries=entry):
     """(rows, cols): up to 6 x 8, integer and rational entries, rank at most
     a drawn k (k = 0 gives the zero matrix), some rows and columns zeroed."""
     nr, nc, k = draw(st.integers(0, 6)), draw(st.integers(1, 8)), draw(st.integers(0, 6))
-    base = draw(st.lists(st.lists(entry, min_size=nc, max_size=nc), min_size=k, max_size=k))
+    base = draw(st.lists(st.lists(entries, min_size=nc, max_size=nc), min_size=k, max_size=k))
     coeff = st.sampled_from([-2, -1, 1, 2, 3])
     mix = draw(st.lists(st.lists(coeff, min_size=k, max_size=k), min_size=nr, max_size=nr))
     rows = [[sum((c * b[j] for c, b in zip(cs, base)), Fraction(0)) for j in range(nc)]
@@ -324,6 +329,15 @@ def test_rational_kernel_matches_fraction_rref(case):
     basis = kernel_basis(m)
     assert basis == rref_kernel(rows, nc)
     assert all(type(x) is Fraction for v in basis for x in v)
+
+
+@settings(deadline=None, max_examples=40)
+@given(kernel_cases(big_entry))
+def test_rational_kernel_and_rank_with_large_entries(case):
+    rows, nc = case
+    m = ExactMatrix(len(rows), nc, tuple(Fraction(x) for r in rows for x in r))
+    assert kernel_basis(m) == rref_kernel(rows, nc)
+    assert rank(m) == rref_rank(rows)
 
 
 @settings(deadline=None, max_examples=80)
@@ -355,14 +369,64 @@ def test_rational_kernel_on_a_condition_matrix():
     assert basis == rref_kernel(mat.entries.tolist(), mat.cols)
 
 
-def test_inexact_back_substitution_raises(monkeypatch):
-    # an echelon whose last pivot, 3, is not the pivot minor's determinant, 6:
-    # the first row's quotient -3/2 is not an integer
-    monkeypatch.setattr(exactla, "_bareiss_echelon",
-                        lambda rows: ([[2, 0, 1], [0, 3, 1]], [0, 1]))
-    m = ExactMatrix.from_rows([[2, 0, 1], [0, 3, 1]])
-    with pytest.raises(RuntimeError, match="not integral"):
+def recorded_lifts(monkeypatch):
+    """Wrap exactla._lift_at: returns the list of (modulus, lifted) it was
+    called with, lifted False where the prime was found unlucky."""
+    calls = []
+    real = exactla._lift_at
+
+    def lift_at(field, a, norms):
+        x = real(field, a, norms)
+        calls.append((field.modulus, x is not None))
+        return x
+
+    monkeypatch.setattr(exactla, "_lift_at", lift_at)
+    return calls
+
+
+Q = 2**31 - 1  # the first prime of the lift
+Q_NEXT = max(p for p in range(Q - 200, Q) if is_prime(p))
+
+
+@pytest.mark.parametrize("rows, rank_q", [
+    ([[1, 1], [1, 1 + Q]], 2),  # rank 2 over Q, rank 1 mod q
+    ([[1, 1, 1], [1, 1 + Q, 1]], 2),  # the same rows, wider: rank lifts the transpose
+    ([[Q, 1]], 1),  # column profile {0} over Q, {1} mod q
+    ([[Q, 1, 1]], 1),  # the same, with a basis mod q that is not the echelon one
+    ([[Q, 1], [2 * Q, 2]], 1),
+    ([[Q, 2 * Q]], 1),  # zero mod q: nothing to lift, and the unit vectors fail
+])
+def test_unlucky_prime_moves_to_the_next(monkeypatch, rows, rank_q):
+    calls = recorded_lifts(monkeypatch)
+    m = ExactMatrix.from_rows(rows)
+    assert rank(m) == rref_rank(rows) == rank_q
+    assert kernel_basis(m) == rref_kernel(rows, m.cols)
+    # the kernel_basis lift: q is unlucky, the next prime below it lifts
+    assert calls[-2:] == [(Q, False), (Q_NEXT, True)]
+
+
+def test_a_lift_that_never_verifies_raises(monkeypatch):
+    calls = recorded_lifts(monkeypatch)
+
+    def never(rows, vectors, field):
+        raise RuntimeError("kernel vector 0 fails m @ v = 0 at row 0")
+
+    monkeypatch.setattr(exactla, "_verify_in_kernel", never)
+    rows = [[2**70 + 1, 3, -(2**90)], [5, -(2**80), 7]]
+    m = ExactMatrix.from_rows(rows)
+    with pytest.raises(RuntimeError, match="no prime lifts the kernel"):
         kernel_basis(m)
+    # it stops once the failed primes multiply past the Hadamard bound H:
+    # every unlucky prime divides one nonzero minor, of size at most H
+    h2 = prod(sum(x * x for x in r) for r in rows)
+    moduli = [q for q, lifted in calls]
+    assert not any(lifted for q, lifted in calls)
+    assert moduli == sorted(moduli, reverse=True) and moduli[:2] == [Q, Q_NEXT]
+    assert prod(moduli[:-1]) ** 2 <= h2 < prod(moduli) ** 2
+    # a full rank mod p needs no lift; a rank below it does
+    assert rank(m) == 2
+    with pytest.raises(RuntimeError, match="no prime lifts the kernel"):
+        rank(ExactMatrix.from_rows([rows[0], [2 * x for x in rows[0]]]))
 
 
 SMALL_P = 2**31 - 1  # "small" kind: uint64 products without splitting

@@ -5,6 +5,8 @@ from fractions import Fraction
 from math import comb, prod
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from nagata import fatpoints, invariants
 from nagata.configs import generic_points, grid_points, make_config, two_point_example
@@ -17,6 +19,7 @@ from nagata.fatpoints import (
     kernel_polynomials,
     monomial_count,
     monomials,
+    monomials_exact_degree,
     poly_mul,
     proportional,
     rational_dimension,
@@ -387,3 +390,62 @@ def test_vanishing_order_matches_product_of_hyperplanes(n, fld):
     assert min(min(w) for w in want) == 0
     with pytest.raises(ValueError, match="zero polynomial"):
         vanishing_order(vectors + [as_vector({}, basis, fld)], points[0], basis, fld)
+
+
+def order_oracle(vector, point, basis) -> int:
+    """The order at point of the polynomial with this coefficient vector:
+    the least t with a nonzero Fraction dot of a condition_row, |alpha| = t."""
+    for t in range(max(sum(b) for b in basis) + 1):
+        for alpha in monomials_exact_degree(len(point), t):
+            if sum(a * c for a, c in zip(condition_row(point, alpha, basis), vector)):
+                return t
+    raise AssertionError("zero polynomial")
+
+
+def test_rational_orders_at_the_scaled_two_point_example():
+    # coordinates +-1/20 and 0: the homogenised tables carry the
+    # denominators 20 and 1
+    cfg = two_point_example().scaled(Fraction(1, 10))
+    assert {c.denominator for p in cfg.points for c in p} == {1, 20}
+    for l, d in ((1, 1), (2, 3), (3, 5)):
+        polys = kernel_polynomials(InterpolationProblem.uniform(cfg, l, d))
+        basis = monomials(2, d)
+        vectors = [as_vector(p.as_dict(), basis) for p in polys]
+        for j, point in enumerate([*cfg.points, (Fraction(1, 3), Fraction(-2, 7))]):
+            want = tuple(order_oracle(v, point, basis) for v in vectors)
+            assert vanishing_order(vectors, point, basis) == want
+            if j < cfg.r:
+                assert tuple(p.achieved_orders[j] for p in polys) == want
+                assert min(want) >= l
+
+
+@st.composite
+def rational_order_cases(draw):
+    """(vectors, point, basis): n = 1..3, a point with small rational
+    coordinates, and polynomials g * L^e for L a linear form through the
+    point (so orders up to 3 and beyond) and g of degree <= 1."""
+    n = draw(st.integers(1, 3))
+    coord = st.fractions(-3, 3, max_denominator=9)
+    point = tuple(draw(st.lists(coord, min_size=n, max_size=n)))
+    polys = []
+    for _ in range(draw(st.integers(1, 3))):
+        a = draw(st.lists(st.integers(-3, 3), min_size=n, max_size=n).filter(any))
+        lin = {tuple(int(i == j) for j in range(n)): Fraction(a[i]) for i in range(n) if a[i]}
+        const = -sum(ai * pi for ai, pi in zip(a, point))
+        if const:
+            lin[(0,) * n] = const
+        g = {beta: draw(coord) for beta in monomials(n, 1)}
+        poly = {b: c for b, c in g.items() if c} or {(0,) * n: Fraction(1)}
+        for _ in range(draw(st.integers(0, 3))):
+            poly = poly_mul(poly, lin)
+        polys.append(poly)
+    basis = monomials(n, max(sum(b) for poly in polys for b in poly))
+    return [as_vector(poly, basis) for poly in polys], point, basis
+
+
+@settings(deadline=None, max_examples=50)
+@given(rational_order_cases())
+def test_rational_orders_match_the_condition_row_oracle(case):
+    vectors, point, basis = case
+    want = tuple(order_oracle(v, point, basis) for v in vectors)
+    assert vanishing_order(vectors, point, basis) == want
