@@ -32,14 +32,17 @@ of the other points' translated conditions on the monomials of degree m0..d
 The condition rows also give exact vanishing orders: the (z - p)^alpha
 Taylor coefficient of a polynomial is the dot of its coefficient vector with
 the row of (p, alpha), so the order at p is the least t whose shell of rows
-|alpha| = t has a nonzero dot with it.
+|alpha| = t has a nonzero dot with it.  ``vanishing_order`` reads every
+point at once: each shell of all points still open is one block of one set
+of tables and one exact product, over Q in integers, with the coordinates
+of each axis over one common denominator.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb, prod
+from math import comb, lcm, prod
 
 import numpy as np
 
@@ -174,10 +177,8 @@ class _ConditionTables:
     Fractions when ``field`` is None.  The tables grow by one column per
     degree through Pascal's rule, T[a, b] = x T[a, b-1] + T[a-1, b-1].
 
-    ``integral`` (over Q only) builds them from the numerator n of each
-    coordinate x = n / c in lowest terms, in Python ints.  The entry of
-    condition alpha at monomial beta is then prod_i c_i^(beta_i - alpha_i)
-    times the rational one.
+    ``integral`` (over Q only) takes integer coordinates and builds the
+    tables in Python ints (see ``vanishing_order``).
     """
 
     def __init__(self, points, index, field: PrimeField | None, integral: bool = False):
@@ -185,7 +186,7 @@ class _ConditionTables:
             raise RuntimeError("empty condition set")
         self.field = field
         if integral:
-            neg_x = np.array([[-Fraction(c).numerator for c in p] for p in points], dtype=object)
+            neg_x = np.array([[-int(c) for c in p] for p in points], dtype=object)
             self._zero, one = 0, 1
         elif field is None:
             neg_x = np.array([[-Fraction(c) for c in p] for p in points], dtype=object)
@@ -208,9 +209,10 @@ class _ConditionTables:
             col = _submul(self.field, shifted, self._neg_x, prev)
             self._tab = np.concatenate([self._tab, col[..., None]], axis=-1)
 
-    def block(self, basis, rows: slice = slice(None)) -> np.ndarray:
+    def block(self, basis, rows=slice(None)) -> np.ndarray:
         """Conditions x monomials block for the multi-indices in basis, over
-        the conditions of the index selected by rows."""
+        the conditions of the index selected by rows (a slice or an array of
+        positions)."""
         betas = np.array(basis)
         self._grow(int(betas.max()))
         point, alpha = self._point[rows], self._alpha[rows]
@@ -363,51 +365,60 @@ class KernelPolynomial:
         return total
 
 
-def vanishing_order(vectors, point, basis, field: PrimeField | None = None) -> tuple:
-    """Exact vanishing orders at one point of the polynomials whose
-    coefficient vectors over the monomial basis are given, one per vector.
+def vanishing_order(vectors, points, basis, field: PrimeField | None = None) -> tuple:
+    """Exact vanishing orders at every point of the polynomials whose
+    coefficient vectors over the monomial basis are given: one tuple per
+    point, with one order per vector.
 
     The order of P at p is the least t for which some (z - p)^alpha Taylor
     coefficient with |alpha| = t, ``condition_row(p, alpha, basis) . c``, is
-    nonzero.  The shells t = 0, 1, ... are blocks of the point's condition
-    tables, each multiplied exactly by the vectors whose order is still
-    open; a nonzero polynomial of degree <= d has order <= d.
+    nonzero; a nonzero polynomial of degree <= d has order <= d.  One
+    ``_ConditionTables`` holds every point.  Shell t = 0, 1, ... gathers the
+    |alpha| = t rows of every point that still has an open (vector, point)
+    pair into one block, and one exact product multiplies it by the vectors
+    open at any of those points.  A pair closes at its first shell with a
+    nonzero dot, and the loop ends when every pair has closed.
 
-    Over Q the products stay in integers: the vectors are scaled to integer
-    rows, the tables are those of the numerators of the point's coordinates
-    (``_ConditionTables``, integral), and the entry of each vector at beta
-    is scaled by prod_i c_i^(d - beta_i), c_i the coordinates' denominators.
-    The product for condition alpha is then prod_i c_i^(d - alpha_i) times
-    the Taylor coefficient, so the zero pattern, and with it every order,
-    is unchanged.
+    Over Q the products stay in integers.  The coordinates of axis i are put
+    over one common denominator c_i = lcm_j den(x_ji), the tables are those
+    of the integer numerators c_i x_ji (``_ConditionTables``, integral), and
+    the vectors are scaled to integer rows whose entry at beta is scaled
+    again by prod_i c_i^(d - beta_i), the same factor at every point.  The
+    product for condition alpha at any point is then prod_i c_i^(d - alpha_i)
+    times the Taylor coefficient, so the zero pattern, and with it every
+    order, is unchanged.
     """
     if not all(any(v) for v in vectors):
         raise ValueError("zero polynomial has no vanishing order")
-    n = len(point)
+    n, r = len(points[0]), len(points)
     degree = max(sum(b) for b in basis)
-    index = [(0, alpha) for alpha in monomials(n, degree)]
-    tables = _ConditionTables([point], index, field, integral=field is None)
+    shells = [monomials_exact_degree(n, t) for t in range(degree + 1)]
+    index = [(j, alpha) for shell in shells for j in range(r) for alpha in shell]
     if field is None:
+        dens = [lcm(*(Fraction(p[i]).denominator for p in points)) for i in range(n)]
+        points = [[Fraction(x) * c for x, c in zip(p, dens)] for p in points]
         vecs = integer_rows(vectors)
-        dens = [Fraction(c).denominator for c in point]
         if any(c != 1 for c in dens):
             vecs = vecs * np.array([prod(c ** (degree - b) for c, b in zip(dens, beta))
                                     for beta in basis], dtype=object)
     else:
         vecs = field.vec(vectors)
-    orders = np.zeros(len(vectors), dtype=int)
-    todo = np.arange(len(vectors))
+    tables = _ConditionTables(points, index, field, integral=field is None)
+    orders = np.full((r, len(vectors)), -1)  # -1 while the pair is open
     start = 0
-    for t in range(degree + 1):
-        if not len(todo):
+    for t, shell in enumerate(shells):
+        todo = orders < 0
+        pts, vs = np.flatnonzero(todo.any(axis=1)), np.flatnonzero(todo.any(axis=0))
+        if not len(pts):
             break
-        stop = start + comb(t + n - 1, n - 1)
-        shell = tables.block(basis, slice(start, stop))
-        hit = (exact_products(shell, vecs[todo], field) != 0).any(axis=0)
-        orders[todo[hit]] = t
-        todo = todo[~hit]
-        start = stop
-    return tuple(orders.tolist())
+        size = len(shell)
+        rows = start + (pts[:, None] * size + np.arange(size)).ravel()
+        dots = exact_products(tables.block(basis, rows), vecs[vs], field)
+        hit = (dots != 0).reshape(len(pts), size, len(vs)).any(axis=1)
+        at, of = np.nonzero(hit & todo[np.ix_(pts, vs)])
+        orders[pts[at], vs[of]] = t
+        start += r * size
+    return tuple(map(tuple, orders.tolist()))
 
 
 def poly_mul(a: dict, b: dict, field: PrimeField | None = None) -> dict:
@@ -444,19 +455,14 @@ def kernel_polynomials(problem: InterpolationProblem) -> list:
         raise ValueError(
             f"system empty at this degree (d={problem.degree}, orders={problem.orders})"
         )
-    scaled = integer_rows(vectors) if problem.field is None else vectors  # once, not per point
-    per_point = [vanishing_order(scaled, pt, basis, problem.field)
-                 for pt in problem.config.points]
+    per_point = vanishing_order(vectors, problem.config.points, basis, problem.field)
     out = []
     for v, achieved in zip(vectors, zip(*per_point)):
-        coeffs = {basis[i]: c for i, c in enumerate(v) if c}
-        degree = max(sum(b) for b in coeffs)
         for got, need in zip(achieved, problem.orders):
             if got < need:
                 raise RuntimeError(
                     f"kernel polynomial misses required order: {got} < {need}"
                 )
-        stored = tuple(sorted(coeffs.items(),
-                              key=lambda kv: (sum(kv[0]), tuple(-x for x in kv[0]))))
-        out.append(KernelPolynomial(stored, degree, achieved))
+        stored = tuple((b, c) for b, c in zip(basis, v) if c)  # graded-lex, as basis
+        out.append(KernelPolynomial(stored, sum(stored[-1][0]), achieved))
     return out

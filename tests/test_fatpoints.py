@@ -105,6 +105,21 @@ def test_kernel_polynomials_two_point_line():
     assert polys[0].degree == 1
 
 
+@pytest.mark.parametrize("fld", [None, F])
+def test_kernel_polynomials_store_coefficients_in_basis_order(fld):
+    # d = 3 lies above omega_1 = 2 of five points, so the conic through them
+    # is a kernel polynomial of degree below d
+    d = 3
+    polys = kernel_polynomials(
+        InterpolationProblem.uniform(generic_points(2, 5, seed=3), 1, d, fld))
+    basis = monomials(2, d)
+    for p in polys:
+        betas = [b for b, _ in p.coefficients]
+        assert betas == [b for b in basis if b in p.as_dict()]
+        assert p.degree == max(sum(b) for b in betas)
+    assert sorted(p.degree for p in polys) == [2, 3, 3, 3, 3]
+
+
 def test_kernel_polynomial_vanishes_exactly_at_points():
     cfg = generic_points(2, 4, seed=2)
     for p in kernel_polynomials(InterpolationProblem.uniform(cfg, 1, 2)):
@@ -140,12 +155,12 @@ def test_taylor_shift_and_vanishing_order():
     p = as_vector({(2, 0): Fraction(1), (0, 1): Fraction(-1)}, basis)
     row = condition_row((1, 1), (0, 0), basis)
     assert sum(a * c for a, c in zip(row, p)) == 0
-    assert vanishing_order([p], (1, 1), basis) == (1,)
-    assert vanishing_order([p], (0, 0), basis) == (1,)  # -z2 term
+    assert vanishing_order([p], [(1, 1), (0, 0)], basis) == ((1,), (1,))  # -z2 term at 0
     square = as_vector({(2, 0): Fraction(1)}, basis)
-    assert vanishing_order([p, square], (0, 0), basis) == (1, 2)
+    assert vanishing_order([p, square], [(0, 0)], basis) == ((1, 2),)
+    assert vanishing_order([p, square], [(1, 1), (0, 0)], basis) == ((1, 0), (1, 2))
     f7 = PrimeField(7)
-    assert vanishing_order([as_vector({(2, 0): 1}, basis, f7)], (0, 0), basis, f7) == (2,)
+    assert vanishing_order([as_vector({(2, 0): 1}, basis, f7)], [(0, 0)], basis, f7) == ((2,),)
 
 
 def test_dimension_search_monotonicity_in_degree_and_orders():
@@ -207,9 +222,9 @@ def test_kernel_polynomials_reject_order_below_requirement(monkeypatch):
     assert kernel_polynomials(problem)[0].achieved_orders == (2,) * 5
     real = fatpoints.vanishing_order
 
-    def one_short(vectors, point, basis, field=None):
-        got = real(vectors, point, basis, field)
-        return got if point != cfg.points[-1] else tuple(o - 1 for o in got)
+    def one_short(vectors, points, basis, field=None):
+        got = real(vectors, points, basis, field)
+        return got[:-1] + (tuple(o - 1 for o in got[-1]),)
 
     monkeypatch.setattr(fatpoints, "vanishing_order", one_short)
     with pytest.raises(RuntimeError, match="misses required order: 1 < 2"):
@@ -384,12 +399,13 @@ def test_vanishing_order_matches_product_of_hyperplanes(n, fld):
     degree = max(sum(b) for poly in polys for b in poly) + 1  # padded basis
     basis = monomials(n, degree)
     vectors = [as_vector(poly, basis, fld) for poly in polys]
-    got = [vanishing_order(vectors, p, basis, fld) for p in points]
+    # one call for all points, whose per-axis denominators differ
+    got = vanishing_order(vectors, points, basis, fld)
     assert [tuple(col) for col in zip(*got)] == want
     assert max(max(w) for w in want) >= 4  # several shells walked
     assert min(min(w) for w in want) == 0
     with pytest.raises(ValueError, match="zero polynomial"):
-        vanishing_order(vectors + [as_vector({}, basis, fld)], points[0], basis, fld)
+        vanishing_order(vectors + [as_vector({}, basis, fld)], points, basis, fld)
 
 
 def order_oracle(vector, point, basis) -> int:
@@ -403,17 +419,20 @@ def order_oracle(vector, point, basis) -> int:
 
 
 def test_rational_orders_at_the_scaled_two_point_example():
-    # coordinates +-1/20 and 0: the homogenised tables carry the
-    # denominators 20 and 1
+    # coordinates +-1/20 and 0: the common denominators per axis are 20 and
+    # 1 at the two points, and 60 and 7 with the extra point
     cfg = two_point_example().scaled(Fraction(1, 10))
     assert {c.denominator for p in cfg.points for c in p} == {1, 20}
+    points = [*cfg.points, (Fraction(1, 3), Fraction(-2, 7))]
     for l, d in ((1, 1), (2, 3), (3, 5)):
         polys = kernel_polynomials(InterpolationProblem.uniform(cfg, l, d))
         basis = monomials(2, d)
         vectors = [as_vector(p.as_dict(), basis) for p in polys]
-        for j, point in enumerate([*cfg.points, (Fraction(1, 3), Fraction(-2, 7))]):
+        got = vanishing_order(vectors, points, basis)
+        assert got[:cfg.r] == vanishing_order(vectors, cfg.points, basis)
+        for j, point in enumerate(points):
             want = tuple(order_oracle(v, point, basis) for v in vectors)
-            assert vanishing_order(vectors, point, basis) == want
+            assert got[j] == want
             if j < cfg.r:
                 assert tuple(p.achieved_orders[j] for p in polys) == want
                 assert min(want) >= l
@@ -421,14 +440,16 @@ def test_rational_orders_at_the_scaled_two_point_example():
 
 @st.composite
 def rational_order_cases(draw):
-    """(vectors, point, basis): n = 1..3, a point with small rational
-    coordinates, and polynomials g * L^e for L a linear form through the
-    point (so orders up to 3 and beyond) and g of degree <= 1."""
+    """(vectors, points, basis): n = 1..3, 1..4 points with small rational
+    coordinates drawn independently, and polynomials g * L^e for L a linear
+    form through one of the points (so orders up to 3 and beyond there) and
+    g of degree <= 1."""
     n = draw(st.integers(1, 3))
     coord = st.fractions(-3, 3, max_denominator=9)
-    point = tuple(draw(st.lists(coord, min_size=n, max_size=n)))
+    points = draw(st.lists(st.tuples(*[coord] * n), min_size=1, max_size=4))
     polys = []
     for _ in range(draw(st.integers(1, 3))):
+        point = draw(st.sampled_from(points))
         a = draw(st.lists(st.integers(-3, 3), min_size=n, max_size=n).filter(any))
         lin = {tuple(int(i == j) for j in range(n)): Fraction(a[i]) for i in range(n) if a[i]}
         const = -sum(ai * pi for ai, pi in zip(a, point))
@@ -440,12 +461,12 @@ def rational_order_cases(draw):
             poly = poly_mul(poly, lin)
         polys.append(poly)
     basis = monomials(n, max(sum(b) for poly in polys for b in poly))
-    return [as_vector(poly, basis) for poly in polys], point, basis
+    return [as_vector(poly, basis) for poly in polys], points, basis
 
 
 @settings(deadline=None, max_examples=50)
 @given(rational_order_cases())
 def test_rational_orders_match_the_condition_row_oracle(case):
-    vectors, point, basis = case
-    want = tuple(order_oracle(v, point, basis) for v in vectors)
-    assert vanishing_order(vectors, point, basis) == want
+    vectors, points, basis = case
+    want = tuple(tuple(order_oracle(v, p, basis) for v in vectors) for p in points)
+    assert vanishing_order(vectors, points, basis) == want
