@@ -21,12 +21,14 @@ domains are supported:
   limbs of w = (53 - k.bit_length()) // 2 bits for inner length k, so every
   dot of limbs stays below 2^53 and one float64 BLAS product computes all
   of them exactly.
-* rationals -- ``fractions.Fraction`` entries, eliminated mod p by the same
-  routine: ``RankAccumulator`` is modular only, and there is no exact
-  eliminator.  A kernel over Q is a p-adic lift (Dixon) of the solution mod
-  p.  ``_gauss_jordan`` on the denominator-cleared integer rows, transposed,
-  mod p = 2^31 - 1 gives the rank rho, rho independent rows R and the
-  column rank profile P.  B = a[R, P] is inverted mod p once, and
+* rationals -- ``fractions.Fraction`` or Python int entries, eliminated mod
+  p by the same routine: ``RankAccumulator`` is modular only, and there is
+  no exact eliminator.  A kernel over Q is a p-adic lift (Dixon) of the
+  solution mod p.  One ``_gauss_jordan`` mod p = 2^31 - 1 of the
+  denominator-cleared integer rows (or of their transpose, whichever has
+  fewer columns), stacked over an identity that records the column
+  operations, gives the rank rho, rho independent rows R, the column rank
+  profile P and the inverse of B = a[R, P] mod p, and
   B X = -a[R, F] (F the free columns) is lifted one p-adic digit at a time:
   ``matmul`` for B^-1 r mod p, and one exact float64 product of signed w-bit
   limbs for B x, on the same 2^53 argument.  X is rebuilt from its digits
@@ -41,7 +43,7 @@ domains are supported:
   prime below, so every result is a function of the matrix alone.  The rank
   over Q is rho where rho = min(rows, cols), and otherwise comes from the
   kernel of the side with fewer columns.  Fractions appear only in the
-  output.
+  output (``lead_normalised``).
 
 Exact checks take one matrix product (``exact_products``): ``matmul`` over
 a field, and over Q a Python-int product of rows scaled by the lcm of their
@@ -268,8 +270,8 @@ class ExactMatrix:
     """Dense matrix over a prime field (``field`` set) or the rationals.
 
     ``entries`` is a read-only rows x cols array: Fractions (in lowest terms
-    with positive denominator) in an object array over Q, or the entries
-    reduced mod p into a new array of the field's dtype.
+    with positive denominator) or Python ints in an object array over Q, or
+    the entries reduced mod p into a new array of the field's dtype.
     """
 
     rows: int
@@ -301,9 +303,13 @@ def integer_rows(rows) -> np.ndarray:
     """Rational rows as a 2-D object array of Python ints, each row scaled by
     the lcm of its denominators: rank, kernel and the zero pattern of every
     dot product taken with a row stay as they are.  Entries are ints or
-    Fractions; the scaling is integer arithmetic only."""
+    Fractions; the scaling is integer arithmetic only, and rows of ints are
+    taken as they are."""
+    a = np.array(rows, dtype=object)
+    if set(map(type, a.flat)) <= {int}:
+        return a
     out = []
-    for r in rows:
+    for r in a.tolist():
         m = lcm(*(x.denominator for x in r))
         out.append([x.numerator * (m // x.denominator) for x in r])
     return np.array(out, dtype=object)
@@ -317,7 +323,8 @@ def exact_products(a: np.ndarray, b: np.ndarray, field: PrimeField | None) -> np
     return a.dot(b.T) if field is None else field.matmul(a, b.T)
 
 
-def _gauss_jordan(field: PrimeField, b: np.ndarray) -> tuple[np.ndarray, list, list]:
+def _gauss_jordan(field: PrimeField, b: np.ndarray,
+                  limit: int | None = None) -> tuple[np.ndarray, list, list]:
     """Column Gauss-Jordan elimination of the block b mod p, overwriting b.
 
     Columns are taken left to right; the first nonzero row of a column is
@@ -327,10 +334,15 @@ def _gauss_jordan(field: PrimeField, b: np.ndarray) -> tuple[np.ndarray, list, l
     profile of b, and in the reduced block they are the basis of its column
     space that is the identity on the pivot rows; every other column is
     zero.
+
+    With ``limit``, pivots are sought in the first ``limit`` rows only, and
+    the rows below are carried along by the same column operations: the
+    profile and reduced form are those of b[:limit], and the rows below
+    record what the operations made of them (``_lift_at`` reads B^-1 there).
     """
     cols, rows = [], []
     for j in range(b.shape[1]):
-        nz = np.flatnonzero(b[:, j])
+        nz = np.flatnonzero(b[:limit, j])
         if not len(nz):
             continue
         pivot = int(nz[0])
@@ -390,9 +402,8 @@ def kernel_basis(m: ExactMatrix) -> list:
         return []
     f = m.field
     if f is None:
-        vectors = _rational_kernel(integer_rows(m.entries).reshape(m.rows, m.cols)).T.tolist()
-        leads = [next(filter(None, v)) for v in vectors]
-        return [tuple(Fraction(y, d) for y in v) for v, d in zip(vectors, leads)]
+        return lead_normalised(
+            _rational_kernel(integer_rows(m.entries).reshape(m.rows, m.cols)).T.tolist())
     red, piv_rows, piv_cols = _gauss_jordan(f, f.vec(m.entries.T))
     free = sorted(set(range(m.cols)) - set(piv_cols))
     x = np.zeros((m.cols, len(free)), dtype=f.dtype)
@@ -403,6 +414,16 @@ def kernel_basis(m: ExactMatrix) -> list:
     vectors = x.T.tolist()
     invs = [pow(next(filter(None, v)), -1, p) for v in vectors]
     return [tuple(y * c % p for y in v) for v, c in zip(vectors, invs)]
+
+
+def lead_normalised(vectors) -> list:
+    """Each vector over Q (ints or Fractions) divided by its first nonzero
+    entry, as a tuple of Fractions."""
+    out = []
+    for v in vectors:
+        lead = next(filter(None, v))
+        out.append(tuple(Fraction(y, lead) for y in v))
+    return out
 
 
 def _verify_in_kernel(rows: np.ndarray, vectors: np.ndarray, field: PrimeField | None) -> None:
@@ -462,12 +483,21 @@ def _lift_at(field: PrimeField, a: np.ndarray, norms: list):
     """The kernel of the integer matrix a from one prime p, as
     ``_rational_kernel`` returns it, or None when p is unlucky.
 
-    ``_gauss_jordan`` on a.T mod p gives the rank rho, rho independent rows
-    R and the column rank profile P mod p.  B = a[R, P] is invertible mod
-    p, so over Q too, and B X = -a[R, F], F the free columns, has one
-    rational solution, which ``_lift_solution`` finds as X = Y / D.  The
-    vector of free column f (D at f, 0 at the other free columns, Y[:, f] on
-    P) is returned only after two checks:
+    One ``_gauss_jordan`` mod p gives the rank rho, rho independent rows R
+    of a, the column rank profile P of a mod p, and B^-1 for B = a[R, P].
+    It runs on b = a.T (pivot rows P, pivot columns R) when a has no more
+    rows than columns, and on b = a (pivot rows R, pivot columns P)
+    otherwise, stacked over the identity of b's column count, the smaller
+    side, with pivots sought in b only.  The column operations make
+    b E = red for the matrix E left in the identity's place.  A pivot
+    column is a combination of pivot columns only, so E[:, C] is zero off
+    the pivot columns C, and red is the identity on the pivot rows and
+    columns: b on those rows and columns times E[C, C] is I.  That factor
+    is B^T (b = a.T) or B (b = a), so B^-1 is E[C, C]^T or E[C, C].  B is
+    invertible mod p, so over Q too, and B X = -a[R, F], F the free columns,
+    has one rational solution, which ``_lift_solution`` finds as X = Y / D.
+    The vector of free column f (D at f, 0 at the other free columns,
+    Y[:, f] on P) is returned only after two checks:
 
     * a @ v = 0 (``_verify_in_kernel``): the n - rho independent vectors lie
       in the kernel, so rank_Q <= rho, and B gives rank_Q >= rho;
@@ -482,8 +512,13 @@ def _lift_at(field: PrimeField, a: np.ndarray, norms: list):
     independent mod p, every prefix of the columns keeps its rank, P is the
     profile over Q, and the candidate at the cap is the basis.
     """
-    _, rows, cols = _gauss_jordan(field, field.vec(a.T))  # rows of a, columns of a
     n = a.shape[1]
+    b = a.T if len(a) <= n else a
+    k = len(b)
+    stacked = np.vstack([field.vec(b), np.eye(b.shape[1], dtype=field.dtype)])
+    red, piv_cols, piv_rows = _gauss_jordan(field, stacked, k)
+    e = red[k:][np.ix_(piv_cols, piv_cols)]
+    rows, cols, inv = (piv_cols, piv_rows, e.T) if b is not a else (piv_rows, piv_cols, e)
     free = sorted(set(range(n)) - set(cols))
     x = np.zeros((n, len(free)), dtype=object)
     if not free:
@@ -491,7 +526,7 @@ def _lift_at(field: PrimeField, a: np.ndarray, norms: list):
     right = np.array(cols, dtype=int)[:, None] > np.array(free)[None, :]
     cap = 2 * prod(norms[i] for i in rows)  # >= 2 |det B| |any Cramer numerator|
     a_rows = a[rows]
-    for y, d in _lift_solution(field, a_rows[:, cols], -a_rows[:, free], cap):
+    for y, d in _lift_solution(field, a_rows[:, cols], inv, -a_rows[:, free], cap):
         x[cols] = y
         x[free, range(len(free))] = d
         try:
@@ -502,14 +537,16 @@ def _lift_at(field: PrimeField, a: np.ndarray, norms: list):
     return None
 
 
-def _lift_solution(field: PrimeField, b: np.ndarray, rhs: np.ndarray, cap: int):
+def _lift_solution(field: PrimeField, b: np.ndarray, inv: np.ndarray, rhs: np.ndarray,
+                   cap: int):
     """Candidates (Y, D) for the solution X = Y / D over Q of B X = rhs, for
     integer B square and invertible mod p, Y integral and D > 0.
 
-    Dixon's p-adic lift: with C = B^-1 mod p and the residue r = rhs at
-    first, each digit is x = C r mod p (``matmul``) and r becomes
-    (r - B x) / p, exact since B x = r mod p; after N digits,
-    X = sum_i x_i p^i mod p^N.  ``_reconstruct`` makes a candidate when the
+    Dixon's p-adic lift: with C = ``inv``, B^-1 mod p from the elimination
+    that found B, and the residue r = rhs at first, each digit is
+    x = C r mod p (``matmul``) and r becomes (r - B x) / p, exact since
+    B x = r mod p; after N digits, X = sum_i x_i p^i mod p^N.
+    ``_reconstruct`` makes a candidate when the
     digit count reaches 1, 2, 3, ... growing by about a quarter each time,
     and at the cap: once p^N > cap >= 2 H^2, with H bounding |det B| and
     every Cramer numerator, it gives X exactly.  Nothing is lifted past the
@@ -531,7 +568,6 @@ def _lift_solution(field: PrimeField, b: np.ndarray, rhs: np.ndarray, cap: int):
         yield rhs, 1
         return
     p = field.modulus
-    inv = _inverse(field, b)
     k = len(b)
     w = (53 - k.bit_length()) // 2
     tx = -(-p.bit_length() // w)  # limbs of a digit
@@ -571,18 +607,6 @@ def _lift_solution(field: PrimeField, b: np.ndarray, rhs: np.ndarray, cap: int):
             candidate = _reconstruct(xs, modulus)
             if candidate is not None:
                 yield candidate
-
-
-def _inverse(field: PrimeField, b: np.ndarray) -> np.ndarray:
-    """B^-1 mod p for a square B invertible mod p.  ``_gauss_jordan`` on
-    [B; I] pivots every column in B's part and makes it a permutation
-    matrix S (column j is 1 at pivot row j), so I's part becomes
-    T = B^-1 S, and B^-1 = T S^T."""
-    k = len(b)
-    red, _, rows = _gauss_jordan(field, field.vec(np.vstack([b, np.eye(k, dtype=int)])))
-    inv = np.empty((k, k), dtype=field.dtype)
-    inv[:, rows] = red[k:]
-    return inv
 
 
 def _limbs(a: np.ndarray, w: int, count: int = 1) -> np.ndarray:

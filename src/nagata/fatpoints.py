@@ -17,6 +17,14 @@ columns (a whole matrix, or a few degrees' new monomials in DimensionSearch)
 is a product of n gathered arrays.  ``condition_row`` evaluates the same
 formula independently and serves as the reference in the tests.
 
+Over Q the tables hold Python ints.  With the coordinates of axis i over
+one common denominator c_i, the tables of the integer numerators c_i x_ji
+give the rational block scaled by c^(-alpha) on the rows and c^beta on the
+columns: the same rank and column rank profile, and each kernel vector u
+of it is diag(c^beta) u of the rational block.  ``rational_dimension`` and
+``kernel_polynomials`` work on that block; only ``condition_matrix`` makes
+Fractions, for its public result.
+
 The dimension of the linear system is column count minus rank; kernel vectors
 convert to polynomials.  The searches take that rank of a smaller matrix.
 Translating by a point p_j0 of the largest order m0, P(z) -> P(z + p_j0), is
@@ -33,9 +41,10 @@ The condition rows also give exact vanishing orders: the (z - p)^alpha
 Taylor coefficient of a polynomial is the dot of its coefficient vector with
 the row of (p, alpha), so the order at p is the least t whose shell of rows
 |alpha| = t has a nonzero dot with it.  ``vanishing_order`` reads every
-point at once: each shell of all points still open is one block of one set
-of tables and one exact product, over Q in integers, with the coordinates
-of each axis over one common denominator.
+point at once, from the orders the vectors are known to reach up: each
+shell of all points still open is one block of one set of tables and one
+product, exact over a field; over Q it is taken mod 2^31 - 1 and
+recomputed in integers only for the pairs it reads as zero.
 """
 
 from __future__ import annotations
@@ -54,6 +63,7 @@ from .exactla import (
     exact_products,
     integer_rows,
     kernel_basis,
+    lead_normalised,
     rank,
 )
 
@@ -173,39 +183,38 @@ class _ConditionTables:
     ``T[j, i, a, b] = C(b, a) * x_ji^(b - a)`` (0 for b < a) holds every
     factor of an entry, so the entry of condition (j, alpha) at monomial
     beta is ``prod_i T[j, i, alpha_i, beta_i]``, gathered for a whole block
-    of monomials by fancy indexing.  Entries are field elements, or
-    Fractions when ``field`` is None.  The tables grow by one column per
-    degree through Pascal's rule, T[a, b] = x T[a, b-1] + T[a-1, b-1].
+    of monomials by fancy indexing.  Entries are field elements, or Python
+    ints when ``field`` is None: over Q the coordinates must be integers,
+    such as the numerators of ``_integer_coordinates``.  The tables grow by
+    one column per degree through Pascal's rule,
+    T[a, b] = x T[a, b-1] + T[a-1, b-1].
 
-    ``integral`` (over Q only) takes integer coordinates and builds the
-    tables in Python ints (see ``vanishing_order``).
+    ``index`` lists the conditions as two arrays, the point index of each
+    and its alpha (a row of n entries); ``_index_arrays`` makes them from
+    (point index, alpha) pairs.
     """
 
-    def __init__(self, points, index, field: PrimeField | None, integral: bool = False):
-        if not index:  # orders >= 1 always give at least one row per point
+    def __init__(self, points, index, field: PrimeField | None):
+        point, alpha = index
+        if not len(point):  # orders >= 1 always give at least one row per point
             raise RuntimeError("empty condition set")
         self.field = field
-        if integral:
-            neg_x = np.array([[-int(c) for c in p] for p in points], dtype=object)
-            self._zero, one = 0, 1
-        elif field is None:
-            neg_x = np.array([[-Fraction(c) for c in p] for p in points], dtype=object)
-            self._zero, one = Fraction(0), Fraction(1)
+        if field is None:
+            neg_x = np.array([[-c for c in p] for p in points], dtype=object)
         else:
             neg_x = field.vec([[-field.from_rational(c) for c in p] for p in points])
-            self._zero, one = 0, 1
         self._neg_x = neg_x[..., None]
-        self._point = np.array([j for j, _ in index])[:, None]
-        self._alpha = np.array([alpha for _, alpha in index])
+        self._point = point[:, None]
+        self._alpha = alpha
         shape = neg_x.shape + (int(self._alpha.max()) + 1, 1)
-        self._tab = np.full(shape, self._zero, dtype=neg_x.dtype)
-        self._tab[:, :, 0, 0] = one
+        self._tab = np.zeros(shape, dtype=neg_x.dtype)
+        self._tab[:, :, 0, 0] = 1
 
     def _grow(self, degree: int) -> None:
         while self._tab.shape[-1] <= degree:
             prev = self._tab[..., -1]
             shifted = np.roll(prev, 1, axis=-1)
-            shifted[..., 0] = self._zero
+            shifted[..., 0] = 0
             col = _submul(self.field, shifted, self._neg_x, prev)
             self._tab = np.concatenate([self._tab, col[..., None]], axis=-1)
 
@@ -223,10 +232,50 @@ class _ConditionTables:
         return out
 
 
+def _index_arrays(pairs) -> tuple:
+    """The (point indices, alphas) arrays of (point index, alpha) pairs."""
+    return np.array([j for j, _ in pairs]), np.array([alpha for _, alpha in pairs])
+
+
+def _integer_coordinates(points) -> tuple:
+    """(c, numerators) of rational points: c_i = lcm_j den(x_ji), the common
+    denominator of axis i, and the integer numerators c_i x_ji."""
+    points = [[Fraction(x) for x in p] for p in points]
+    dens = [lcm(*(p[i].denominator for p in points)) for i in range(len(points[0]))]
+    return dens, [[x.numerator * (c // x.denominator) for x, c in zip(p, dens)]
+                  for p in points]
+
+
+def _power(dens, exponents) -> int:
+    """prod_i c_i^e_i."""
+    return prod(c ** e for c, e in zip(dens, exponents))
+
+
+def _integer_conditions(points, index, basis) -> tuple:
+    """(block, c): the conditions x monomials block over Q, built in Python
+    ints from the numerators of the points over their common denominators c
+    (``_integer_coordinates``).  Its entry at ((j, alpha), beta) is
+    c^(beta - alpha) times the rational entry: a row scaling times a column
+    scaling of the rational block, so it has the same rank and column rank
+    profile, and its kernel vectors u are those of the rational block as
+    diag(c^beta) u."""
+    dens, numerators = _integer_coordinates(points)
+    return _ConditionTables(numerators, _index_arrays(index), None).block(basis), dens
+
+
 def condition_matrix(problem: InterpolationProblem) -> ExactMatrix:
-    """Assemble the full conditions x monomials matrix in the scalar domain."""
-    block = _ConditionTables(problem.config.points, problem.condition_index(),
-                             problem.field).block(monomials(problem.n, problem.degree))
+    """Assemble the full conditions x monomials matrix in the scalar domain:
+    field elements, or Fractions over Q."""
+    basis = monomials(problem.n, problem.degree)
+    index = problem.condition_index()
+    if problem.field is not None:
+        tables = _ConditionTables(problem.config.points, _index_arrays(index), problem.field)
+        block = tables.block(basis)
+    else:
+        block, dens = _integer_conditions(problem.config.points, index, basis)
+        cols = [_power(dens, beta) for beta in basis]
+        block = np.array([[Fraction(x * _power(dens, alpha), c) for x, c in zip(row, cols)]
+                          for row, (_, alpha) in zip(block.tolist(), index)], dtype=object)
     return ExactMatrix(*block.shape, block, problem.field)
 
 
@@ -243,7 +292,10 @@ def _translated_conditions(config: PointConfig, orders: tuple, field: PrimeField
     (None when there is no other point).  Every coordinate is reduced first,
     in config order, so a point with no image mod p raises the same
     ReductionError wherever it stands; the residues are then translated mod
-    p, and may coincide.
+    p, and may coincide.  Over Q the tables are those of the translated
+    points' integer numerators (``_integer_coordinates``): each block is a
+    row and column scaling of the rational one (see
+    ``_integer_conditions``), of the same rank.
     """
     m0 = max(orders)
     j0 = orders.index(m0)
@@ -254,14 +306,19 @@ def _translated_conditions(config: PointConfig, orders: tuple, field: PrimeField
     others = orders[:j0] + orders[j0 + 1:]
     index = [(i, alpha) for i, m in enumerate(others)
              for alpha in monomials(config.dimension, m - 1)]
-    return m0, _ConditionTables(points, index, field) if index else None
+    if not index:
+        return m0, None
+    if field is None:
+        _, points = _integer_coordinates(points)
+    return m0, _ConditionTables(points, _index_arrays(index), field)
 
 
 def rational_dimension(config: PointConfig, orders, degree: int) -> int:
     """Vanishing dimension over Q at ``degree``, by one exact rank of the
-    reduced matrix: the conditions of every point but the one moved to the
-    origin, on the monomials of degree m0..degree (see DimensionSearch).
-    Equal to ``vanishing_dimension`` of the same problem over Q."""
+    reduced matrix in integers: the conditions of every point but the one
+    moved to the origin, on the monomials of degree m0..degree (see
+    DimensionSearch).  Equal to ``vanishing_dimension`` of the same problem
+    over Q."""
     m0, tables = _translated_conditions(config, tuple(orders), None)
     basis = [beta for t in range(m0, degree + 1)
              for beta in monomials_exact_degree(config.dimension, t)]
@@ -365,59 +422,88 @@ class KernelPolynomial:
         return total
 
 
-def vanishing_order(vectors, points, basis, field: PrimeField | None = None) -> tuple:
+_SCREEN = PrimeField((1 << 31) - 1)  # vanishing_order screens integer shells mod this prime
+
+
+def vanishing_order(vectors, points, basis, field: PrimeField | None = None,
+                    reached=None) -> tuple:
     """Exact vanishing orders at every point of the polynomials whose
     coefficient vectors over the monomial basis are given: one tuple per
     point, with one order per vector.
 
     The order of P at p is the least t for which some (z - p)^alpha Taylor
     coefficient with |alpha| = t, ``condition_row(p, alpha, basis) . c``, is
-    nonzero; a nonzero polynomial of degree <= d has order <= d.  One
-    ``_ConditionTables`` holds every point.  Shell t = 0, 1, ... gathers the
-    |alpha| = t rows of every point that still has an open (vector, point)
-    pair into one block, and one exact product multiplies it by the vectors
-    open at any of those points.  A pair closes at its first shell with a
-    nonzero dot, and the loop ends when every pair has closed.
+    nonzero; a nonzero polynomial of degree <= d has order <= d.
+    ``reached`` gives, per point, an order that every vector is already
+    known to reach (0 by default); kernel_polynomials passes the problem's
+    orders, whose shells its verified kernel has proven zero.  One
+    ``_ConditionTables`` indexes the shells t = reached_j .. d of every
+    point j.  Shell t, from the least order reached up, gathers the
+    |alpha| = t rows of every point indexed there that still has an open
+    (vector, point) pair into one block, and one product multiplies it by
+    the vectors open at any of those points.  A pair closes at its first
+    shell with a nonzero dot, and the loop ends when every pair has closed.
 
     Over Q the products stay in integers.  The coordinates of axis i are put
     over one common denominator c_i = lcm_j den(x_ji), the tables are those
-    of the integer numerators c_i x_ji (``_ConditionTables``, integral), and
-    the vectors are scaled to integer rows whose entry at beta is scaled
-    again by prod_i c_i^(d - beta_i), the same factor at every point.  The
+    of the integer numerators c_i x_ji (``_integer_coordinates``), and the
+    vectors are scaled to integer rows whose entry at beta is scaled again
+    by prod_i c_i^(d - beta_i), the same factor at every point.  The
     product for condition alpha at any point is then prod_i c_i^(d - alpha_i)
     times the Taylor coefficient, so the zero pattern, and with it every
-    order, is unchanged.
+    order, is unchanged.  Each shell is first taken mod 2^31 - 1: a nonzero
+    residue proves a nonzero integer dot, and only the (point, vector)
+    pairs whose whole shell is zero mod p are recomputed exactly.
     """
     if not all(any(v) for v in vectors):
         raise ValueError("zero polynomial has no vanishing order")
     n, r = len(points[0]), len(points)
     degree = max(sum(b) for b in basis)
-    shells = [monomials_exact_degree(n, t) for t in range(degree + 1)]
-    index = [(j, alpha) for shell in shells for j in range(r) for alpha in shell]
+    low = np.array(reached if reached is not None else (0,) * r)
+    if low.max() > degree:
+        raise ValueError(f"no nonzero polynomial of degree {degree} reaches order {low.max()}")
+    shells = {t: np.array(monomials_exact_degree(n, t)) for t in range(low.min(), degree + 1)}
+    members = {t: np.flatnonzero(low <= t) for t in shells}  # the points indexed at shell t
+    index = (np.concatenate([np.repeat(members[t], len(shell)) for t, shell in shells.items()]),
+             np.concatenate([np.tile(shell, (len(members[t]), 1))
+                             for t, shell in shells.items()]))
     if field is None:
-        dens = [lcm(*(Fraction(p[i]).denominator for p in points)) for i in range(n)]
-        points = [[Fraction(x) * c for x, c in zip(p, dens)] for p in points]
+        dens, points = _integer_coordinates(points)
         vecs = integer_rows(vectors)
         if any(c != 1 for c in dens):
-            vecs = vecs * np.array([prod(c ** (degree - b) for c, b in zip(dens, beta))
-                                    for beta in basis], dtype=object)
+            vecs = vecs * np.array([_power(dens, [degree - b for b in beta]) for beta in basis],
+                                   dtype=object)
+        screen, screen_vecs = _ConditionTables(points, index, _SCREEN), _SCREEN.vec(vecs)
+        exact = None  # the integer tables, built on the first shell the screen reads as zero
     else:
-        vecs = field.vec(vectors)
-    tables = _ConditionTables(points, index, field, integral=field is None)
+        screen, screen_vecs = _ConditionTables(points, index, field), field.vec(vectors)
+
+    def nonzero(tables, vec_rows, rows, vs, size):
+        # the (point, vector) pairs of the shell rows x vectors vs with a nonzero dot
+        dots = exact_products(tables.block(basis, rows), vec_rows[vs], tables.field)
+        return (dots != 0).reshape(-1, size, len(vs)).any(axis=1)
+
     orders = np.full((r, len(vectors)), -1)  # -1 while the pair is open
     start = 0
-    for t, shell in enumerate(shells):
-        todo = orders < 0
-        pts, vs = np.flatnonzero(todo.any(axis=1)), np.flatnonzero(todo.any(axis=0))
-        if not len(pts):
+    for t, shell in shells.items():
+        if (orders >= 0).all():
             break
         size = len(shell)
-        rows = start + (pts[:, None] * size + np.arange(size)).ravel()
-        dots = exact_products(tables.block(basis, rows), vecs[vs], field)
-        hit = (dots != 0).reshape(len(pts), size, len(vs)).any(axis=1)
-        at, of = np.nonzero(hit & todo[np.ix_(pts, vs)])
-        orders[pts[at], vs[of]] = t
-        start += r * size
+        todo = orders[members[t]] < 0
+        pts, vs = np.flatnonzero(todo.any(axis=1)), np.flatnonzero(todo.any(axis=0))
+        if len(pts):
+            rows = (start + pts[:, None] * size + np.arange(size)).ravel()
+            hit = nonzero(screen, screen_vecs, rows, vs, size)
+            miss = todo[np.ix_(pts, vs)] & ~hit
+            if field is None and miss.any():
+                if exact is None:
+                    exact = _ConditionTables(points, index, None)
+                at, of = miss.any(axis=1), miss.any(axis=0)
+                hit[np.ix_(at, of)] |= nonzero(exact, vecs, rows.reshape(-1, size)[at].ravel(),
+                                               vs[of], size)
+            at, of = np.nonzero(hit & todo[np.ix_(pts, vs)])
+            orders[members[t][pts[at]], vs[of]] = t
+        start += len(members[t]) * size
     return tuple(map(tuple, orders.tolist()))
 
 
@@ -447,15 +533,29 @@ def proportional(a: dict, b: dict, field: PrimeField | None = None) -> bool:
 
 def kernel_polynomials(problem: InterpolationProblem) -> list:
     """Kernel basis of the condition matrix as polynomials with exact
-    achieved orders.  Raises when the system is empty at this degree."""
-    mat = condition_matrix(problem)
+    achieved orders.  Raises when the system is empty at this degree.
+
+    Over Q the kernel is that of the integer block of
+    ``_integer_conditions``, mapped back by diag(c^beta) where some common
+    denominator c_i is not 1 and normalised by its lead again; no Fraction
+    condition matrix is built.  The orders are read from the shells of the
+    required orders up, which the verified kernel has proven zero."""
     basis = monomials(problem.n, problem.degree)
-    vectors = kernel_basis(mat)
+    if problem.field is None:
+        block, dens = _integer_conditions(problem.config.points, problem.condition_index(),
+                                          basis)
+        vectors = kernel_basis(ExactMatrix(*block.shape, block))
+        if any(c != 1 for c in dens):
+            scale = [_power(dens, beta) for beta in basis]
+            vectors = lead_normalised([[x * c for x, c in zip(v, scale)] for v in vectors])
+    else:
+        vectors = kernel_basis(condition_matrix(problem))
     if not vectors:
         raise ValueError(
             f"system empty at this degree (d={problem.degree}, orders={problem.orders})"
         )
-    per_point = vanishing_order(vectors, problem.config.points, basis, problem.field)
+    per_point = vanishing_order(vectors, problem.config.points, basis, problem.field,
+                                problem.orders)
     out = []
     for v, achieved in zip(vectors, zip(*per_point)):
         for got, need in zip(achieved, problem.orders):

@@ -22,7 +22,15 @@ from nagata.exactla import (
     kernel_basis,
     rank,
 )
-from nagata.fatpoints import InterpolationProblem, condition_matrix
+from nagata.configs import make_config
+from nagata.fatpoints import (
+    InterpolationProblem,
+    condition_matrix,
+    kernel_polynomials,
+    monomial_count,
+    monomials,
+    vanishing_order,
+)
 from nagata.seeds import derive_seed
 
 F = PrimeField()
@@ -367,6 +375,61 @@ def test_rational_kernel_on_a_condition_matrix():
     basis = kernel_basis(mat)
     assert len(basis) == 9
     assert basis == rref_kernel(mat.entries.tolist(), mat.cols)
+
+
+@st.composite
+def mixed_denominator_problems(draw):
+    """InterpolationProblems over Q: n = 1..3, 1..4 distinct points whose
+    coordinates have denominators drawn independently per point and axis,
+    multiplicities 1..3, and a degree at most one above the least whose
+    monomials outnumber the conditions (so the kernel is not empty)."""
+    n = draw(st.integers(1, 3))
+    coord = st.fractions(-4, 4, max_denominator=12)
+    points = draw(st.lists(st.tuples(*[coord] * n), min_size=1, max_size=4, unique=True))
+    mults = draw(st.lists(st.integers(1, 3), min_size=len(points), max_size=len(points)))
+    cfg = make_config(points, multiplicities=mults)
+    problem = InterpolationProblem.uniform(cfg, 1, 0)
+    d = 0
+    while monomial_count(n, d) <= problem.n_conditions:
+        d += 1
+    return InterpolationProblem.uniform(cfg, 1, d + draw(st.integers(0, 1)))
+
+
+@settings(deadline=None, max_examples=40)
+@given(mixed_denominator_problems())
+def test_integer_kernel_path_matches_the_rref_oracle(problem):
+    # kernel_polynomials over Q eliminates the integer block over the common
+    # denominators and maps its kernel back; the oracle eliminates the
+    # Fraction condition matrix, and reads the orders from shell 0
+    mat = condition_matrix(problem)
+    want = rref_kernel(mat.entries.tolist(), mat.cols)
+    polys = kernel_polynomials(problem)
+    basis = monomials(problem.n, problem.degree)
+    assert [p.coefficients for p in polys] == [
+        tuple((b, c) for b, c in zip(basis, v) if c) for v in want]
+    orders = vanishing_order(want, problem.config.points, basis)
+    assert [p.achieved_orders for p in polys] == [tuple(o) for o in zip(*orders)]
+    assert all(got >= need for p in polys for got, need in zip(p.achieved_orders,
+                                                                 problem.orders))
+
+
+def test_stacked_elimination_inverts_the_pivot_block():
+    # one Gauss-Jordan of [b; I] with pivots sought in b only: the same
+    # profile and reduced b as on b alone, and the identity's part inverts
+    # b on the pivot rows and columns (what the lift reads as B^-1)
+    rnd = np.random.default_rng(5)
+    f = exactla._LIFT_FIELD
+    for _ in range(100):
+        k, m, rank_b = rnd.integers(1, 9, size=3)
+        b = (rnd.integers(-50, 50, size=(k, min(rank_b, m)))
+             @ rnd.integers(-50, 50, size=(min(rank_b, m), m))).astype(object)
+        red, cols, rows = exactla._gauss_jordan(f, f.vec(b))
+        stacked = np.vstack([f.vec(b), np.eye(m, dtype=f.dtype)])
+        red2, cols2, rows2 = exactla._gauss_jordan(f, stacked, k)
+        assert (cols2, rows2) == (cols, rows)
+        assert (red2[:k] == red).all()
+        e = red2[k:][np.ix_(cols, cols)]
+        assert (f.matmul(f.vec(b[np.ix_(rows, cols)]), e) == np.eye(len(cols))).all()
 
 
 def recorded_lifts(monkeypatch):

@@ -163,6 +163,20 @@ def test_taylor_shift_and_vanishing_order():
     assert vanishing_order([as_vector({(2, 0): 1}, basis, f7)], [(0, 0)], basis, f7) == ((2,),)
 
 
+def test_a_shell_zero_mod_the_screen_prime_is_read_exactly():
+    # P = (2^31 - 1) z^3 + z^4 at 0: its order-3 Taylor coefficient is zero
+    # mod 2^31 - 1, the prime that screens the shells over Q, so the order
+    # is 3 only if that shell is recomputed in integers
+    q = 2**31 - 1
+    basis = monomials(1, 4)
+    p = as_vector({(3,): Fraction(q), (4,): Fraction(1)}, basis)
+    for reached in (None, (1,), (3,)):
+        assert vanishing_order([p], [(0,)], basis, reached=reached) == ((3,),)
+    assert vanishing_order([as_vector({(3,): q, (4,): 1}, basis, F)], [(0,)], basis, F) == ((3,),)
+    with pytest.raises(ValueError, match="reaches order 5"):
+        vanishing_order([p], [(0,)], basis, reached=(5,))
+
+
 def test_dimension_search_monotonicity_in_degree_and_orders():
     rng = random.Random(11)
     for _ in range(6):
@@ -222,8 +236,8 @@ def test_kernel_polynomials_reject_order_below_requirement(monkeypatch):
     assert kernel_polynomials(problem)[0].achieved_orders == (2,) * 5
     real = fatpoints.vanishing_order
 
-    def one_short(vectors, points, basis, field=None):
-        got = real(vectors, points, basis, field)
+    def one_short(vectors, points, basis, field=None, reached=None):
+        got = real(vectors, points, basis, field, reached)
         return got[:-1] + (tuple(o - 1 for o in got[-1]),)
 
     monkeypatch.setattr(fatpoints, "vanishing_order", one_short)
@@ -308,6 +322,22 @@ def test_reduced_dimensions_match_the_full_matrix(cfg, fld):
         search = DimensionSearch(cfg, orders, fld)
         assert [search.dimension_at(d) for d in degrees] == want
     assert want[max(orders) - 1] == 0 and want[-1] > 0
+
+
+@settings(deadline=None, max_examples=30)
+@given(st.data())
+def test_rational_dimension_matches_the_full_matrix_on_mixed_denominators(data):
+    # the reduced block is built in integers, over per-axis common
+    # denominators of the translated points
+    n = data.draw(st.integers(1, 3))
+    coord = st.fractions(-4, 4, max_denominator=12)
+    points = data.draw(st.lists(st.tuples(*[coord] * n), min_size=1, max_size=4, unique=True))
+    orders = tuple(data.draw(st.lists(st.integers(1, 3), min_size=len(points),
+                                      max_size=len(points))))
+    cfg = make_config(points)
+    for d in range(max(orders) + 3):
+        assert rational_dimension(cfg, orders, d) == vanishing_dimension(
+            InterpolationProblem(cfg, d, orders))
 
 
 def test_reduced_dimensions_with_points_congruent_mod_p():
