@@ -25,13 +25,12 @@ domains are supported:
   p by the same routine: ``RankAccumulator`` is modular only, and there is
   no exact eliminator.  A kernel over Q is a p-adic lift (Dixon) of the
   solution mod p.  One ``_gauss_jordan`` mod p = 2^31 - 1 of the
-  denominator-cleared integer rows (or of their transpose, whichever has
-  fewer columns), stacked over an identity that records the column
-  operations, gives the rank rho, rho independent rows R, the column rank
-  profile P and the inverse of B = a[R, P] mod p, and
-  B X = -a[R, F] (F the free columns) is lifted one p-adic digit at a time:
-  ``matmul`` for B^-1 r mod p, and one exact float64 product of signed w-bit
-  limbs for B x, on the same 2^53 argument.  X is rebuilt from its digits
+  transposed denominator-cleared integer rows, stacked over an identity
+  that records the column operations, gives the rank rho, rho independent
+  rows R, the column rank profile P and the inverse of B = a[R, P] mod p,
+  and B X = -a[R, F] (F the free columns) is lifted one p-adic digit at a
+  time: ``matmul`` for B^-1 r mod p, and one exact float64 product of
+  signed w-bit limbs for B x, on the same 2^53 argument.  X is rebuilt from its digits
   with one shared denominator (rational reconstruction), at digit counts
   growing by about a quarter and at the cap p^N > 2 prod_i |a_i|^2 over the
   rows of R (Hadamard), where it is exact.  Vectors are returned only once
@@ -43,7 +42,7 @@ domains are supported:
   prime below, so every result is a function of the matrix alone.  The rank
   over Q is rho where rho = min(rows, cols), and otherwise comes from the
   kernel of the side with fewer columns.  Fractions appear only in the
-  output (``lead_normalised``).
+  output.
 
 Exact checks take one matrix product (``exact_products``): ``matmul`` over
 a field, and over Q a Python-int product of rows scaled by the lcm of their
@@ -402,8 +401,9 @@ def kernel_basis(m: ExactMatrix) -> list:
         return []
     f = m.field
     if f is None:
-        return lead_normalised(
-            _rational_kernel(integer_rows(m.entries).reshape(m.rows, m.cols)).T.tolist())
+        vectors = _rational_kernel(integer_rows(m.entries).reshape(m.rows, m.cols)).T.tolist()
+        leads = [next(filter(None, v)) for v in vectors]
+        return [tuple(Fraction(y, d) for y in v) for v, d in zip(vectors, leads)]
     red, piv_rows, piv_cols = _gauss_jordan(f, f.vec(m.entries.T))
     free = sorted(set(range(m.cols)) - set(piv_cols))
     x = np.zeros((m.cols, len(free)), dtype=f.dtype)
@@ -414,16 +414,6 @@ def kernel_basis(m: ExactMatrix) -> list:
     vectors = x.T.tolist()
     invs = [pow(next(filter(None, v)), -1, p) for v in vectors]
     return [tuple(y * c % p for y in v) for v, c in zip(vectors, invs)]
-
-
-def lead_normalised(vectors) -> list:
-    """Each vector over Q (ints or Fractions) divided by its first nonzero
-    entry, as a tuple of Fractions."""
-    out = []
-    for v in vectors:
-        lead = next(filter(None, v))
-        out.append(tuple(Fraction(y, lead) for y in v))
-    return out
 
 
 def _verify_in_kernel(rows: np.ndarray, vectors: np.ndarray, field: PrimeField | None) -> None:
@@ -483,21 +473,17 @@ def _lift_at(field: PrimeField, a: np.ndarray, norms: list):
     """The kernel of the integer matrix a from one prime p, as
     ``_rational_kernel`` returns it, or None when p is unlucky.
 
-    One ``_gauss_jordan`` mod p gives the rank rho, rho independent rows R
-    of a, the column rank profile P of a mod p, and B^-1 for B = a[R, P].
-    It runs on b = a.T (pivot rows P, pivot columns R) when a has no more
-    rows than columns, and on b = a (pivot rows R, pivot columns P)
-    otherwise, stacked over the identity of b's column count, the smaller
-    side, with pivots sought in b only.  The column operations make
-    b E = red for the matrix E left in the identity's place.  A pivot
-    column is a combination of pivot columns only, so E[:, C] is zero off
-    the pivot columns C, and red is the identity on the pivot rows and
-    columns: b on those rows and columns times E[C, C] is I.  That factor
-    is B^T (b = a.T) or B (b = a), so B^-1 is E[C, C]^T or E[C, C].  B is
-    invertible mod p, so over Q too, and B X = -a[R, F], F the free columns,
-    has one rational solution, which ``_lift_solution`` finds as X = Y / D.
-    The vector of free column f (D at f, 0 at the other free columns,
-    Y[:, f] on P) is returned only after two checks:
+    One ``_gauss_jordan`` mod p of a.T stacked over the identity I_m, with
+    pivots sought in a.T only, gives the rank rho, the column rank profile
+    P of a mod p (its pivot rows), rho independent rows R of a (its pivot
+    columns) and B^-1 for B = a[R, P].  The column operations make
+    a.T E = red for the matrix E left in the identity's place.  A pivot
+    column is a combination of pivot columns only, so E[:, R] is zero off
+    R, and red is the identity on P x R: B^T E[R, R] = I, so B^-1 is
+    E[R, R]^T.  B is invertible mod p, so over Q too, and B X = -a[R, F], F
+    the free columns, has one rational solution, which ``_lift_solution``
+    finds as X = Y / D.  The vector of free column f (D at f, 0 at the other
+    free columns, Y[:, f] on P) is returned only after two checks:
 
     * a @ v = 0 (``_verify_in_kernel``): the n - rho independent vectors lie
       in the kernel, so rank_Q <= rho, and B gives rank_Q >= rho;
@@ -512,13 +498,10 @@ def _lift_at(field: PrimeField, a: np.ndarray, norms: list):
     independent mod p, every prefix of the columns keeps its rank, P is the
     profile over Q, and the candidate at the cap is the basis.
     """
-    n = a.shape[1]
-    b = a.T if len(a) <= n else a
-    k = len(b)
-    stacked = np.vstack([field.vec(b), np.eye(b.shape[1], dtype=field.dtype)])
-    red, piv_cols, piv_rows = _gauss_jordan(field, stacked, k)
-    e = red[k:][np.ix_(piv_cols, piv_cols)]
-    rows, cols, inv = (piv_cols, piv_rows, e.T) if b is not a else (piv_rows, piv_cols, e)
+    m, n = a.shape
+    stacked = np.vstack([field.vec(a.T), np.eye(m, dtype=field.dtype)])
+    red, rows, cols = _gauss_jordan(field, stacked, n)
+    inv = red[n:][np.ix_(rows, rows)].T
     free = sorted(set(range(n)) - set(cols))
     x = np.zeros((n, len(free)), dtype=object)
     if not free:
@@ -546,9 +529,8 @@ def _lift_solution(field: PrimeField, b: np.ndarray, inv: np.ndarray, rhs: np.nd
     that found B, and the residue r = rhs at first, each digit is
     x = C r mod p (``matmul``) and r becomes (r - B x) / p, exact since
     B x = r mod p; after N digits, X = sum_i x_i p^i mod p^N.
-    ``_reconstruct`` makes a candidate when the
-    digit count reaches 1, 2, 3, ... growing by about a quarter each time,
-    and at the cap: once p^N > cap >= 2 H^2, with H bounding |det B| and
+    ``_reconstruct`` makes a candidate when the digit count reaches 1, 2,
+    3, ... growing by about a quarter each time, and at the cap: once p^N > cap >= 2 H^2, with H bounding |det B| and
     every Cramer numerator, it gives X exactly.  Nothing is lifted past the
     cap.
 

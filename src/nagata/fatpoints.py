@@ -20,10 +20,11 @@ formula independently and serves as the reference in the tests.
 Over Q the tables hold Python ints.  With the coordinates of axis i over
 one common denominator c_i, the tables of the integer numerators c_i x_ji
 give the rational block scaled by c^(-alpha) on the rows and c^beta on the
-columns: the same rank and column rank profile, and each kernel vector u
-of it is diag(c^beta) u of the rational block.  ``rational_dimension`` and
-``kernel_polynomials`` work on that block; only ``condition_matrix`` makes
-Fractions, for its public result.
+columns: the same rank and column rank profile, which
+``rational_dimension`` takes.  Scaling column beta again by
+prod_i c_i^(d - beta_i) leaves a row scaling only, with the rational
+block's kernel, which ``kernel_polynomials`` takes; only
+``condition_matrix`` makes Fractions, for its public result.
 
 The dimension of the linear system is column count minus rank; kernel vectors
 convert to polynomials.  The searches take that rank of a smaller matrix.
@@ -43,8 +44,7 @@ the row of (p, alpha), so the order at p is the least t whose shell of rows
 |alpha| = t has a nonzero dot with it.  ``vanishing_order`` reads every
 point at once, from the orders the vectors are known to reach up: each
 shell of all points still open is one block of one set of tables and one
-product, exact over a field; over Q it is taken mod 2^31 - 1 and
-recomputed in integers only for the pairs it reads as zero.
+exact product, in integers over Q.
 """
 
 from __future__ import annotations
@@ -63,7 +63,6 @@ from .exactla import (
     exact_products,
     integer_rows,
     kernel_basis,
-    lead_normalised,
     rank,
 )
 
@@ -251,16 +250,26 @@ def _power(dens, exponents) -> int:
     return prod(c ** e for c, e in zip(dens, exponents))
 
 
+def _degree_scales(dens, basis) -> np.ndarray:
+    """prod_i c_i^(d - beta_i) for each beta of the basis, d its largest
+    degree, as an object array of ints."""
+    degree = max(sum(beta) for beta in basis)
+    return np.array([_power(dens, [degree - b for b in beta]) for beta in basis], dtype=object)
+
+
 def _integer_conditions(points, index, basis) -> tuple:
-    """(block, c): the conditions x monomials block over Q, built in Python
-    ints from the numerators of the points over their common denominators c
-    (``_integer_coordinates``).  Its entry at ((j, alpha), beta) is
-    c^(beta - alpha) times the rational entry: a row scaling times a column
-    scaling of the rational block, so it has the same rank and column rank
-    profile, and its kernel vectors u are those of the rational block as
-    diag(c^beta) u."""
+    """(block, c): the conditions x monomials block over Q as Python ints,
+    from the numerators of the points over their common denominators c
+    (``_integer_coordinates``).  The tables give c^(beta - alpha) times the
+    rational entry at ((j, alpha), beta); scaling column beta by
+    prod_i c_i^(d - beta_i) makes every entry c^(d - alpha) times the
+    rational one, d the largest degree of the basis.  That is a row scaling
+    of the rational block: the same kernel, rank and column rank profile."""
     dens, numerators = _integer_coordinates(points)
-    return _ConditionTables(numerators, _index_arrays(index), None).block(basis), dens
+    block = _ConditionTables(numerators, _index_arrays(index), None).block(basis)
+    if any(c != 1 for c in dens):
+        block = block * _degree_scales(dens, basis)
+    return block, dens
 
 
 def condition_matrix(problem: InterpolationProblem) -> ExactMatrix:
@@ -273,8 +282,8 @@ def condition_matrix(problem: InterpolationProblem) -> ExactMatrix:
         block = tables.block(basis)
     else:
         block, dens = _integer_conditions(problem.config.points, index, basis)
-        cols = [_power(dens, beta) for beta in basis]
-        block = np.array([[Fraction(x * _power(dens, alpha), c) for x, c in zip(row, cols)]
+        top = _power(dens, [problem.degree] * problem.n)  # row alpha is c^(d - alpha) x rational
+        block = np.array([[Fraction(x * _power(dens, alpha), top) for x in row]
                           for row, (_, alpha) in zip(block.tolist(), index)], dtype=object)
     return ExactMatrix(*block.shape, block, problem.field)
 
@@ -422,9 +431,6 @@ class KernelPolynomial:
         return total
 
 
-_SCREEN = PrimeField((1 << 31) - 1)  # vanishing_order screens integer shells mod this prime
-
-
 def vanishing_order(vectors, points, basis, field: PrimeField | None = None,
                     reached=None) -> tuple:
     """Exact vanishing orders at every point of the polynomials whose
@@ -451,9 +457,7 @@ def vanishing_order(vectors, points, basis, field: PrimeField | None = None,
     by prod_i c_i^(d - beta_i), the same factor at every point.  The
     product for condition alpha at any point is then prod_i c_i^(d - alpha_i)
     times the Taylor coefficient, so the zero pattern, and with it every
-    order, is unchanged.  Each shell is first taken mod 2^31 - 1: a nonzero
-    residue proves a nonzero integer dot, and only the (point, vector)
-    pairs whose whole shell is zero mod p are recomputed exactly.
+    order, is unchanged.
     """
     if not all(any(v) for v in vectors):
         raise ValueError("zero polynomial has no vanishing order")
@@ -471,18 +475,10 @@ def vanishing_order(vectors, points, basis, field: PrimeField | None = None,
         dens, points = _integer_coordinates(points)
         vecs = integer_rows(vectors)
         if any(c != 1 for c in dens):
-            vecs = vecs * np.array([_power(dens, [degree - b for b in beta]) for beta in basis],
-                                   dtype=object)
-        screen, screen_vecs = _ConditionTables(points, index, _SCREEN), _SCREEN.vec(vecs)
-        exact = None  # the integer tables, built on the first shell the screen reads as zero
+            vecs = vecs * _degree_scales(dens, basis)
     else:
-        screen, screen_vecs = _ConditionTables(points, index, field), field.vec(vectors)
-
-    def nonzero(tables, vec_rows, rows, vs, size):
-        # the (point, vector) pairs of the shell rows x vectors vs with a nonzero dot
-        dots = exact_products(tables.block(basis, rows), vec_rows[vs], tables.field)
-        return (dots != 0).reshape(-1, size, len(vs)).any(axis=1)
-
+        vecs = field.vec(vectors)
+    tables = _ConditionTables(points, index, field)
     orders = np.full((r, len(vectors)), -1)  # -1 while the pair is open
     start = 0
     for t, shell in shells.items():
@@ -493,14 +489,8 @@ def vanishing_order(vectors, points, basis, field: PrimeField | None = None,
         pts, vs = np.flatnonzero(todo.any(axis=1)), np.flatnonzero(todo.any(axis=0))
         if len(pts):
             rows = (start + pts[:, None] * size + np.arange(size)).ravel()
-            hit = nonzero(screen, screen_vecs, rows, vs, size)
-            miss = todo[np.ix_(pts, vs)] & ~hit
-            if field is None and miss.any():
-                if exact is None:
-                    exact = _ConditionTables(points, index, None)
-                at, of = miss.any(axis=1), miss.any(axis=0)
-                hit[np.ix_(at, of)] |= nonzero(exact, vecs, rows.reshape(-1, size)[at].ravel(),
-                                               vs[of], size)
+            dots = exact_products(tables.block(basis, rows), vecs[vs], field)
+            hit = (dots != 0).reshape(-1, size, len(vs)).any(axis=1)
             at, of = np.nonzero(hit & todo[np.ix_(pts, vs)])
             orders[members[t][pts[at]], vs[of]] = t
         start += len(members[t]) * size
@@ -536,18 +526,14 @@ def kernel_polynomials(problem: InterpolationProblem) -> list:
     achieved orders.  Raises when the system is empty at this degree.
 
     Over Q the kernel is that of the integer block of
-    ``_integer_conditions``, mapped back by diag(c^beta) where some common
-    denominator c_i is not 1 and normalised by its lead again; no Fraction
+    ``_integer_conditions``, a row scaling of the rational one, so
+    ``kernel_basis`` returns the rational kernel itself and no Fraction
     condition matrix is built.  The orders are read from the shells of the
     required orders up, which the verified kernel has proven zero."""
     basis = monomials(problem.n, problem.degree)
     if problem.field is None:
-        block, dens = _integer_conditions(problem.config.points, problem.condition_index(),
-                                          basis)
+        block, _ = _integer_conditions(problem.config.points, problem.condition_index(), basis)
         vectors = kernel_basis(ExactMatrix(*block.shape, block))
-        if any(c != 1 for c in dens):
-            scale = [_power(dens, beta) for beta in basis]
-            vectors = lead_normalised([[x * c for x, c in zip(v, scale)] for v in vectors])
     else:
         vectors = kernel_basis(condition_matrix(problem))
     if not vectors:

@@ -398,9 +398,9 @@ def mixed_denominator_problems(draw):
 @settings(deadline=None, max_examples=40)
 @given(mixed_denominator_problems())
 def test_integer_kernel_path_matches_the_rref_oracle(problem):
-    # kernel_polynomials over Q eliminates the integer block over the common
-    # denominators and maps its kernel back; the oracle eliminates the
-    # Fraction condition matrix, and reads the orders from shell 0
+    # kernel_polynomials over Q lifts the kernel of the integer block, a row
+    # scaling of the rational one; the oracle eliminates the Fraction
+    # condition matrix, and reads the orders from shell 0
     mat = condition_matrix(problem)
     want = rref_kernel(mat.entries.tolist(), mat.cols)
     polys = kernel_polynomials(problem)

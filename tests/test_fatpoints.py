@@ -163,10 +163,10 @@ def test_taylor_shift_and_vanishing_order():
     assert vanishing_order([as_vector({(2, 0): 1}, basis, f7)], [(0, 0)], basis, f7) == ((2,),)
 
 
-def test_a_shell_zero_mod_the_screen_prime_is_read_exactly():
+def test_a_shell_zero_mod_the_lift_prime_is_read_exactly():
     # P = (2^31 - 1) z^3 + z^4 at 0: its order-3 Taylor coefficient is zero
-    # mod 2^31 - 1, the prime that screens the shells over Q, so the order
-    # is 3 only if that shell is recomputed in integers
+    # mod 2^31 - 1, the prime the kernels over Q are lifted from, so the
+    # order is 3 only if that shell is read in integers
     q = 2**31 - 1
     basis = monomials(1, 4)
     p = as_vector({(3,): Fraction(q), (4,): Fraction(1)}, basis)
