@@ -25,8 +25,6 @@ from importlib import resources
 from pathlib import Path
 from typing import Callable, NamedTuple
 
-import jsonschema
-
 from . import __version__
 from .configs import PointConfig, frac_str, generic_points, grid_points, two_point_example
 from .green import (
@@ -103,7 +101,10 @@ def load_schema() -> dict:
 
 @functools.cache
 def _report_validator():
-    """The report schema's validator, its schema checked once per process."""
+    """The report schema's validator, its schema checked once per process.
+    jsonschema is imported here, so importing this module does not load it."""
+    import jsonschema
+
     schema = load_schema()
     cls = jsonschema.validators.validator_for(schema)
     cls.check_schema(schema)

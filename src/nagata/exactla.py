@@ -10,17 +10,22 @@ domains are supported:
   confirms a degree with) needs 122-bit products, which the numpy hot path
   emulates with a split 31/30-bit multiply in uint64; any other modulus
   uses object arrays of Python ints.  One routine eliminates mod p,
-  ``_gauss_jordan``: column by column, the first nonzero row is the pivot
-  and one broadcast update (``vec_submul``) clears its row from every other
-  column of the block.  It reveals the column rank profile, so it gives the
-  field ``rank``, the field ``kernel_basis`` (run on the transpose, whose
-  pivot columns are the reduced row echelon basis of the row space) and
-  the in-block step of ``RankAccumulator.add``.  ``RankAccumulator``
-  reduces a block by all the pivots of an earlier block (a panel) at once,
-  with one exact product mod p (``matmul``): both factors are split into
-  limbs of w = (53 - k.bit_length()) // 2 bits for inner length k, so every
-  dot of limbs stays below 2^53 and one float64 BLAS product computes all
-  of them exactly.
+  ``_gauss_jordan``: in column order, the first nonzero row is the pivot
+  and its row is cleared from every other column of the block.  A block of
+  at most 32 columns is eliminated column by column, one broadcast update
+  (``vec_submul``) per pivot; a wider one is halved, and each half's pivots
+  reach the other half through one exact product mod p (``matmul``), with
+  the same pivots and reduced block.  It reveals the column rank profile,
+  so it gives the field ``rank``, the field ``kernel_basis`` (run on the
+  transpose, whose pivot columns are the reduced row echelon basis of the
+  row space) and the in-block step of ``RankAccumulator.add``.
+  ``RankAccumulator`` reduces a block by all the pivots of an earlier block
+  (a panel) at once, with one ``matmul``.  ``matmul`` splits its factors
+  into limbs so that every dot of them stays below 2^53 and one float64
+  BLAS product computes all of them exactly: for p < 2^31 the left factor
+  stays whole and the right one is split into limbs of
+  53 - p.bit_length() - k.bit_length() bits for inner length k, otherwise
+  both are split into limbs of (53 - k.bit_length()) // 2 bits.
 * rationals -- ``fractions.Fraction`` or Python int entries, eliminated mod
   p by the same routine: ``RankAccumulator`` is modular only, and there is
   no exact eliminator.  A kernel over Q is a p-adic lift (Dixon) of the
@@ -205,23 +210,47 @@ class PrimeField:
         """a @ b mod p, exactly, for 2-D arrays of the field's dtype.
 
         Both factors are reduced mod p first, so any uint64 entry counts by
-        its residue.  Each is then split into t limbs of w bits,
-        a = sum_i a_i 2^(w i), with w = (53 - L) // 2 for the inner length
-        k < 2^L (L is ``k.bit_length()``) and t w >= the bit length of p.
-        A limb is below 2^w, so every dot of two limb arrays is an integer
-        of at most k (2^w - 1)^2 < 2^L 2^(2w) <= 2^53, and so is each of
-        its partial sums: float64 holds every one of them exactly, and one
-        BLAS product of all the limbs is exact in any summation order.  The
-        limb products of one weight s = i + j (at most t <= 62 of them,
-        below 2^64) are added in uint64, reduced mod p, scaled by
-        2^(w s) mod p and accumulated.  Object arrays take one Python-int
-        product.
+        its residue.  Let k < 2^L be the inner length (L is
+        ``k.bit_length()``) and P the bit length of p.  Float64 holds every
+        integer up to 2^53 exactly, so a BLAS product whose dots are all at
+        most 2^53 is exact in any summation order (each partial sum is
+        below its dot).
+
+        * p < 2^31: a stays whole, below 2^P, and only b is split into t
+          limbs of w = 53 - P - L bits, b = sum_j b_j 2^(w j).  A dot of a
+          with a limb array is at most k (p - 1)(2^w - 1) < 2^(L + P + w)
+          = 2^53, so one BLAS product of a with all t limbs is exact.  Limb
+          j's product is reduced mod p and scaled by 2^(w j) mod p, below
+          2^62; the unscaled j = 0 term is below 2^53, so t <= 4 terms sum
+          below 2^64 in uint64, and one ``%`` finishes.  This path is taken
+          while t <= 4, where it never needs more limb products than the
+          split of both factors below: t = 2 for k < 64 and 3 for
+          k < 2^11 mod 2^31 - 1, against 4.
+        * Otherwise both factors are split into t limbs of w bits,
+          a = sum_i a_i 2^(w i), with w = (53 - L) // 2 and t w >= P.  A
+          dot of two limb arrays is at most k (2^w - 1)^2 < 2^L 2^(2w)
+          <= 2^53, so one BLAS product of all the limbs is exact.  The limb
+          products of one weight s = i + j (at most t <= 62 of them, below
+          2^64) are added in uint64, reduced mod p, scaled by 2^(w s) mod p
+          and accumulated.
+
+        Object arrays take one Python-int product.
         """
         p = self.modulus
         if self._kind == "object":
             return a.astype(object).dot(b.astype(object)) % p
         a, b = a % _U(p), b % _U(p)
         (m, k), n = a.shape, b.shape[1]
+        w = 53 - p.bit_length() - k.bit_length()
+        if self._kind == "small" and 4 * w >= p.bit_length():
+            t = -(-p.bit_length() // w)
+            limbs = (b[:, None] >> (_U(w) * np.arange(t, dtype=_U))[:, None]) & _U((1 << w) - 1)
+            prod = (a.astype(np.float64) @ limbs.reshape(k, t * n).astype(np.float64))
+            prod = prod.astype(_U).reshape(m, t, n)
+            out = prod[:, 0]
+            for j in range(1, t):
+                out = out + prod[:, j] % _U(p) * _U(pow(2, w * j, p))
+            return out % _U(p)
         w = (53 - k.bit_length()) // 2
         t = -(-p.bit_length() // w)
         shifts = _U(w) * np.arange(t, dtype=_U)
@@ -322,23 +351,51 @@ def exact_products(a: np.ndarray, b: np.ndarray, field: PrimeField | None) -> np
     return a.dot(b.T) if field is None else field.matmul(a, b.T)
 
 
+_BASE_COLUMNS = 32  # widest block _gauss_jordan eliminates column by column
+
+
 def _gauss_jordan(field: PrimeField, b: np.ndarray,
                   limit: int | None = None) -> tuple[np.ndarray, list, list]:
     """Column Gauss-Jordan elimination of the block b mod p, overwriting b.
 
     Columns are taken left to right; the first nonzero row of a column is
-    its pivot, the column is scaled to 1 there, and one broadcast update
-    clears the pivot row from every other column.  Returns (reduced block,
-    pivot columns, pivot rows).  The pivot columns are the column rank
-    profile of b, and in the reduced block they are the basis of its column
-    space that is the identity on the pivot rows; every other column is
-    zero.
+    its pivot, the column is scaled to 1 there, and the pivot row is
+    cleared from every other column.  Returns (reduced block, pivot
+    columns, pivot rows).  The pivot columns are the column rank profile of
+    b, and in the reduced block they are the basis of its column space that
+    is the identity on the pivot rows; every other column is zero.
 
     With ``limit``, pivots are sought in the first ``limit`` rows only, and
     the rows below are carried along by the same column operations: the
     profile and reduced form are those of b[:limit], and the rows below
     record what the operations made of them (``_lift_at`` reads B^-1 there).
+
+    A block of at most _BASE_COLUMNS columns is eliminated column by column,
+    one broadcast update (``vec_submul``) per pivot.  A wider one is split
+    in half: the left half is eliminated, the right half is reduced by its
+    pivots with one product (right -= left[:, C] @ right[R] for its pivot
+    columns C and rows R, leaving it zero on R), the right half is
+    eliminated, and its pivots are cleared from the left half with one more
+    product.  The pivots come out as the column loop's.  When the loop
+    reaches column j, the column holds the one vector in b[:, j] + (the
+    span of the earlier pivot columns) that is zero on the earlier pivot
+    rows (those columns are invertible on those rows), and its pivot is
+    that vector's first nonzero row; the reduced right half holds the same
+    vectors.  The reduced block is the loop's too, as the pivots fix it:
+    its pivot columns are b[:, C] B^-1 for B = b[R, C], and each other
+    column f is b[:, f] - b[:, C] Y for the one Y with b[:limit, f]
+    = b[:limit, C] Y.
     """
+    if b.shape[1] > _BASE_COLUMNS:
+        h = b.shape[1] // 2
+        left, cols, rows = _gauss_jordan(field, b[:, :h], limit)
+        right = b[:, h:]
+        if cols:
+            right = field._sub(right, field.matmul(left[:, cols], right[rows]))
+        right, right_cols, right_rows = _gauss_jordan(field, right, limit)
+        if right_cols:
+            left = field._sub(left, field.matmul(right[:, right_cols], left[right_rows]))
+        return np.hstack([left, right]), cols + [h + j for j in right_cols], rows + right_rows
     cols, rows = [], []
     for j in range(b.shape[1]):
         nz = np.flatnonzero(b[:limit, j])

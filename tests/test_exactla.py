@@ -144,10 +144,14 @@ def test_vector_ops_other_moduli(p):
     ]
 
 
-# k.bit_length() takes every value from 1 to 10 here, so the limb width
-# (53 - k.bit_length()) // 2 of PrimeField.matmul takes every value from 26
-# down to 21, and the limb count of each prime changes where it can
-MATMUL_K = sorted({1, 600, *(2**j - 1 for j in range(2, 10)), *(2**j for j in range(1, 10))})
+# k.bit_length() takes every value from 1 to 12 and 14 and 15 here.  So the
+# limb width (53 - k.bit_length()) // 2 of PrimeField.matmul's split of both
+# factors takes every value from 26 down to 19, and the limb count of each
+# prime changes where it can.  Mod 2^31 - 1, where only b is split, into
+# limbs of 22 - k.bit_length() bits, k takes each limb count: 2 below 64, 3
+# below 2^11, 4 at 2^11 and 2^13, and 2^14 falls back to the split of both
+MATMUL_K = sorted({1, 600, *(2**j - 1 for j in range(2, 12)), *(2**j for j in range(1, 12)),
+                   2**13, 2**14})
 MATMUL_PRIMES = (7, 2**31 - 1, M61, 4294967311)
 
 
@@ -168,10 +172,13 @@ def test_matmul_matches_object_dot(p, k, m, n, top, rnd):
 
 @pytest.mark.parametrize("p", MATMUL_PRIMES)
 def test_matmul_all_top_entries_at_every_limb_width(p):
+    # p - 1 and the odd p - 2: with an odd a, every dot of a with a limb of
+    # b's high bits is a sum of odd terms, which float64 would round past 2^53
     f = PrimeField(p)
     for k in MATMUL_K:
-        a, b = f.vec([[p - 1] * k] * 2), f.vec([[p - 1] * 3] * k)
-        assert f.matmul(a, b).tolist() == [[k * (p - 1) ** 2 % p] * 3] * 2
+        for top in (p - 1, p - 2):
+            a, b = f.vec([[top] * k] * 2), f.vec([[top] * 3] * k)
+            assert f.matmul(a, b).tolist() == [[k * top ** 2 % p] * 3] * 2
 
 
 def test_matmul_reduces_unreduced_factors():
@@ -430,6 +437,61 @@ def test_stacked_elimination_inverts_the_pivot_block():
         assert (red2[:k] == red).all()
         e = red2[k:][np.ix_(cols, cols)]
         assert (f.matmul(f.vec(b[np.ix_(rows, cols)]), e) == np.eye(len(cols))).all()
+
+
+def column_loop(field, b, limit=None):
+    """Reference: the column-by-column Gauss-Jordan loop, one broadcast
+    update per pivot, at every width (``_gauss_jordan`` runs it only on
+    blocks of at most ``_BASE_COLUMNS`` columns)."""
+    cols, rows = [], []
+    for j in range(b.shape[1]):
+        nz = np.flatnonzero(b[:limit, j])
+        if not len(nz):
+            continue
+        pivot = int(nz[0])
+        b[:, j] = field.vec_mul(b[:, j], field.inv(int(b[pivot, j])))
+        coef = b[pivot].copy()
+        coef[j] = 0
+        if coef.any():
+            b = field.vec_submul(b, coef, b[:, j, None])
+        cols.append(j)
+        rows.append(pivot)
+    return b, cols, rows
+
+
+def elimination_blocks(p, width, rng):
+    """Blocks of the given width mod p: random with more rows than columns;
+    rank at most half the width, with three zero columns (the right half of
+    a split finds no pivot); fewer rows than columns and a zero left half
+    (the left half finds none)."""
+    def entries(r, c):
+        return rng.integers(0, p, size=(r, c), dtype=np.uint64).astype(object)
+
+    rank_half = max(1, width // 2)
+    deficient = entries(width + 2, rank_half).dot(entries(rank_half, width)) % p
+    deficient[:, rng.choice(width, size=min(3, width), replace=False)] = 0
+    wide = entries(width // 3 + 1, width)
+    wide[:, :width // 2] = 0
+    return [entries(width + 3, width), deficient, wide]
+
+
+@pytest.mark.parametrize("p", [7, 2**31 - 1, M61, 4294967311])
+@pytest.mark.parametrize("width", sorted({1, *(exactla._BASE_COLUMNS + d for d in (-1, 0, 1)),
+                                          2 * exactla._BASE_COLUMNS + 1,
+                                          3 * exactla._BASE_COLUMNS}))
+def test_recursive_elimination_matches_the_column_loop(p, width):
+    # the halving recursion and its two products per level give the loop's
+    # pivot columns, pivot rows and reduced block, on b and on [b; I] with
+    # pivots sought in b only (the lift's stacked elimination)
+    f = PrimeField(p)
+    rng = np.random.default_rng(width)
+    for b in elimination_blocks(p, width, rng):
+        stacked = np.vstack([b, np.eye(width, dtype=object)])
+        for block, limit in ((b, None), (stacked, len(b))):
+            got, cols, rows = exactla._gauss_jordan(f, f.vec(block), limit)
+            want, want_cols, want_rows = column_loop(f, f.vec(block), limit)
+            assert (cols, rows) == (want_cols, want_rows)
+            assert got.dtype == want.dtype and got.tolist() == want.tolist()
 
 
 def recorded_lifts(monkeypatch):
