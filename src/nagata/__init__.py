@@ -20,7 +20,6 @@ from .configs import (
     two_point_example,
 )
 from .exactla import (
-    M61,
     ExactMatrix,
     PrimeField,
     RankAccumulator,
@@ -72,7 +71,6 @@ from .invariants import (
 from .seeds import derive_seed
 
 __all__ = [
-    "M61",
     "HARBOURNE_CR",
     "ExactMatrix",
     "GreenApproximant",

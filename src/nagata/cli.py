@@ -371,7 +371,8 @@ _CONFIG_SOURCE = (
 
 _SEARCH = {
     "scalar": dict(choices=["field", "rational"], default="field"),
-    "prime": dict(type=int, help="prime-field modulus override"),
+    "prime": dict(type=int,
+                  help="search modulus, a prime below 2^31; no value depends on it"),
 }
 
 _COMMON = (

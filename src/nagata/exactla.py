@@ -3,13 +3,9 @@
 Rank and right-kernel computations for interpolation matrices.  Two scalar
 domains are supported:
 
-* ``PrimeField`` -- arithmetic mod a prime p < 2^62, used as a fast
-  generic-rank oracle.  A modulus below 2^31 (invariants searches mod
-  2^31 - 1 by default) multiplies in one uint64 product.  The Mersenne
-  prime 2^61 - 1 (the constructor's default, and the modulus invariants
-  confirms a degree with) needs 122-bit products, which the numpy hot path
-  emulates with a split 31/30-bit multiply in uint64; any other modulus
-  uses object arrays of Python ints.  One routine eliminates mod p,
+* ``PrimeField`` -- arithmetic mod a prime p < 2^31 (2^31 - 1 by default),
+  used as a fast generic-rank oracle.  Residues are uint64, and a product
+  of two of them is below 2^62.  One routine eliminates mod p,
   ``_gauss_jordan``: in column order, the first nonzero row is the pivot
   and its row is cleared from every other column of the block.  A block of
   at most 32 columns is eliminated column by column, one broadcast update
@@ -20,12 +16,12 @@ domains are supported:
   transpose, whose pivot columns are the reduced row echelon basis of the
   row space) and the in-block step of ``RankAccumulator.add``.
   ``RankAccumulator`` reduces a block by all the pivots of an earlier block
-  (a panel) at once, with one ``matmul``.  ``matmul`` splits its factors
-  into limbs so that every dot of them stays below 2^53 and one float64
-  BLAS product computes all of them exactly: for p < 2^31 the left factor
-  stays whole and the right one is split into limbs of
-  53 - p.bit_length() - k.bit_length() bits for inner length k, otherwise
-  both are split into limbs of (53 - k.bit_length()) // 2 bits.
+  (a panel) at once, with one ``matmul``.  ``matmul`` keeps its left factor
+  whole and splits the right one into limbs of
+  53 - p.bit_length() - k.bit_length() bits for inner length k, so that
+  every dot stays below 2^53 and one float64 BLAS product computes all of
+  them exactly; a long inner length is split into chunks that keep at
+  most 4 limbs.
 * rationals -- ``fractions.Fraction`` or Python int entries, eliminated mod
   p by the same routine: ``RankAccumulator`` is modular only, and there is
   no exact eliminator.  A kernel over Q is a p-adic lift (Dixon) of the
@@ -70,15 +66,10 @@ from math import gcd, isqrt, lcm, prod
 
 import numpy as np
 
-M61 = (1 << 61) - 1  # default modulus: Mersenne prime 2^61 - 1
-
 _U = np.uint64
-_M61 = _U(M61)
-_MASK31 = _U((1 << 31) - 1)
-_MASK30 = _U((1 << 30) - 1)
 
 # Witness set making Miller-Rabin deterministic for n < 3.3 * 10^24,
-# far beyond the 2^62 modulus cap.
+# far beyond the 2^31 modulus cap.
 _MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 
 
@@ -115,33 +106,26 @@ class ReductionError(ArithmeticError):
 
 
 class PrimeField:
-    """Prime field Z/pZ with p < 2^62, verified prime at construction.
+    """Prime field Z/pZ with p < 2^31 (2^31 - 1 by default), verified prime
+    at construction.
 
-    Scalars are plain ints in [0, p).  Arrays of elements have the field's
-    ``dtype``: uint64 when the modulus allows overflow-free uint64
-    arithmetic (the Mersenne default, or any p < 2^31), object arrays of
-    Python ints otherwise, which are slower but exact.  ``vec_mul`` and
-    ``vec_submul`` work elementwise and broadcast; ``matmul`` is an exact
-    matrix product mod p.
+    Scalars are plain ints in [0, p).  Arrays of elements are uint64
+    (``dtype``): a product of two residues is below 2^62, so ``vec_mul``
+    and ``vec_submul`` take one uint64 multiply per element, elementwise and
+    broadcasting; ``matmul`` is an exact matrix product mod p.
     """
 
-    __slots__ = ("modulus", "_kind", "dtype")
+    __slots__ = ("modulus",)
+    dtype = np.uint64
 
-    def __init__(self, modulus: int = M61):
+    def __init__(self, modulus: int = (1 << 31) - 1):
         if not isinstance(modulus, int):
             raise TypeError("modulus must be an int")
-        if modulus >= 1 << 62:
-            raise ValueError("modulus must be < 2^62")
+        if modulus >= 1 << 31:
+            raise ValueError(f"modulus {modulus} is not below 2^31")
         if not is_prime(modulus):
             raise ValueError(f"modulus {modulus} is not prime")
         self.modulus = modulus
-        if modulus == M61:
-            self._kind = "m61"
-        elif modulus < 1 << 31:
-            self._kind = "small"
-        else:
-            self._kind = "object"
-        self.dtype = object if self._kind == "object" else np.uint64
 
     def __repr__(self):
         return f"PrimeField({self.modulus})"
@@ -179,21 +163,17 @@ class PrimeField:
     # -- vector arithmetic (hot path of elimination) ----------------------
 
     def vec(self, xs) -> np.ndarray:
-        """Pack a sequence (or nested sequence) of integers into an array of
-        the field's dtype, reduced mod p.  Always a new array: one of that
-        dtype is reduced with one ``%``, anything else through Python ints."""
-        if isinstance(xs, np.ndarray) and xs.dtype == self.dtype:
-            return xs % self.modulus
-        return (np.array(xs, dtype=object) % self.modulus).astype(self.dtype, copy=False)
+        """Pack a sequence (or nested sequence) of integers into a uint64
+        array reduced mod p.  Always a new array: a uint64 one is reduced
+        with one ``%``, anything else through Python ints."""
+        if isinstance(xs, np.ndarray) and xs.dtype == _U:
+            return xs % _U(self.modulus)
+        return (np.array(xs, dtype=object) % self.modulus).astype(_U)
 
     def vec_mul(self, v: np.ndarray, c) -> np.ndarray:
         """Elementwise v*c mod p; c is a field element or an array of them
         broadcasting against v."""
-        if self._kind == "m61":
-            return _m61_mul(v, c)
-        if self._kind == "small":
-            return v * np.asarray(c, dtype=_U) % _U(self.modulus)
-        return (v * c) % self.modulus
+        return v * np.asarray(c, dtype=_U) % _U(self.modulus)
 
     def vec_submul(self, v: np.ndarray, c, e: np.ndarray) -> np.ndarray:
         """Elementwise (v - c*e) mod p, broadcasting v, c and e together."""
@@ -201,13 +181,11 @@ class PrimeField:
 
     def _sub(self, v: np.ndarray, t: np.ndarray) -> np.ndarray:
         """Elementwise (v - t) mod p."""
-        if self._kind == "object":
-            return (v - t) % self.modulus
         d = v - t  # wraps past 2^64 exactly when v < t; then d + p < p
         return np.minimum(d, d + _U(self.modulus))
 
     def matmul(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-        """a @ b mod p, exactly, for 2-D arrays of the field's dtype.
+        """a @ b mod p, exactly, for 2-D uint64 arrays.
 
         Both factors are reduced mod p first, so any uint64 entry counts by
         its residue.  Let k < 2^L be the inner length (L is
@@ -216,77 +194,34 @@ class PrimeField:
         most 2^53 is exact in any summation order (each partial sum is
         below its dot).
 
-        * p < 2^31: a stays whole, below 2^P, and only b is split into t
-          limbs of w = 53 - P - L bits, b = sum_j b_j 2^(w j).  A dot of a
-          with a limb array is at most k (p - 1)(2^w - 1) < 2^(L + P + w)
-          = 2^53, so one BLAS product of a with all t limbs is exact.  Limb
-          j's product is reduced mod p and scaled by 2^(w j) mod p, below
-          2^62; the unscaled j = 0 term is below 2^53, so t <= 4 terms sum
-          below 2^64 in uint64, and one ``%`` finishes.  This path is taken
-          while t <= 4, where it never needs more limb products than the
-          split of both factors below: t = 2 for k < 64 and 3 for
-          k < 2^11 mod 2^31 - 1, against 4.
-        * Otherwise both factors are split into t limbs of w bits,
-          a = sum_i a_i 2^(w i), with w = (53 - L) // 2 and t w >= P.  A
-          dot of two limb arrays is at most k (2^w - 1)^2 < 2^L 2^(2w)
-          <= 2^53, so one BLAS product of all the limbs is exact.  The limb
-          products of one weight s = i + j (at most t <= 62 of them, below
-          2^64) are added in uint64, reduced mod p, scaled by 2^(w s) mod p
-          and accumulated.
-
-        Object arrays take one Python-int product.
+        a stays whole, below 2^P, and only b is split into t limbs of
+        w = 53 - P - L bits, b = sum_j b_j 2^(w j).  A dot of a with a limb
+        array is at most k (p - 1)(2^w - 1) < 2^(L + P + w) = 2^53, so one
+        BLAS product of a with all t limbs is exact: t = 2 for k < 64 and 3
+        for k < 2^11 mod 2^31 - 1.  Limb j's product is reduced mod p and
+        scaled by 2^(w j) mod p, below 2^62; the unscaled j = 0 term is
+        below 2^53, so t <= 4 terms sum below 2^64 in uint64, and one ``%``
+        finishes.  t <= 4 holds while w >= P / 4; a longer inner length is
+        split into chunks of the longest k that keeps it, whose products
+        (each below p) are summed and reduced once.
         """
-        p = self.modulus
-        if self._kind == "object":
-            return a.astype(object).dot(b.astype(object)) % p
-        a, b = a % _U(p), b % _U(p)
+        p = _U(self.modulus)
+        bits = self.modulus.bit_length()
+        chunk = (1 << (53 - bits - -(-bits // 4))) - 1  # longest k with t <= 4
         (m, k), n = a.shape, b.shape[1]
-        w = 53 - p.bit_length() - k.bit_length()
-        if self._kind == "small" and 4 * w >= p.bit_length():
-            t = -(-p.bit_length() // w)
-            limbs = (b[:, None] >> (_U(w) * np.arange(t, dtype=_U))[:, None]) & _U((1 << w) - 1)
-            prod = (a.astype(np.float64) @ limbs.reshape(k, t * n).astype(np.float64))
-            prod = prod.astype(_U).reshape(m, t, n)
-            out = prod[:, 0]
-            for j in range(1, t):
-                out = out + prod[:, j] % _U(p) * _U(pow(2, w * j, p))
-            return out % _U(p)
-        w = (53 - k.bit_length()) // 2
-        t = -(-p.bit_length() // w)
-        shifts = _U(w) * np.arange(t, dtype=_U)
-        mask = _U((1 << w) - 1)
-        a_limbs = (a[None] >> shifts[:, None, None]) & mask  # t x m x k
-        b_limbs = (b[:, None] >> shifts[None, :, None]) & mask  # k x t x n
-        prod = (a_limbs.reshape(t * m, k).astype(np.float64)
-                @ b_limbs.reshape(k, t * n).astype(np.float64)).reshape(t, m, t, n)
-        del a_limbs, b_limbs  # freed before the weight sums, where memory peaks
-        out = np.zeros((m, n), dtype=_U)
-        for s in range(2 * t - 1):
-            part = sum(prod[i, :, s - i].astype(_U)
-                       for i in range(max(0, s - t + 1), min(s, t - 1) + 1))
-            part %= _U(p)
-            out += self.vec_mul(part, pow(2, w * s, p)) if s else part  # < 2p < 2^63
-            np.minimum(out, out - _U(p), out=out)
-        return out
-
-
-def _m61_mul(v: np.ndarray, c) -> np.ndarray:
-    # 61x61-bit product mod 2^61-1 without 128-bit ints: split both factors
-    # into 31/30-bit halves and fold with 2^61 = 1, 2^62 = 2 (mod M61).
-    c = np.asarray(c, dtype=_U)
-    c1 = c >> _U(31)
-    c0 = c & _MASK31
-    v1 = v >> _U(31)
-    v0 = v & _MASK31
-    mid = v1 * c0 + v0 * c1  # < 2^62
-    total = (
-        ((v1 * c1) << _U(1))
-        + (mid >> _U(30))
-        + ((mid & _MASK30) << _U(31))
-        + v0 * c0
-    )  # < 2^64, congruent to v*c
-    r = (total >> _U(61)) + (total & _M61)  # <= M61 + 7
-    return np.minimum(r, r - _M61)  # r - M61 wraps past 2^64 when r < M61
+        if k > chunk:
+            return sum(self.matmul(a[:, i:i + chunk], b[i:i + chunk])
+                       for i in range(0, k, chunk)) % p
+        a, b = a % p, b % p
+        w = 53 - bits - k.bit_length()
+        t = -(-bits // w)
+        limbs = (b[:, None] >> (_U(w) * np.arange(t, dtype=_U))[:, None]) & _U((1 << w) - 1)
+        prod = (a.astype(np.float64) @ limbs.reshape(k, t * n).astype(np.float64))
+        prod = prod.astype(_U).reshape(m, t, n)
+        out = prod[:, 0]
+        for j in range(1, t):
+            out = out + prod[:, j] % p * _U(pow(2, w * j, self.modulus))
+        return out % p
 
 
 # ---------------------------------------------------------------------------
@@ -299,7 +234,7 @@ class ExactMatrix:
 
     ``entries`` is a read-only rows x cols array: Fractions (in lowest terms
     with positive denominator) or Python ints in an object array over Q, or
-    the entries reduced mod p into a new array of the field's dtype.
+    the entries reduced mod p into a new uint64 array.
     """
 
     rows: int

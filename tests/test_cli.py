@@ -255,13 +255,17 @@ def assert_one_line_error(tmp_path, capsys, argv, name):
     (["omega", "--config-json",
       '{"dimension": 2, "points": [["0", "0"], ["1", "1"]], "multiplicities": [true, 1]}'],
      "config-json: multiplicities must be an integer"),
+    # no value depends on the search prime, and a uint64 product needs p < 2^31
+    (["omega", "--grid", "2", "--prime", "4294967311"], "below 2^31"),
+    (["omega", "--grid", "2", "--prime", "2305843009213693951"], "below 2^31"),
 ])
 def test_bad_arguments_are_one_line_errors(tmp_path, capsys, argv, name):
     assert_one_line_error(tmp_path, capsys, argv, name)
 
 
 def test_small_prime_rank_loss_is_confirmed_away(tmp_path):
-    # mod 7 this config has a cubic through its 10 points; over Q it has none
+    # mod 7 this config has a cubic through its 10 points; over Q it has none,
+    # and the exact rank over Q steps past the rank lost mod 7
     argv = ["--n", "2", "--r", "10", "--seed", "3", "--prime", "7"]
     code, out = run_cli(tmp_path, "omega", *argv)
     assert code == EXIT_OK

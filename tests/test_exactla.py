@@ -11,7 +11,6 @@ from hypothesis import strategies as st
 from nagata import exactla
 from nagata.configs import generic_points
 from nagata.exactla import (
-    M61,
     ExactMatrix,
     PrimeField,
     RankAccumulator,
@@ -86,7 +85,7 @@ def rref_kernel(rows, nc, p=None):
 
 def test_is_prime_basics():
     assert is_prime(2) and is_prime(3) and is_prime(7)
-    assert is_prime(M61)
+    assert is_prime(2**61 - 1) and is_prime(2**31 - 1) and is_prime(2**31 - 19)
     assert not is_prime(1) and not is_prime(0) and not is_prime(-7)
     assert not is_prime(2**61 - 3)  # composite neighbor
     assert is_prime(4294967311)  # prime just above 2^32
@@ -97,6 +96,11 @@ def test_prime_field_rejects_bad_modulus():
         PrimeField(10)
     with pytest.raises(ValueError):
         PrimeField(2**62 + 1)
+    # primes at or above 2^31 are refused: residues multiply in one uint64
+    for p in (2**31 + 11, 4294967311, 2**61 - 1):
+        with pytest.raises(ValueError, match="not below 2\\^31"):
+            PrimeField(p)
+    assert PrimeField().modulus == 2**31 - 1
 
 
 def test_rational_to_field_examples():
@@ -114,23 +118,7 @@ def test_rational_to_field_reduction_failure():
         f7.from_rational(Fraction(3, 14))
 
 
-@settings(deadline=None, max_examples=200)
-@given(st.integers(0, M61 - 1), st.integers(0, M61 - 1))
-def test_m61_vector_multiply_matches_int_reference(a, c):
-    v = F.vec([a, 0, 1, M61 - 1])
-    out = F.vec_mul(v, c)
-    for x, y in zip([a, 0, 1, M61 - 1], out):
-        assert int(y) == x * c % M61
-
-
-@settings(deadline=None, max_examples=100)
-@given(st.integers(0, M61 - 1), st.integers(0, M61 - 1), st.integers(0, M61 - 1))
-def test_m61_submul_matches_int_reference(a, b, c):
-    out = F.vec_submul(F.vec([a]), c, F.vec([b]))
-    assert int(out[0]) == (a - c * b) % M61
-
-
-@pytest.mark.parametrize("p", [97, 2**31 - 1, 4294967311])
+@pytest.mark.parametrize("p", [97, 2**31 - 1, 65521])
 def test_vector_ops_other_moduli(p):
     f = PrimeField(p)
     vals = [0, 1, p - 1, p // 2, 12345 % p]
@@ -144,15 +132,14 @@ def test_vector_ops_other_moduli(p):
     ]
 
 
-# k.bit_length() takes every value from 1 to 12 and 14 and 15 here.  So the
-# limb width (53 - k.bit_length()) // 2 of PrimeField.matmul's split of both
-# factors takes every value from 26 down to 19, and the limb count of each
-# prime changes where it can.  Mod 2^31 - 1, where only b is split, into
-# limbs of 22 - k.bit_length() bits, k takes each limb count: 2 below 64, 3
-# below 2^11, 4 at 2^11 and 2^13, and 2^14 falls back to the split of both
+# k.bit_length() takes every value from 1 to 12 and 14 and 15 here.
+# PrimeField.matmul splits b into limbs of 53 - p.bit_length() - k.bit_length()
+# bits.  Mod 2^31 - 1 and 2^31 - 19, k takes each limb count: 2 below 64, 3
+# below 2^11, 4 at 2^11 and 2^13, and 2^14 is split into two chunks of k; mod
+# 65521 every k takes one limb, and mod 7 the widest one
 MATMUL_K = sorted({1, 600, *(2**j - 1 for j in range(2, 12)), *(2**j for j in range(1, 12)),
                    2**13, 2**14})
-MATMUL_PRIMES = (7, 2**31 - 1, M61, 4294967311)
+MATMUL_PRIMES = (7, 65521, 2**31 - 19, 2**31 - 1)
 
 
 @settings(deadline=None, max_examples=120)
@@ -181,6 +168,15 @@ def test_matmul_all_top_entries_at_every_limb_width(p):
             assert f.matmul(a, b).tolist() == [[k * top ** 2 % p] * 3] * 2
 
 
+@pytest.mark.parametrize("p", MATMUL_PRIMES)
+def test_matmul_reduces_the_sum_of_its_chunks(p):
+    # mod a 31-bit prime k = 2^14 is split into chunks of 2^14 - 1 and 1;
+    # each chunk's product is p - 1, and their sum must be reduced once more
+    f, k = PrimeField(p), 2**14
+    b = [[p - 1]] + [[0]] * (k - 2) + [[p - 1]]
+    assert f.matmul(f.vec([[1] * k]), f.vec(b)).tolist() == [[p - 2]]
+
+
 def test_matmul_reduces_unreduced_factors():
     # mod 7 one 26-bit limb holds a reduced entry; 2^40 lies above it, and is 2 mod 7
     got = PrimeField(7).matmul(np.array([[2**40]], dtype=np.uint64),
@@ -189,10 +185,10 @@ def test_matmul_reduces_unreduced_factors():
 
 
 @settings(deadline=None, max_examples=60)
-@given(st.sampled_from((7, 2**31 - 1, M61)), st.sampled_from(MATMUL_K),
+@given(st.sampled_from(MATMUL_PRIMES), st.sampled_from(MATMUL_K),
        st.integers(1, 3), st.integers(1, 3), st.randoms(use_true_random=False))
 def test_matmul_of_any_uint64_entries_matches_object_dot(p, k, m, n, rnd):
-    # entries up to 2^64 - 1, unreduced, for the small and M61 kinds
+    # entries up to 2^64 - 1, unreduced
     draw = lambda: rnd.choice((rnd.randrange(2**64), 2**64 - 1, p, p + rnd.randrange(p)))
     a = np.array([[draw() for _ in range(k)] for _ in range(m)], dtype=np.uint64)
     b = np.array([[draw() for _ in range(n)] for _ in range(k)], dtype=np.uint64)
@@ -200,7 +196,7 @@ def test_matmul_of_any_uint64_entries_matches_object_dot(p, k, m, n, rnd):
     assert PrimeField(p).matmul(a, b).tolist() == want.tolist()
 
 
-@pytest.mark.parametrize("p", [M61, 97, 2**31 - 1, 4294967311])
+@pytest.mark.parametrize("p", [2**31 - 19, 97, 2**31 - 1, 65521])
 def test_vector_ops_broadcast_array_multiplier(p):
     f = PrimeField(p)
     vals = [0, 1, p - 1, p // 2, 12345 % p]
@@ -269,7 +265,7 @@ def test_rational_rank_matches_fraction_oracle(rows):
 @settings(deadline=None, max_examples=100)
 @given(small_matrix)
 def test_field_rank_at_most_rational_rank(rows):
-    # small integer entries: M61 never divides a relevant minor here, so the
+    # small integer entries: 2^31 - 1 never divides a relevant minor here, so the
     # two ranks agree; <= is the general guarantee
     r_rat = rank(ExactMatrix.from_rows(rows))
     r_fld = rank(ExactMatrix.from_rows(rows, F))
@@ -475,7 +471,7 @@ def elimination_blocks(p, width, rng):
     return [entries(width + 3, width), deficient, wide]
 
 
-@pytest.mark.parametrize("p", [7, 2**31 - 1, M61, 4294967311])
+@pytest.mark.parametrize("p", [7, 2**31 - 1, 2**31 - 19, 65521])
 @pytest.mark.parametrize("width", sorted({1, *(exactla._BASE_COLUMNS + d for d in (-1, 0, 1)),
                                           2 * exactla._BASE_COLUMNS + 1,
                                           3 * exactla._BASE_COLUMNS}))
@@ -554,18 +550,21 @@ def test_a_lift_that_never_verifies_raises(monkeypatch):
         rank(ExactMatrix.from_rows([rows[0], [2 * x for x in rows[0]]]))
 
 
-SMALL_P = 2**31 - 1  # "small" kind: uint64 products without splitting
-OBJECT_P = 4294967311  # "object" kind: prime between 2^31 and 2^62
-FIELD_KINDS = (F, PrimeField(SMALL_P), PrimeField(OBJECT_P))
+# moduli of 16 and 31 bits: one limb in every matmul here, and the most limbs.
+# The ids are those of the slots' earlier kinds, kept so the case names stay
+# stable: "object" (once 4294967311) holds 65521, "m61" (once 2^61 - 1) holds
+# 2^31 - 19; both earlier moduli are now refused (test_prime_field_rejects_bad_modulus)
+FIELD_KINDS = (PrimeField(65521), F, PrimeField(2**31 - 19))
+FIELD_IDS = ["object", "small", "m61"]
 
 
 def test_field_kinds_cover_every_vector_path():
-    assert is_prime(SMALL_P) and SMALL_P < 2**31
-    assert is_prime(OBJECT_P) and 2**31 < OBJECT_P < 2**62
-    assert [f._kind for f in FIELD_KINDS] == ["m61", "small", "object"]
+    assert F.modulus == 2**31 - 1  # the default, as invariants searches
+    assert [f.modulus.bit_length() for f in FIELD_KINDS] == [16, 31, 31]
+    assert all(is_prime(f.modulus) and f.dtype == np.uint64 for f in FIELD_KINDS)
 
 
-@pytest.mark.parametrize("fld", [None, *FIELD_KINDS], ids=["Q", "m61", "small", "object"])
+@pytest.mark.parametrize("fld", [None, *FIELD_KINDS], ids=["Q", *FIELD_IDS])
 def test_verify_in_kernel_rejects_vector_off_by_one_entry(fld):
     # 3 x 6, no zero column: every kernel vector moved by one unit in one
     # entry leaves the kernel
@@ -630,7 +629,7 @@ def test_rank_accumulator_matches_one_shot(rows, rnd):
             assert [acc.prefix_rank(k) for k in range(nc + 1)] == prefix_want
 
 
-@pytest.mark.parametrize("fld", FIELD_KINDS, ids=["m61", "small", "object"])
+@pytest.mark.parametrize("fld", FIELD_KINDS, ids=FIELD_IDS)
 def test_rank_accumulator_rejects_blocks_of_another_height(fld):
     acc = RankAccumulator(fld)
     acc.add([0, 0, 0])
@@ -642,16 +641,15 @@ def test_rank_accumulator_rejects_blocks_of_another_height(fld):
     assert acc.rank == 1 and acc.prefix_rank(2) == 1
 
 
-@pytest.mark.parametrize("p", [7, M61, SMALL_P, OBJECT_P])
+@pytest.mark.parametrize("p", [7, 2**31 - 19, 2**31 - 1, 65521])
 def test_rank_accumulator_reduces_raw_arrays_mod_p(p):
     fld = PrimeField(p)
-    internal = object if fld._kind == "object" else np.uint64
     cases = [
         (np.array([[1, -1], [2, -2]], dtype=np.int64), 1),  # columns c and -c
         (np.array([[p], [2 * p]], dtype=np.int64), 0),  # zero mod p
         (np.array([[7], [14]], dtype=np.int64), 0 if p == 7 else 1),
-        # entries of the internal dtype at or past p: columns 0 and (1, 3)
-        (np.array([[p, p + 1], [2 * p, 2 * p + 3]], dtype=internal), 1),
+        # uint64 entries at or past p: columns 0 and (1, 3)
+        (np.array([[p, p + 1], [2 * p, 2 * p + 3]], dtype=np.uint64), 1),
     ]
     for block, want in cases:
         before = block.copy()

@@ -172,7 +172,9 @@ def test_a_shell_zero_mod_the_lift_prime_is_read_exactly():
     p = as_vector({(3,): Fraction(q), (4,): Fraction(1)}, basis)
     for reached in (None, (1,), (3,)):
         assert vanishing_order([p], [(0,)], basis, reached=reached) == ((3,),)
-    assert vanishing_order([as_vector({(3,): q, (4,): 1}, basis, F)], [(0,)], basis, F) == ((3,),)
+    g = PrimeField(2**31 - 19)  # mod another prime q is a unit, and the order 3
+    assert vanishing_order([as_vector({(3,): q, (4,): 1}, basis, g)], [(0,)], basis, g) == ((3,),)
+    assert vanishing_order([as_vector({(3,): q, (4,): 1}, basis, F)], [(0,)], basis, F) == ((4,),)
     with pytest.raises(ValueError, match="reaches order 5"):
         vanishing_order([p], [(0,)], basis, reached=(5,))
 
@@ -245,20 +247,10 @@ def test_kernel_polynomials_reject_order_below_requirement(monkeypatch):
         kernel_polynomials(problem)
 
 
-def test_column_cap_enforced(monkeypatch):
-    # the cap guards only the exact rank: a degree whose monomials outnumber
-    # its conditions needs none, whatever its size
-    grid = grid_points(2, 4)  # omega_1 = 4: 15 columns, 16 conditions
-    nine = generic_points(2, 9, seed=7)  # omega_1 = 3: 10 columns, 9 conditions
-    assert invariants.omega_l(grid, 1, "rational") == 4
-    monkeypatch.setattr(invariants, "RATIONAL_COLUMN_CAP", 14)
-    with pytest.raises(ValueError, match="column cap 14 exceeded at degree 4"):
-        invariants.omega_l(grid, 1, "rational")
-    monkeypatch.setattr(invariants, "RATIONAL_COLUMN_CAP", 5)
-    assert invariants.omega_l(nine, 1, "rational") == 3
-
-
-TABLE_FIELDS = (F, PrimeField(2**31 - 1), PrimeField(4294967311))
+# ids as test_exactla.FIELD_IDS: the slots keep their earlier kinds' names,
+# "object" now 65521 and "m61" now 2^31 - 19
+TABLE_FIELDS = (PrimeField(65521), F, PrimeField(2**31 - 19))
+TABLE_IDS = ["Q", "object", "small", "m61"]
 TABLE_CONFIGS = [
     make_config([[Fraction(-3, 2)], [5], [Fraction(2, 7)]], multiplicities=[2, 1, 3]),
     make_config([[Fraction(-1, 2), 3], [0, Fraction(-5, 3)], [2, 2]],
@@ -270,7 +262,7 @@ TABLE_CONFIGS = [
 
 @pytest.mark.parametrize("cfg", TABLE_CONFIGS, ids=["n1", "n2", "n3"])
 @pytest.mark.parametrize("fld", [None, *TABLE_FIELDS],
-                         ids=["Q", "m61", "small", "object"])
+                         ids=TABLE_IDS)
 def test_condition_tables_match_condition_row(cfg, fld):
     orders = uniform_orders(cfg, 1)
     for d in range(max(orders) + 3):
@@ -311,7 +303,7 @@ TIED_CONFIG = make_config([[2, -1], [Fraction(1, 3), 4], [-2, Fraction(5, 2)], [
 @pytest.mark.parametrize("cfg", [TIED_CONFIG, *TABLE_CONFIGS],
                          ids=["tied-j0-1", "n1", "n2", "n3"])
 @pytest.mark.parametrize("fld", [None, *TABLE_FIELDS],
-                         ids=["Q", "m61", "small", "object"])
+                         ids=TABLE_IDS)
 def test_reduced_dimensions_match_the_full_matrix(cfg, fld):
     orders = uniform_orders(cfg, 1)
     degrees = range(max(orders) + 4)
@@ -402,7 +394,7 @@ def evaluate(poly: dict, p, fld):
 
 
 @pytest.mark.parametrize("n", [1, 2, 3])
-@pytest.mark.parametrize("fld", [None, *TABLE_FIELDS], ids=["Q", "m61", "small", "object"])
+@pytest.mark.parametrize("fld", [None, *TABLE_FIELDS], ids=TABLE_IDS)
 def test_vanishing_order_matches_product_of_hyperplanes(n, fld):
     # Oracle: the order at p of a product of linear forms is the summed
     # exponent of the forms vanishing at p (checked by evaluation).

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from nagata import invariants
 from nagata.configs import generic_points, grid_points, make_config, two_point_example
-from nagata.exactla import M61, PrimeField, ReductionError
+from nagata.exactla import PrimeField, ReductionError
 from nagata.fatpoints import (
     DimensionSearch,
     InterpolationProblem,
@@ -93,45 +93,65 @@ def test_rational_omega_matches_exact_scan(cfg, l):
     assert at_omega_p.n_columns <= at_omega_p.n_conditions  # no count certifies it
     want = rational_scan(cfg, l)
     assert omega_l(cfg, l, "rational") == want
-    assert omega_l(cfg, l) == want  # the M61 branch of the same loop
+    assert omega_l(cfg, l) == want  # the same loop over a field
+
+
+M61 = 2**61 - 1
 
 
 def test_rational_omega_without_modular_image():
-    # 1/(2^61 - 1) has no image mod M61: the field search cannot confirm the
-    # line y = 0 (the bound is 2), while the rational scan certifies it
+    # 1/(2^61 - 1) has no image mod 2^61 - 1, but one mod the search prime:
+    # the line y = 0 lies below the bound 2, and one exact rank certifies it
+    # in both domains
     cfg = make_config([[Fraction(1, M61), 0], [1, 0], [2, 0], [3, 0]])
     assert _upper_bound(cfg, 1) == 2
-    with pytest.raises(ReductionError):
-        omega_l(cfg, 1)
-    assert omega_l(cfg, 1, "rational") == rational_scan(cfg, 1) == 1
+    assert omega_l(cfg, 1) == omega_l(cfg, 1, "rational") == rational_scan(cfg, 1) == 1
 
 
 def test_field_omega_without_image_mod_the_search_prime():
-    # 1/(2^31 - 1) has no image mod the default prime: searched mod M61 alone
+    # 1/(2^31 - 1) has no image mod the default prime: no search, and exact
+    # ranks step up from the largest order
     cfg = make_config([[Fraction(1, 2**31 - 1), 0], [1, 2], [2, 5], [4, 1], [3, 3]])
     assert omega_l(cfg, 2) == omega_l(cfg, 2, "rational") == rational_scan(cfg, 2) == 4
 
 
 def test_a_degree_the_count_settles_needs_no_confirmation():
-    # 2 conditions, 3 linear monomials: the M61 search, which would raise a
-    # ReductionError on 1/M61, is never built
+    # 2 conditions, 3 linear monomials: the count settles degree 1, so no
+    # exact rank is taken
     assert omega_l(make_config([[Fraction(1, M61), 0], [1, 2]]), 1) == 1
 
 
-def test_m61_confirmation_builds_only_to_the_degree_it_confirms(monkeypatch):
-    # the bound is 9, but the M61 kernel at degree 8 ends the confirmation there
-    asked = []
+def recorded_searches(monkeypatch):
+    """Wrap the searches and exact ranks omega_l takes: returns the lists of
+    (modulus, orders) of every DimensionSearch built and of the
+    (orders, degree) of every rational_dimension taken."""
+    built, ranked = [], []
 
     class Recording(DimensionSearch):
-        def dimension_at(self, degree):
-            if self.field.modulus == M61:
-                asked.append(degree)
-            return super().dimension_at(degree)
+        def __init__(self, config, orders, field):
+            built.append((field.modulus, tuple(orders)))
+            super().__init__(config, orders, field)
+
+    def recording_dimension(config, orders, degree):
+        ranked.append((tuple(orders), degree))
+        return rational_dimension(config, orders, degree)
 
     monkeypatch.setattr(invariants, "DimensionSearch", Recording)
-    assert _upper_bound(grid_points(2, 4), 2) == 9
-    assert omega_l(grid_points(2, 4), 2) == 8
-    assert asked and max(asked) == 8
+    monkeypatch.setattr(invariants, "rational_dimension", recording_dimension)
+    return built, ranked
+
+
+def test_open_cell_is_certified_by_a_lower_level(monkeypatch):
+    # the bound is 9 and the search finds a kernel at 8; level 1 is open too
+    # (bound 5, kernel at 4), and one exact rank there certifies omega_1 = 4,
+    # so the product omega_1 + omega_1 = 8 closes level 2 with no rank of its own
+    built, ranked = recorded_searches(monkeypatch)
+    grid = grid_points(2, 4)
+    assert _upper_bound(grid, 2) == 9 and _upper_bound(grid, 1) == 5
+    assert omega_l(grid, 2) == 8
+    assert ranked == [((1,) * 16, 4)]
+    p = invariants.DEFAULT_FIELD.modulus
+    assert built == [(p, (2,) * 16), (p, (1,) * 16)]
 
 
 P31 = 2**31 - 1
@@ -159,8 +179,11 @@ def small_configs(draw):
 def test_upper_bound_is_at_least_the_rational_scan(cfg, l):
     want = rational_scan(cfg, l)
     assert want <= _upper_bound(cfg, l)
+    # certified in both domains, whatever the search prime: mod 7 too, where
+    # 2^31 - 1 is 1 and the moved points coincide with others
     assert omega_l(cfg, l, "rational") == want
-    assert omega_l(cfg, l) <= want  # a rank can only drop mod p
+    assert omega_l(cfg, l) == want
+    assert omega_l(cfg, l, prime=7) == want
 
 
 @pytest.mark.parametrize("r", range(1, 10))
@@ -172,22 +195,12 @@ def test_upper_bound_is_the_harbourne_ceiling(r):
 
 @pytest.mark.parametrize("scalar", ["field", "rational"])
 def test_harbourne_table_needs_no_confirmation(monkeypatch, scalar):
-    # every cell stops at its bound: no M61 search, no exact rank
-    built, ranked = [], []
-
-    class Recording(DimensionSearch):
-        def __init__(self, config, orders, field):
-            built.append(field.modulus)
-            super().__init__(config, orders, field)
-
-    def recording_dimension(*args):
-        ranked.append(args)
-        return rational_dimension(*args)
-
-    monkeypatch.setattr(invariants, "DimensionSearch", Recording)
-    monkeypatch.setattr(invariants, "rational_dimension", recording_dimension)
+    # every cell stops at its bound: one search mod the default prime per
+    # cell, no lower level and no exact rank
+    built, ranked = recorded_searches(monkeypatch)
     assert harbourne_table_check(8, 2024, scalar).all_pass
-    assert built and M61 not in built
+    assert len(built) == 72
+    assert {p for p, _ in built} == {invariants.DEFAULT_FIELD.modulus}
     assert not ranked
 
 
@@ -205,7 +218,8 @@ def test_a_bound_below_omega_raises(monkeypatch, scalar, cfg, l):
 
 def test_rational_omega_survives_an_unlucky_prime(monkeypatch):
     # the configs of `nagata omega --n 2 --r 10 --seed 3`: rank drops mod 7 at
-    # d = 3, where 10 monomials meet 10 conditions; M61 finds no kernel there
+    # d = 3, where 10 monomials meet 10 conditions; the exact rank over Q
+    # finds no kernel there and steps to the bound, 4
     cfg = generic_points(2, 10, derive_seed(3, "configs"), 1000)
     assert omega_l(cfg, 1, prime=7) == 4
     monkeypatch.setattr(invariants, "DEFAULT_FIELD", PrimeField(7))
@@ -311,6 +325,25 @@ def test_harbourne_table_small():
     cell = next(c for c in check.cells if c.r == 6 and c.m == 2)
     assert cell.expected == math.ceil(Fraction(12, 5) * 2) == 5
     assert all(v.passed for v in check.verdicts())
+
+
+@pytest.mark.parametrize("actual, detail", [
+    (3, "expected 2, got 3; contradicts Harbourne's table (a fault)"),
+    (1, "expected 2, got 1 (config possibly special; re-seed)"),
+])
+def test_harbourne_verdicts_tell_a_fault_from_a_special_config(monkeypatch, actual,
+                                                               detail):
+    # r = 4, m = 1 expects ceil(2 * 1) = 2: a certified value above it
+    # contradicts the table, one below it is a special config
+    monkeypatch.setattr(invariants, "omega_l",
+                        lambda cfg, m, *args: actual if (cfg.r, m) == (4, 1)
+                        else math.ceil(HARBOURNE_CR[cfg.r - 1] * m))
+    check = harbourne_table_check(1, seed=1)
+    assert [c.r for c in check.failures()] == [4]
+    (bad,) = [v for v in check.verdicts() if not v.passed]
+    assert (bad.name, bad.detail) == ("harbourne-r4-m1", detail)
+    assert not any("fault" in v.detail or "re-seed" in v.detail
+                   for v in check.verdicts() if v.passed)
 
 
 def test_superadditivity_single_point_equalities():
