@@ -7,8 +7,8 @@ Exit status 0 means success, 2 means at least one mathematical verdict failed
 (so a scan over seeds can be gated in CI), 1 means an operational error.
 All randomness flows from the single --seed through named sub-streams.
 One table, ``_COMMANDS``, declares each subcommand once (help, runner, own
-options, config source, search options); it builds both the parser and the
-spec.
+options, config source); it builds both the parser and the spec.  No option
+picks a scalar domain or a search prime: every omega_l is certified over Q.
 """
 
 from __future__ import annotations
@@ -62,8 +62,6 @@ class ExperimentSpec:
     command: str
     params: dict = dc_field(default_factory=dict)
     config: PointConfig | None = None
-    scalar: str | None = None  # set only where an omega_l search reads it
-    prime: int | None = None
     seed: int = 0
     out: Path = Path("reports")
     format: str = "json"
@@ -75,10 +73,6 @@ class ExperimentSpec:
             "seed": self.seed,
             "format": self.format,
         }
-        if self.scalar is not None:
-            d["scalar"] = self.scalar
-        if self.prime is not None:
-            d["prime"] = self.prime
         if self.config is not None:
             d["config"] = self.config.to_json_dict()
         return d
@@ -151,7 +145,7 @@ def _resolve_config(args) -> PointConfig | None:
 def _run_omega(spec: ExperimentSpec):
     cfg = spec.config
     l_max = spec.params["l_max"]
-    table = omega_table(cfg, l_max, spec.scalar, spec.prime)
+    table = omega_table(cfg, l_max)
     results = {"config": cfg.to_json_dict(), "table": [[l, om] for l, om in table]}
     rows = [("l", "omega_l")] + [(l, om) for l, om in table]
     return results, [], rows
@@ -160,7 +154,7 @@ def _run_omega(spec: ExperimentSpec):
 def _run_interval(spec: ExperimentSpec):
     cfg = spec.config
     l_max = spec.params["l_max"]
-    report = invariant_report(cfg, l_max, spec.scalar, spec.prime)
+    report = invariant_report(cfg, l_max)
     results = report.to_json_dict()
     rows = [("l", "omega_l", "omega_lower", "omega_upper", "w_lower")]
     for l, om in report.table:
@@ -172,7 +166,7 @@ def _run_interval(spec: ExperimentSpec):
 def _run_nagata(spec: ExperimentSpec):
     cfg = spec.config
     l_max = spec.params["l_max"]
-    checks = nagata_check(cfg, l_max, spec.scalar, spec.prime)
+    checks = nagata_check(cfg, l_max)
     verdicts = [
         Verdict(f"nagata-l{l}", ok,
                 f"strict inequality {'holds' if ok else 'fails'} at l={l}")
@@ -184,8 +178,7 @@ def _run_nagata(spec: ExperimentSpec):
 
 
 def _run_harbourne(spec: ExperimentSpec):
-    check = harbourne_table_check(spec.params["m_max"], spec.seed,
-                                  spec.scalar, spec.prime)
+    check = harbourne_table_check(spec.params["m_max"], spec.seed)
     results = {
         "seed": spec.seed,
         "cells": [
@@ -244,7 +237,6 @@ def _run_collide(spec: ExperimentSpec):
         r_min=p["r_min"], r_max=p["r_max"], n_radii=p["n_radii"],
         n_dirs=p["n_dirs"], boundary_samples=p["boundary_samples"],
         seed=derive_seed(spec.seed, "green"), oracle=oracle,
-        scalar=spec.scalar,
     )
     devs = [r.envelope_dev for r in table.rows]
     non_increasing = all(b <= a + 1e-6 for a, b in zip(devs, devs[1:]))
@@ -266,7 +258,7 @@ def _run_schwarz(spec: ExperimentSpec):
     cfg = spec.config
     result = schwarz_check(cfg, p["l"], p["d"], p["rho"], p["R"],
                            p["epsilon"], p["boundary_samples"],
-                           derive_seed(spec.seed, "green"), scalar=spec.scalar)
+                           derive_seed(spec.seed, "green"))
     verdicts = [v.to_verdict() for v in result.verdicts]
     results = {
         "config": cfg.to_json_dict(),
@@ -349,14 +341,12 @@ def _floats(text: str) -> list:
 
 class Subcommand(NamedTuple):
     """One subcommand.  Its own options, given as ``(flag, argparse kwargs)``,
-    land in ``spec.params`` under their dests; ``search`` names which of
-    ``scalar``/``prime`` reach an omega_l search on its path."""
+    land in ``spec.params`` under their dests."""
 
     help: str
     run: Callable  # spec -> (results dict, verdicts, csv rows)
     options: tuple
     config: str = "required"  # "required", "optional" or "none"
-    search: tuple = ("scalar", "prime")
 
 
 _CONFIG_SOURCE = (
@@ -368,12 +358,6 @@ _CONFIG_SOURCE = (
     ("--r", dict(type=int, help="number of generic points")),
     ("--bound", dict(type=int, help="coordinate box for --r (default 1000)")),
 )
-
-_SEARCH = {
-    "scalar": dict(choices=["field", "rational"], default="field"),
-    "prime": dict(type=int,
-                  help="search modulus, a prime below 2^31; no value depends on it"),
-}
 
 _COMMON = (
     ("--seed", dict(type=int, default=0, help="master seed")),
@@ -408,7 +392,7 @@ _COMMANDS = {
         ("--sphere-samples", dict(type=int, default=512)),
         _BOUNDARY_SAMPLES,
         ("--axis", dict(type=int, help="restrict sampling to one axis")),
-    ), config="optional", search=()),
+    ), config="optional"),
     "collide": Subcommand("pole-collision convergence table", _run_collide, (
         ("--t", dict(type=_fractions, required=True, dest="t_sequence", metavar="T",
                      help="comma-separated decreasing rational scales, "
@@ -424,7 +408,7 @@ _COMMANDS = {
         ("--with-oracle", dict(action="store_true",
                                help="report the pointwise gap to the two-point "
                                     "closed form")),
-    ), search=("scalar",)),
+    )),
     "schwarz": Subcommand("Schwarz-type norm inequality check", _run_schwarz, (
         ("--l", dict(type=int, default=1)),
         ("--d", dict(type=int, help="degree cap (default: omega_l)")),
@@ -432,7 +416,7 @@ _COMMANDS = {
         ("--R", dict(type=float, default=8.0)),
         ("--epsilon", dict(type=float, default=0.1)),
         _BOUNDARY_SAMPLES,
-    ), search=("scalar",)),
+    )),
 }
 
 
@@ -450,9 +434,7 @@ def build_parser() -> _Parser:
     for name, cmd in _COMMANDS.items():
         sub = subs.add_parser(name, help=cmd.help)
         for flag, kwargs in (*(_CONFIG_SOURCE if cmd.config != "none" else ()),
-                             *cmd.options,
-                             *((f"--{s}", _SEARCH[s]) for s in cmd.search),
-                             *_COMMON):
+                             *cmd.options, *_COMMON):
             sub.add_argument(flag, **kwargs)
     return parser
 
@@ -464,8 +446,7 @@ def spec_from_args(args) -> ExperimentSpec:
         raise CliError("config: give --config, --config-json, --example, --grid, or --r")
     params = {_dest(flag, kw): getattr(args, _dest(flag, kw)) for flag, kw in cmd.options}
     return ExperimentSpec(command=args.command, params=params, config=config,
-                          seed=args.seed, out=args.out, format=args.format,
-                          **{s: getattr(args, s) for s in cmd.search})
+                          seed=args.seed, out=args.out, format=args.format)
 
 
 def main(argv=None) -> int:

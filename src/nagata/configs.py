@@ -45,6 +45,10 @@ class PointConfig:
 
     def __post_init__(self):
         object.__setattr__(self, "dimension", _integer("dimension", self.dimension))
+        if not isinstance(self.label, str):
+            raise TypeError(f"label must be a string, got {self.label!r}")
+        if self.seed is not None:
+            object.__setattr__(self, "seed", _integer("seed", self.seed))
         if self.multiplicities is not None:
             object.__setattr__(self, "multiplicities", tuple(
                 _integer("multiplicities", m) for m in self.multiplicities))
@@ -83,6 +87,9 @@ class PointConfig:
                            self.seed)
 
     def drop_point(self, index: int) -> "PointConfig":
+        if not 0 <= _integer("index", index) < self.r:
+            raise IndexError(f"point index {index} outside 0..{self.r - 1} "
+                             f"(r = {self.r})")
         if self.r < 2:
             raise ValueError("cannot drop a point from a singleton config")
         pts = self.points[:index] + self.points[index + 1 :]

@@ -41,7 +41,7 @@ import numpy as np
 
 from .configs import PointConfig, frac_str
 from .fatpoints import InterpolationProblem, kernel_polynomials, uniform_orders
-from .invariants import omega_l, resolve_scalar, waldschmidt_interval, Verdict
+from .invariants import omega_l, waldschmidt_interval, Verdict
 from .seeds import derive_seed
 
 NEG_INF = float("-inf")
@@ -545,7 +545,7 @@ def collision_experiment(config: PointConfig, l: int, d: int, t_sequence,
                          r_max: float = 0.95, n_radii: int = 20,
                          n_dirs: int = 20, boundary_samples: int = 4096,
                          extra_combos: int = 32, seed: int = 0,
-                         oracle=None, scalar="field") -> CollisionTable:
+                         oracle=None) -> CollisionTable:
     """Convergence of approximants as the poles t*S collide at the origin.
 
     For each t the approximant's radial envelope over an annulus grid is
@@ -571,7 +571,7 @@ def collision_experiment(config: PointConfig, l: int, d: int, t_sequence,
         raise ValueError("empty t sequence")
     if any(b >= a for a, b in zip(ts, ts[1:])):
         raise ValueError("t_sequence must be strictly decreasing toward the collision")
-    omega_hat = Fraction(omega_l(config, l, scalar), l)
+    omega_hat = Fraction(omega_l(config, l), l)
     radii, pts = annulus_grid(r_min, r_max, n_radii, n_dirs, config.dimension,
                               mode, derive_seed(seed, "collision-dirs"))
     log_r = np.log(radii)
@@ -640,14 +640,14 @@ class SchwarzResult:
 def schwarz_check(config: PointConfig, l: int, d: int | None = None,
                   rho: float = 0.25, R: float = 8.0, epsilon: float = 0.1,
                   boundary_samples: int = 4096, seed: int = 0,
-                  omega_lower: Fraction | None = None, scalar="field",
-                  interval_l_max: int | None = None) -> SchwarzResult:
+                  omega_lower: Fraction | None = None) -> SchwarzResult:
     """Sampled check of  ln||f||_r <= ln||f||_R - l (Omega_lb - eps) ln(R/r)
     with r = rho * R, for every exact kernel polynomial of the (l, d) system.
 
-    Omega(S) is replaced by the certified Waldschmidt lower bound, which only
-    weakens the inequality and keeps a pass sound.  Verdicts are reported per
-    (R, rho, epsilon); no claim is made about the asymptotic threshold radius.
+    Omega(S) is replaced by the certified Waldschmidt lower bound from levels
+    1..l (unless ``omega_lower`` is given), which only weakens the inequality
+    and keeps a pass sound.  Verdicts are reported per (R, rho, epsilon); no
+    claim is made about the asymptotic threshold radius.
     """
     if not 0.0 < rho <= 1.0:
         raise ValueError("rho must lie in (0, 1]")
@@ -655,11 +655,10 @@ def schwarz_check(config: PointConfig, l: int, d: int | None = None,
         raise ValueError("R must be positive")
     if boundary_samples < 1:
         raise ValueError("boundary_samples must be >= 1")
-    resolve_scalar(scalar)  # validate early
     if d is None:
-        d = omega_l(config, l, scalar)
+        d = omega_l(config, l)
     if omega_lower is None:
-        omega_lower, _ = waldschmidt_interval(config, interval_l_max or l, scalar)
+        omega_lower, _ = waldschmidt_interval(config, l)
     omega_lower = Fraction(omega_lower)
 
     problem = InterpolationProblem(config, d, uniform_orders(config, l), None)

@@ -14,14 +14,14 @@ never reported as a point value, only as this interval.
 Everything here is exact: integer comparisons and Fraction arithmetic, never
 floating point.  omega_l is bounded above by counts alone (more monomials
 than conditions, or a product of two lower levels) and below by a search mod
-2^31 - 1 or a given prime: a rank can only drop mod p, so a degree with no
-kernel mod p has none over Q.  Where the search finds none below the bound,
-the bound is the value over Q.  Otherwise the bound is tightened by products
-of the certified lower levels, and one loop steps up to it until one exact
-rank over Q finds a kernel.  So every value is certified over Q, in both
-scalar domains, whatever the prime.  Every rank is of the reduced matrix of
-fatpoints: one point of the largest order moved to the origin, its
-conditions and the monomials below its order dropped, the same dimension.
+2^31 - 1: a rank can only drop mod p, so a degree with no kernel mod p has
+none over Q.  Where the search finds none below the bound, the bound is the
+value over Q.  Otherwise the bound is tightened by products of the certified
+lower levels, and one loop steps up to it until one exact rank over Q finds
+a kernel.  So every value is certified over Q, and no check takes a scalar
+domain or a search prime.  Every rank is of the reduced matrix of fatpoints:
+one point of the largest order moved to the origin, its conditions and the
+monomials below its order dropped, the same dimension.
 """
 
 from __future__ import annotations
@@ -90,8 +90,9 @@ def omega_l(config: PointConfig, l: int, scalar="field", prime=None) -> int:
     """Least degree d with a nonzero degree <= d polynomial vanishing to
     order >= l (times any per-point multiplicities) at every config point.
 
-    The same certified value over Q in both scalar domains; ``prime`` (2^31 - 1
-    by default) only picks the search modulus.  See ``_omega``.
+    The same certified value over Q whatever ``scalar`` and ``prime`` (the
+    search modulus, 2^31 - 1 by default); they remain only because
+    ``perfbench/layers.py`` binds them.  See ``_omega``.
     """
     fld = resolve_scalar(scalar, prime)
     return _omega(config, l, fld or DEFAULT_FIELD, {})
@@ -153,11 +154,11 @@ def _upper_bound(config: PointConfig, l: int) -> int:
     return bound[-1]
 
 
-def omega_table(config: PointConfig, l_max: int, scalar="field", prime=None) -> tuple:
+def omega_table(config: PointConfig, l_max: int) -> tuple:
     """((l, omega_l) for l = 1..l_max)."""
     if l_max < 1:
         raise ValueError("l_max must be >= 1")
-    return tuple((l, omega_l(config, l, scalar, prime)) for l in range(1, l_max + 1))
+    return tuple((l, omega_l(config, l)) for l in range(1, l_max + 1))
 
 
 def _require_uniform(config: PointConfig, what: str) -> None:
@@ -171,18 +172,15 @@ def _interval_from_table(table, n: int) -> tuple:
     return lower, upper
 
 
-def waldschmidt_interval(config: PointConfig, l_max: int, scalar="field",
-                         prime=None) -> tuple:
+def waldschmidt_interval(config: PointConfig, l_max: int) -> tuple:
     """Enclosure of the singular degree Omega(S) from levels 1..l_max:
     (max_l omega_l/(l+n-1), min_l omega_l/l), exact rationals, certified
-    over Q in both scalar domains."""
+    over Q."""
     _require_uniform(config, "the Waldschmidt sandwich")
-    table = omega_table(config, l_max, scalar, prime)
-    return _interval_from_table(table, config.dimension)
+    return _interval_from_table(omega_table(config, l_max), config.dimension)
 
 
-def omega_s_witness_bound(config: PointConfig, l: int, d: int, scalar="field",
-                          prime=None) -> Fraction:
+def omega_s_witness_bound(config: PointConfig, l: int, d: int) -> Fraction:
     """Certified lower bound for omega(S) = sup_P (sum_j ord(P, p_j))/deg P.
 
     Takes the best of (a) the witnessed ratio over the exact rational kernel
@@ -191,7 +189,7 @@ def omega_s_witness_bound(config: PointConfig, l: int, d: int, scalar="field",
     only overstate an order, and the bound must stay certified.
     """
     witnessed = _witnessed_ratio(config, l, d)
-    analytic = Fraction(config.r * l, omega_l(config, l, scalar, prime))
+    analytic = Fraction(config.r * l, omega_l(config, l))
     return max(witnessed, analytic)
 
 
@@ -201,13 +199,13 @@ def _witnessed_ratio(config: PointConfig, l: int, d: int) -> Fraction:
     return max(Fraction(sum(p.achieved_orders), p.degree) for p in polys)
 
 
-def nagata_check(config: PointConfig, l_max: int, scalar="field", prime=None) -> list:
+def nagata_check(config: PointConfig, l_max: int) -> list:
     """Strict Nagata inequality per level: omega_l^n > l^n * r, by exact
     integer comparison.  In dimension 2 configs with multiplicities m_j are
     checked against the general form omega^2 * r > (l * sum m_j)^2."""
     if not config.is_uniform() and config.dimension != 2:
         raise ValueError("multiplicity-weighted Nagata check is stated for n = 2")
-    return _nagata_from_table(config, omega_table(config, l_max, scalar, prime))
+    return _nagata_from_table(config, omega_table(config, l_max))
 
 
 def _nagata_from_table(config: PointConfig, table) -> list:
@@ -256,30 +254,28 @@ class HarbourneCheck:
         return out
 
 
-def harbourne_table_check(m_max: int, seed: int, scalar="field", prime=None,
-                          bound: int = 1000) -> HarbourneCheck:
+def harbourne_table_check(m_max: int, seed: int) -> HarbourneCheck:
     """Least-degree table check for r = 1..9 seeded generic plane configs:
     omega_l(S_r, m) must equal ceil(c_r * m), with an exact rational ceiling."""
     if m_max < 1:
         raise ValueError("m_max must be >= 1")
     cells = []
     for r in range(1, 10):
-        cfg = generic_points(2, r, derive_seed(seed, f"harbourne-r{r}"), bound)
+        cfg = generic_points(2, r, derive_seed(seed, f"harbourne-r{r}"))
         c_r = HARBOURNE_CR[r - 1]
         for m in range(1, m_max + 1):
             expected = math.ceil(c_r * m)
-            actual = omega_l(cfg, m, scalar, prime)
+            actual = omega_l(cfg, m)
             cells.append(HarbourneCell(r, m, expected, actual))
     return HarbourneCheck(tuple(cells), seed)
 
 
-def superadditivity_check(config: PointConfig, l_max: int, scalar="field",
-                          prime=None) -> Verdict:
+def superadditivity_check(config: PointConfig, l_max: int) -> Verdict:
     """omega_{l1+l2} <= omega_{l1} + omega_{l2} for all l1 + l2 <= l_max,
     plus the ratio sandwich omega_1/n <= omega_l/l <= omega_1."""
     if l_max < 2:
         raise ValueError("l_max must be >= 2")
-    return _superadditivity_from_table(config, omega_table(config, l_max, scalar, prime))
+    return _superadditivity_from_table(config, omega_table(config, l_max))
 
 
 def _superadditivity_from_table(config: PointConfig, table) -> Verdict:
@@ -301,12 +297,11 @@ def _superadditivity_from_table(config: PointConfig, table) -> Verdict:
     return Verdict("superadditivity", not bad, detail)
 
 
-def waldschmidt_upper_check(config: PointConfig, l_max: int, scalar="field",
-                            prime=None) -> Verdict:
+def waldschmidt_upper_check(config: PointConfig, l_max: int) -> Verdict:
     """omega_l <= (l+n-1)|S|^{1/n} - (n-1) per level, compared through the
     integer power (omega_l + n - 1)^n <= (l + n - 1)^n * r."""
     _require_uniform(config, "Waldschmidt's upper bound")
-    return _waldschmidt_upper_from_table(config, omega_table(config, l_max, scalar, prime))
+    return _waldschmidt_upper_from_table(config, omega_table(config, l_max))
 
 
 def _waldschmidt_upper_from_table(config: PointConfig, table) -> Verdict:
@@ -365,17 +360,15 @@ class InvariantReport:
         return buf.getvalue()
 
 
-def invariant_report(config: PointConfig, l_max: int, scalar="field", prime=None,
-                     witness: bool = True) -> InvariantReport:
+def invariant_report(config: PointConfig, l_max: int) -> InvariantReport:
     """Compute the omega table up to l_max with the derived interval, a lower
     bound for omega(S), and the standard verdicts."""
     _require_uniform(config, "the invariant report")
-    table = omega_table(config, l_max, scalar, prime)
+    table = omega_table(config, l_max)
     lower, upper = _interval_from_table(table, config.dimension)
     w_lower = max(Fraction(config.r * l, om) for l, om in table)
-    if witness:
-        # the analytic term of omega_s_witness_bound at l = 1 is already in w_lower
-        w_lower = max(w_lower, _witnessed_ratio(config, 1, table[0][1]))
+    # the analytic term of omega_s_witness_bound at l = 1 is already in w_lower
+    w_lower = max(w_lower, _witnessed_ratio(config, 1, table[0][1]))
     verdicts = [Verdict("interval-order", lower <= upper,
                         f"[{frac_str(lower)}, {frac_str(upper)}]")]
     for (l, ok), (_, om) in zip(_nagata_from_table(config, table), table):

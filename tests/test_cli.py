@@ -1,12 +1,15 @@
 """CLI driver: subcommands, reports, schema validation, exit codes."""
 
 import json
+from fractions import Fraction
 
 import jsonschema
 import pytest
 
+from nagata import invariants
 from nagata.cli import EXIT_ERROR, EXIT_OK, EXIT_VERDICT_FAILED, load_schema, main
 from nagata.configs import generic_points
+from nagata.exactla import PrimeField
 
 
 def run_cli(tmp_path, *args):
@@ -36,8 +39,8 @@ def test_omega_subcommand_grid(tmp_path):
 
 
 def test_omega_subcommand_rational(tmp_path):
-    code, out = run_cli(tmp_path, "omega", "--n", "2", "--r", "10", "--seed", "3",
-                        "--scalar", "rational")
+    # certified over Q, with no option choosing the domain
+    code, out = run_cli(tmp_path, "omega", "--n", "2", "--r", "10", "--seed", "3")
     assert code == EXIT_OK
     assert read_report(out, "omega")["results"]["table"] == [[1, 4]]
 
@@ -145,15 +148,22 @@ def test_error_paths(tmp_path):
     assert main(["omega", "--grid", "2", "--badflag"]) == EXIT_ERROR
 
 
-def test_arithmetic_failure_is_one_line_error(tmp_path, capsys):
-    # 1/7 has no image mod 7: a ReductionError, reported without a traceback
-    cfg_json = '{"dimension":2,"points":[["1/7","0"],["2","3"]]}'
-    code = main(["omega", "--config-json", cfg_json, "--prime", "7",
-                 "--out", str(tmp_path / "reports")])
+def test_arithmetic_failure_is_one_line_error(tmp_path, capsys, monkeypatch):
+    # a ReductionError from a runner is reported without a traceback
+    from nagata import cli
+
+    def reduce_one_seventh(spec):
+        return PrimeField(7).from_rational(Fraction(1, 7))
+
+    monkeypatch.setitem(cli._COMMANDS, "omega",
+                        cli._COMMANDS["omega"]._replace(run=reduce_one_seventh))
+    out = tmp_path / "reports"
+    code = main(["omega", "--grid", "2", "--out", str(out)])
     assert code == EXIT_ERROR
     err = capsys.readouterr().err
     assert err.startswith("error: ") and "divisible by modulus 7" in err
     assert err.count("\n") == 1 and "Traceback" not in err
+    assert not out.exists()
 
 
 def test_report_reproducibility(tmp_path):
@@ -210,11 +220,12 @@ def assert_one_line_error(tmp_path, capsys, argv, name):
 
 
 @pytest.mark.parametrize("argv, name", [
-    # --prime must reach a prime-field omega_l search
-    (["omega", "--n", "2", "--r", "10", "--seed", "3", "--prime", "0"], "prime"),
-    (["omega", "--grid", "2", "--prime", "-5"], "prime"),
-    (["omega", "--grid", "2", "--scalar", "rational", "--prime", "7"], "prime"),
-    (["interval", "--grid", "2", "--scalar", "rational", "--prime", "7"], "prime"),
+    # no subcommand takes --prime or --scalar; with a valid prime or domain,
+    # only argparse's "unrecognized arguments: --prime 7" can refuse them
+    (["omega", "--grid", "2", "--prime", "7"], "prime"),
+    (["interval", "--grid", "2", "--prime", "7"], "prime"),
+    (["nagata", "--grid", "2", "--prime", "7"], "prime"),
+    (["harbourne", "--prime", "7"], "prime"),
     (["collide", "--example", "two-point", "--t", "1/2", "--prime", "7"], "prime"),
     (["schwarz", "--example", "two-point", "--prime", "7"], "prime"),
     (["green-profile", "--exact", "ball-origin", "--prime", "7"], "prime"),
@@ -227,7 +238,6 @@ def assert_one_line_error(tmp_path, capsys, argv, name):
     # --n and --bound are read by value, not by truthiness
     (["omega", "--grid", "2", "--n", "0"], "dimension must be >= 1"),
     (["omega", "--r", "3", "--bound", "0"], "bound 0 too small"),
-    # green-profile runs no omega_l search
     (["green-profile", "--exact", "ball-origin", "--scalar", "rational"], "scalar"),
     (["omega", "--grid", "2", "--l-max", "0"], "l_max"),
     (["interval", "--grid", "2", "--l-max", "0"], "l_max"),
@@ -255,31 +265,34 @@ def assert_one_line_error(tmp_path, capsys, argv, name):
     (["omega", "--config-json",
       '{"dimension": 2, "points": [["0", "0"], ["1", "1"]], "multiplicities": [true, 1]}'],
      "config-json: multiplicities must be an integer"),
-    # no value depends on the search prime, and a uint64 product needs p < 2^31
-    (["omega", "--grid", "2", "--prime", "4294967311"], "below 2^31"),
-    (["omega", "--grid", "2", "--prime", "2305843009213693951"], "below 2^31"),
+    # a label is a string and a seed an integer, not whatever the JSON holds
+    (["omega", "--config-json",
+      '{"dimension": 2, "points": [["0", "0"], ["1", "2"]], "label": [1]}'],
+     "config-json: label must be a string"),
+    (["omega", "--config-json",
+      '{"dimension": 2, "points": [["0", "0"], ["1", "2"]], "seed": true}'],
+     "config-json: seed must be an integer"),
+    *(([*source, "--scalar", "rational"], "unrecognized arguments: --scalar")
+      for source in (["omega", "--grid", "2"], ["interval", "--grid", "2"],
+                     ["nagata", "--grid", "2"], ["harbourne"],
+                     ["collide", "--example", "two-point", "--t", "1/2"],
+                     ["schwarz", "--example", "two-point"])),
 ])
 def test_bad_arguments_are_one_line_errors(tmp_path, capsys, argv, name):
     assert_one_line_error(tmp_path, capsys, argv, name)
 
 
-def test_small_prime_rank_loss_is_confirmed_away(tmp_path):
+def test_small_prime_rank_loss_is_confirmed_away(tmp_path, monkeypatch):
     # mod 7 this config has a cubic through its 10 points; over Q it has none,
     # and the exact rank over Q steps past the rank lost mod 7
-    argv = ["--n", "2", "--r", "10", "--seed", "3", "--prime", "7"]
+    monkeypatch.setattr(invariants, "DEFAULT_FIELD", PrimeField(7))
+    argv = ["--n", "2", "--r", "10", "--seed", "3"]
     code, out = run_cli(tmp_path, "omega", *argv)
     assert code == EXIT_OK
     assert read_report(out, "omega")["results"]["table"] == [[1, 4]]
     code, out = run_cli(tmp_path, "interval", *argv)
     assert code == EXIT_OK
     assert read_report(out, "interval")["results"]["table"] == [[1, 4], [2, 7]]
-
-
-def test_prime_reaches_the_field_search(tmp_path):
-    code, out = run_cli(tmp_path, "omega", "--grid", "2", "--prime", "7")
-    assert code == EXIT_OK
-    report = read_report(out, "omega")
-    assert report["spec"]["prime"] == 7 and report["results"]["table"] == [[1, 2]]
 
 
 def test_non_finite_report_is_refused(tmp_path, capsys, monkeypatch):

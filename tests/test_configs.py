@@ -97,6 +97,12 @@ def test_scaled_and_drop_point():
         cfg.scaled(0)
     d = cfg.drop_point(0)
     assert d.r == 1 and d.points[0] == (Fraction(-1, 2), Fraction(0))
+    # an index outside 0..r-1 is refused, not read as a slice or from the end
+    cfg = generic_points(2, 3, 1)
+    for index in (3, 5, -1):
+        with pytest.raises(IndexError, match=rf"index {index} outside 0\.\.2 \(r = 3\)"):
+            cfg.drop_point(index)
+    assert cfg.drop_point(2).points == cfg.points[:2]
 
 
 def test_json_round_trip_simple():
