@@ -28,6 +28,21 @@ def _integer(key: str, x) -> int:
     raise TypeError(f"{key} must be an integer, got {x!r}")
 
 
+def _list(key: str, x) -> list:
+    """x itself if it is a JSON array; anything else raises, naming the key."""
+    if not isinstance(x, list):
+        raise TypeError(f"{key} must be a list, got {x!r}")
+    return x
+
+
+def _rational(key: str, x) -> Fraction:
+    """x as an exact rational; anything Fraction refuses raises, naming the key."""
+    try:
+        return Fraction(x)
+    except (TypeError, ValueError, OverflowError):  # OverflowError: JSON's Infinity
+        raise TypeError(f"{key} must hold rationals, got {x!r}") from None
+
+
 def frac_str(x: Fraction) -> str:
     x = Fraction(x)
     return f"{x.numerator}/{x.denominator}"
@@ -125,8 +140,17 @@ class PointConfig:
 
     @classmethod
     def from_json_dict(cls, d: dict) -> "PointConfig":
-        pts = tuple(tuple(Fraction(x) for x in p) for p in d["points"])
-        mults = tuple(d["multiplicities"]) if "multiplicities" in d else None
+        """The config of a JSON object; a missing key, or a value of the
+        wrong kind, raises naming it."""
+        if not isinstance(d, dict):
+            raise TypeError(f"config must be a JSON object, got {type(d).__name__}")
+        for key in ("dimension", "points"):
+            if key not in d:
+                raise ValueError(f"config is missing the key {key!r}")
+        pts = tuple(tuple(_rational(f"points[{i}]", x) for x in _list(f"points[{i}]", p))
+                    for i, p in enumerate(_list("points", d["points"])))
+        mults = d.get("multiplicities")
+        mults = None if mults is None else tuple(_list("multiplicities", mults))
         return cls(d["dimension"], pts, mults, d.get("label", ""), d.get("seed"))
 
     @classmethod

@@ -152,7 +152,8 @@ class PrimeField:
         Raises ReductionError when p divides the denominator; the caller
         should re-draw the prime.
         """
-        x = Fraction(x)
+        if not isinstance(x, (int, Fraction)):
+            x = Fraction(x)
         if x.denominator % self.modulus == 0:
             raise ReductionError(
                 f"denominator {x.denominator} divisible by modulus "

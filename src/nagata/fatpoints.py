@@ -20,22 +20,29 @@ formula independently and serves as the reference in the tests.
 Over Q the tables hold Python ints.  With the coordinates of axis i over
 one common denominator c_i, the tables of the integer numerators c_i x_ji
 give the rational block scaled by c^(-alpha) on the rows and c^beta on the
-columns: the same rank and column rank profile, which
-``rational_dimension`` takes.  Scaling column beta again by
-prod_i c_i^(d - beta_i) leaves a row scaling only, with the rational
+columns: the same rank and column rank profile.  Scaling column beta again
+by prod_i c_i^(d - beta_i) leaves a row scaling only, with the rational
 block's kernel, which ``kernel_polynomials`` takes; only
 ``condition_matrix`` makes Fractions, for its public result.
+``rational_dimension`` takes the tables of primitive integer points of
+P^n instead (see ``_frame_conditions``).
 
 The dimension of the linear system is column count minus rank; kernel vectors
-convert to polynomials.  The searches take that rank of a smaller matrix.
-Translating by a point p_j0 of the largest order m0, P(z) -> P(z + p_j0), is
-a unipotent change of basis of the polynomials of degree <= d (determinant 1
-over Q, and mod any p where p_j0 reduces) that keeps every Taylor
-coefficient, each at its point moved by -p_j0.  At the origin the order-m0
-conditions just say that the coefficients of the N(m0 - 1) monomials of
-degree below m0 are 0, so the dimension is N(d) - N(m0 - 1) minus the rank
-of the other points' translated conditions on the monomials of degree m0..d
-(``DimensionSearch`` mod p, ``rational_dimension`` over Q).
+convert to polynomials.  The searches take that rank of a smaller matrix,
+in a projective frame of up to n + 1 of the points (``_frame_conditions``).
+A polynomial of degree <= d is a form of degree d in the homogeneous
+coordinates of P^n, and a change of coordinates A of P^n (over Q, or mod p
+where A is invertible there) maps the forms vanishing to given orders at
+given points onto those vanishing to the same orders at their images.  A
+sends p_j0, a point of the largest order m0, to the origin and up to n more
+points b_i to the points at infinity of the coordinate axes, the coordinate
+triangle of Nagata's quadratic transformations.  There the conditions only
+delete monomials: order m0 at the origin deletes those of degree below m0,
+and order c_i at the point at infinity of axis i deletes those with
+beta_i > d - c_i.  So monomial beta enters at degree
+max(|beta|, max_i(beta_i + c_i)), and the dimension at d is the number of
+monomials entered by d minus the rank of the other points' conditions on
+them (``DimensionSearch`` mod p, ``rational_dimension`` over Q).
 ``vanishing_dimension`` and ``condition_matrix`` stay on the full matrix.
 
 The condition rows also give exact vanishing orders: the (z - p)^alpha
@@ -184,12 +191,13 @@ class _ConditionTables:
     beta is ``prod_i T[j, i, alpha_i, beta_i]``, gathered for a whole block
     of monomials by fancy indexing.  Entries are field elements, or Python
     ints when ``field`` is None: over Q the coordinates must be integers,
-    such as the numerators of ``_integer_coordinates``.  The tables grow by
+    such as the numerators of ``_integer_coordinates`` or the homogeneous
+    images of ``_frame_conditions``.  The tables grow by
     one column per degree through Pascal's rule,
     T[a, b] = x T[a, b-1] + T[a-1, b-1].
 
     ``index`` lists the conditions as two arrays, the point index of each
-    and its alpha (a row of n entries); ``_index_arrays`` makes them from
+    and its alpha (one entry per coordinate); ``_index_arrays`` makes them from
     (point index, alpha) pairs.
     """
 
@@ -293,48 +301,159 @@ def vanishing_dimension(problem: InterpolationProblem) -> int:
     return problem.n_columns - rank(condition_matrix(problem))
 
 
-def _translated_conditions(config: PointConfig, orders: tuple, field: PrimeField | None):
-    """The system with its first point of largest order moved to the origin.
+def _red(field: PrimeField | None, x):
+    return x if field is None else x % field.modulus
 
-    Returns (m0, tables): m0 = max(orders), and the condition tables of
-    every other point translated by p_j0, the first point of order m0
-    (None when there is no other point).  Every coordinate is reduced first,
-    in config order, so a point with no image mod p raises the same
-    ReductionError wherever it stands; the residues are then translated mod
-    p, and may coincide.  Over Q the tables are those of the translated
-    points' integer numerators (``_integer_coordinates``): each block is a
-    row and column scaling of the rational one (see
-    ``_integer_conditions``), of the same rank.
+
+def _echelon_add(span: list, v: list, field: PrimeField | None) -> bool:
+    """Add v to the echelon rows ``span``, (c, row) pairs with row[c] != 0
+    and row zero at every earlier pivot, unless v is in their span; returns
+    whether it was added.  Fraction-free: v <- row[c] v - v[c] row clears
+    pivot c, in integers over Q.  O(len(v)^2) scalar operations."""
+    for c, row in span:
+        if v[c]:
+            v = [_red(field, row[c] * x - v[c] * y) for x, y in zip(v, row)]
+    c = next((i for i, x in enumerate(v) if x), None)
+    if c is None:
+        return False
+    span.append((c, v))
+    return True
+
+
+def _extend_basis(vectors: list, candidates: list, field: PrimeField | None) -> list:
+    """Positions of the first candidates, in order, that are independent of
+    the (independent) vectors and the candidates taken before them, until a
+    basis of the whole space is reached."""
+    span = []
+    for v in vectors:
+        _echelon_add(span, v, field)
+    taken = []
+    for i, v in enumerate(candidates):
+        if len(span) == len(v):
+            break
+        if _echelon_add(span, v, field):
+            taken.append(i)
+    return taken
+
+
+def _inverse(m: list, field: PrimeField | None) -> list:
+    """A nonzero multiple of the inverse of an invertible square matrix (a
+    list of rows), in integers over Q: any multiple maps every point to the
+    same point of P^n.  Fraction-free Gauss-Jordan turns [m | I] into
+    [diag(D) | R], so m^-1 = diag(D)^-1 R, and row i of R times
+    prod_{k != i} D_k is prod(D) m^-1."""
+    size = len(m)
+    a = [list(row) + [int(i == k) for k in range(size)] for i, row in enumerate(m)]
+    for k in range(size):
+        p = next(i for i in range(k, size) if a[i][k])
+        a[k], a[p] = a[p], a[k]
+        for i in range(size):
+            if i != k and a[i][k]:
+                f, g = a[k][k], a[i][k]
+                a[i] = [_red(field, f * x - g * y) for x, y in zip(a[i], a[k])]
+    diag = [a[i][i] for i in range(size)]
+    return [[_red(field, prod(diag[:i] + diag[i + 1:]) * x) for x in row[size:]]
+            for i, row in enumerate(a)]
+
+
+def _images(a: list, points: list, field: PrimeField | None) -> np.ndarray:
+    """a times each point (a row), as the columns of one array; over Q each
+    column is scaled to a primitive integer vector, the same point of P^n."""
+    if field is not None:  # a dot of n + 1 residues of products stays below 2^64
+        prods = np.array(a, dtype=np.uint64)[:, None] * np.array(points, dtype=np.uint64)
+        return (prods % np.uint64(field.modulus)).sum(axis=2) % np.uint64(field.modulus)
+    out = np.array(a, dtype=object) @ np.array(points, dtype=object).T
+    return out // np.gcd.reduce(out, axis=0)
+
+
+def _frame_conditions(config: PointConfig, orders: tuple, field: PrimeField | None):
+    """The system in a projective frame of up to n + 1 of its points.
+
+    Returns (m0, offsets, tables).  m0 = max(orders), p_j0 is the first
+    point of order m0, and A, the inverse of [P_j0, P_b1, ..., P_bk,
+    completing unit directions] for P = (1, x), sends p_j0 to the origin and
+    b_i to the point at infinity of axis i.  ``offsets`` holds c_i, the
+    order of b_i, for i <= k and 0 for a completing direction: monomial beta
+    of degree >= m0 enters at degree max(|beta|, max_i(beta_i + c_i)).
+    ``tables`` holds the conditions of every other point at its image
+    Q_j = A P_j (None when there is no other point).
+
+    Every coordinate is reduced first, in config order, so a point with no
+    image mod p raises the same ReductionError wherever it stands.  The b_i
+    are the first points independent of p_j0 and the points taken before
+    them, in decreasing order and then config order, n at most; unit
+    directions (0, e_i) complete the frame (``_extend_basis``: each check
+    reduces one vector by at most n + 1 echelon rows, and the scan stops at
+    a basis).  While another point has Q_j0 = 0, so lies at infinity, the
+    last b_i is dropped and the frame recomputed; each check maps every
+    point at once, O(r).  With k = 0, A is the translation by -p_j0 and
+    every Q_j0 is 1.  Mod p the tables are those of the affine images
+    Q_j / Q_j0.  Over Q each Q_j is a primitive integer vector and the
+    tables are homogeneous, coordinate 0 first with alpha_0 = 0: the entry
+    at (j, alpha) and beta (with beta_0 = d - |beta|) is the affine one of
+    Q_j / Q_j0 times Q_j0^(d - |alpha|), a row scaling of the same rank.
     """
+    n, r = config.dimension, config.r
     m0 = max(orders)
     j0 = orders.index(m0)
     to = Fraction if field is None else field.from_rational
     coords = [[to(c) for c in p] for p in config.points]
-    points = [[x - y for x, y in zip(p, coords[j0])]
-              for j, p in enumerate(coords) if j != j0]
-    others = orders[:j0] + orders[j0 + 1:]
-    index = [(i, alpha) for i, m in enumerate(others)
-             for alpha in monomials(config.dimension, m - 1)]
-    if not index:
-        return m0, None
+    if field is None:  # over Q, each point on integer homogeneous coordinates
+        dens = [lcm(*(x.denominator for x in p)) for p in coords]
+        homog = [[c] + [x.numerator * (c // x.denominator) for x in p]
+                 for p, c in zip(coords, dens)]
+    else:
+        homog = [[1] + p for p in coords]
+    order = sorted(set(range(r)) - {j0}, key=lambda j: (-orders[j], j))
+    b = [order[i] for i in _extend_basis([homog[j0]], [homog[j] for j in order], field)]
+    units = [[int(i == k) for i in range(n + 1)] for k in range(1, n + 1)]
+    while True:
+        rest = [j for j in range(r) if j != j0 and j not in b]
+        if not rest:
+            break
+        frame = [homog[j0]] + [homog[j] for j in b]
+        frame += [units[i] for i in _extend_basis(frame, units, field)]
+        images = _images(_inverse(list(zip(*frame)), field), [homog[j] for j in rest], field)
+        if not b or images[0].all():
+            break
+        b.pop()
+    offsets = np.array([orders[j] for j in b] + [0] * (n - len(b)))
+    if not rest:
+        return m0, offsets, None
+    alphas = {m: monomials(n, m - 1) for m in set(orders)}
     if field is None:
-        _, points = _integer_coordinates(points)
-    return m0, _ConditionTables(points, _index_arrays(index), field)
+        index = [(i, (0,) + alpha) for i, j in enumerate(rest) for alpha in alphas[orders[j]]]
+    else:
+        index = [(i, alpha) for i, j in enumerate(rest) for alpha in alphas[orders[j]]]
+        images = field.vec_mul(images[1:], field.vec([field.inv(x) for x in images[0].tolist()]))
+    return m0, offsets, _ConditionTables(images.T.tolist(), _index_arrays(index), field)
+
+
+def _shells(n: int, low: int, high: int) -> np.ndarray:
+    """The multi-indices with low <= |beta| <= high, graded-lex, as rows."""
+    return np.array([beta for t in range(low, high + 1) for beta in monomials_exact_degree(n, t)],
+                    dtype=int).reshape(-1, n)
+
+
+def _entry_degrees(betas: np.ndarray, offsets: np.ndarray) -> np.ndarray:
+    """max(|beta|, max_i(beta_i + c_i)): the least degree at which monomial
+    beta survives the frame points' conditions."""
+    return np.maximum(betas.sum(axis=1), (betas + offsets).max(axis=1))
 
 
 def rational_dimension(config: PointConfig, orders, degree: int) -> int:
     """Vanishing dimension over Q at ``degree``, by one exact rank of the
-    reduced matrix in integers: the conditions of every point but the one
-    moved to the origin, on the monomials of degree m0..degree (see
-    DimensionSearch).  Equal to ``vanishing_dimension`` of the same problem
-    over Q."""
-    m0, tables = _translated_conditions(config, tuple(orders), None)
-    basis = [beta for t in range(m0, degree + 1)
-             for beta in monomials_exact_degree(config.dimension, t)]
-    if tables is None or not basis:
-        return len(basis)
-    block = tables.block(basis)
-    return len(basis) - rank(ExactMatrix(*block.shape, block, None))
+    reduced matrix in integers: the conditions of every point outside the
+    frame, on the monomials entered by ``degree`` (see
+    ``_frame_conditions``).  Equal to ``vanishing_dimension`` of the same
+    problem over Q."""
+    m0, offsets, tables = _frame_conditions(config, tuple(orders), None)
+    betas = _shells(config.dimension, m0, degree)
+    betas = betas[_entry_degrees(betas, offsets) <= degree]
+    if tables is None or not len(betas):
+        return len(betas)
+    block = tables.block(np.column_stack([degree - betas.sum(axis=1), betas]))
+    return len(betas) - rank(ExactMatrix(*block.shape, block, None))
 
 
 _PANEL_COLUMNS = 32  # least width of a block handed to the RankAccumulator
@@ -344,31 +463,30 @@ class DimensionSearch:
     """Incremental dimension mod p of the interpolation system by degree, an
     upper bound on the dimension over Q (a rank can only drop mod p).
 
-    One point's conditions are solved outright.  Let p_j0 be the first
-    point of the largest order m0.  The translation P(z) -> P(z + p_j0)
-    maps the polynomials of degree <= d onto themselves by a unipotent
-    change of basis (each monomial goes to itself plus monomials of lower
-    degree), so its determinant is 1, over Q and mod any p where p_j0
-    reduces.  It keeps every Taylor coefficient: the (z - p)^alpha
-    coefficient of P is the (z - (p - p_j0))^alpha coefficient of the
-    translate.  So the dimension at every degree is that of the translated
-    system, where p_j0 sits at the origin and its conditions say that the
-    coefficients of the N(m0 - 1) monomials of degree below m0 are 0.  With
-    those columns gone, its rows are gone too:
+    The conditions of up to n + 1 points are solved outright.  The change
+    of coordinates of ``_frame_conditions`` is an automorphism of P^n mod p
+    where its frame is accepted, so the dimension at every degree is that of
+    the system at the images.  There p_j0 sits at the origin and each b_i at
+    the point at infinity of axis i, whose conditions say that the
+    coefficients of the monomials not yet entered are 0: beta enters at
+    degree max(|beta|, max_i(beta_i + c_i)), c_i the order of b_i.  With
+    those columns gone, the frame points' rows are gone too:
 
-        dim(d) = (N(d) - N(m0 - 1)) - rank(the other points' translated
-                 conditions on the monomials of degree m0..d),
+        dim(d) = (monomials entered by d) - rank(the other points'
+                 conditions at their images on those monomials),
 
     and dim(d) = 0 for d < m0.  ``n_conditions`` stays the full count, so
-    that counting monomials against it compares the full problem; the
-    reduced one loses N(m0 - 1) on both sides.
+    that counting monomials against it compares the full problem.
 
-    Missing degrees are built in blocks of whole degrees, at least
-    _PANEL_COLUMNS columns wide where enough degrees are asked for, and
-    appended to a RankAccumulator, so building up to a degree costs one pass
-    over its matrix in total.  The dimension at any degree already built is
-    its column count minus the rank of that column prefix.  With no other
-    point it is the column count, and nothing is built.
+    Columns are appended in order of entry degree, so the dimension at any
+    degree already built is the column count entered by it minus the rank
+    of that column prefix.  Each monomial's entry degree is computed once:
+    a monomial generated with its shell but entering later waits for its
+    degree.  Missing degrees are built in blocks of whole entry degrees, at
+    least _PANEL_COLUMNS columns wide where enough degrees are asked for,
+    and appended to a RankAccumulator, so building up to a degree costs one
+    pass over its matrix in total.  With no other point the dimension is
+    the column count, and nothing is built.
     """
 
     def __init__(self, config: PointConfig, orders, field: PrimeField):
@@ -377,25 +495,39 @@ class DimensionSearch:
         self.field = field
         self.n_conditions = InterpolationProblem(config, 0, self.orders, field).n_conditions
         self._acc = RankAccumulator(field)
-        m0, self._tables = _translated_conditions(config, self.orders, field)
-        self._below = monomial_count(config.dimension, m0 - 1)
-        self._cols = 0
-        self._degree = m0 - 1
+        m0, self._offsets, self._tables = _frame_conditions(config, self.orders, field)
+        self._cols = 0  # columns built
+        self._degree = m0 - 1  # every shell up to here is generated
+        self._entered = [0] * m0  # columns entered by each degree up to self._degree
+        self._waiting = (np.zeros((0, config.dimension), dtype=int), np.zeros(0, dtype=int))
 
     def dimension_at(self, degree: int) -> int:
         """Vanishing dimension at the given degree."""
-        n = self.config.dimension
-        cols = max(0, monomial_count(n, degree) - self._below)
-        if self._tables is None:
-            return cols
-        while self._degree < degree:
-            new = []
-            while self._degree < degree and len(new) < _PANEL_COLUMNS:
-                self._degree += 1
-                new += monomials_exact_degree(n, self._degree)
-            self._acc.add(self._tables.block(new))
-            self._cols += len(new)
+        if degree > self._degree:
+            self._build(degree)
+        cols = self._entered[degree] if degree >= 0 else 0
         return cols - self._acc.prefix_rank(cols)
+
+    def _build(self, degree: int) -> None:
+        """Generate the shells up to ``degree`` and append the columns
+        entering at self._degree + 1 .. degree, in order of entry degree."""
+        shells = _shells(self.config.dimension, self._degree + 1, degree)
+        betas = np.concatenate([self._waiting[0], shells])
+        entry = np.concatenate([self._waiting[1], _entry_degrees(shells, self._offsets)])
+        order = np.argsort(entry, kind="stable")
+        betas, entry = betas[order], entry[order]
+        ends = np.searchsorted(entry, np.arange(self._degree + 1, degree + 1), side="right")
+        self._waiting = (betas[ends[-1]:], entry[ends[-1]:])
+        self._entered += (self._entered[-1] + ends).tolist()
+        self._degree = degree
+        if self._tables is None:
+            return
+        start = 0
+        for i, end in enumerate(ends.tolist()):
+            if end > start and (end - start >= _PANEL_COLUMNS or i == len(ends) - 1):
+                self._acc.add(self._tables.block(betas[start:end]))
+                self._cols += end - start
+                start = end
 
 
 # ---------------------------------------------------------------------------

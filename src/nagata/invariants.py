@@ -20,8 +20,9 @@ value over Q.  Otherwise the bound is tightened by products of the certified
 lower levels, and one loop steps up to it until one exact rank over Q finds
 a kernel.  So every value is certified over Q, and no check takes a scalar
 domain or a search prime.  Every rank is of the reduced matrix of fatpoints:
-one point of the largest order moved to the origin, its conditions and the
-monomials below its order dropped, the same dimension.
+a projective frame sends a point of the largest order to the origin and up
+to n more points to the points at infinity of the axes, their conditions
+drop and only delete monomials, and the dimension is the same.
 """
 
 from __future__ import annotations

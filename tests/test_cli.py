@@ -277,6 +277,26 @@ def assert_one_line_error(tmp_path, capsys, argv, name):
                      ["nagata", "--grid", "2"], ["harbourne"],
                      ["collide", "--example", "two-point", "--t", "1/2"],
                      ["schwarz", "--example", "two-point"])),
+    # a missing key or a value of the wrong kind is named
+    (["omega", "--config-json", '{"points": [[0, 0], [1, 1]]}'],
+     "config-json: config is missing the key 'dimension'"),
+    (["omega", "--config-json", '{"dimension": 2}'],
+     "config-json: config is missing the key 'points'"),
+    (["omega", "--config-json", '[[0, 0], [1, 1]]'],
+     "config-json: config must be a JSON object, got list"),
+    (["omega", "--config-json",
+      '{"dimension": 2, "points": [[0, 0], [1, 1]], "multiplicities": 3}'],
+     "config-json: multiplicities must be a list, got 3"),
+    (["omega", "--config-json", '{"dimension": 2, "points": "0,0"}'],
+     "config-json: points must be a list, got '0,0'"),
+    (["omega", "--config-json", '{"dimension": 1, "points": [0, 1]}'],
+     "config-json: points[0] must be a list, got 0"),
+    (["omega", "--config-json", '{"dimension": 1, "points": [[0], [null]]}'],
+     "config-json: points[1] must hold rationals, got None"),
+    (["omega", "--config-json", '{"dimension": 1, "points": [["1/x"]]}'],
+     "config-json: points[0] must hold rationals, got '1/x'"),
+    (["omega", "--config-json", '{"dimension": 1, "points": [[Infinity]]}'],
+     "config-json: points[0] must hold rationals, got inf"),
 ])
 def test_bad_arguments_are_one_line_errors(tmp_path, capsys, argv, name):
     assert_one_line_error(tmp_path, capsys, argv, name)

@@ -298,10 +298,26 @@ def test_condition_tables_match_condition_row(cfg, fld):
 # origin is point 1 (j0 = 1).
 TIED_CONFIG = make_config([[2, -1], [Fraction(1, 3), 4], [-2, Fraction(5, 2)], [3, 3]],
                           multiplicities=[1, 3, 2, 3])
+# Frames with fewer directions than n: on one line only one point joins the
+# frame (k = 1); (2, -1) lies on the line through the first two candidates,
+# which the frame sends to infinity, so the last is dropped (k = 1 again).
+COLLINEAR_CONFIG = make_config([[0, 0], [1, 2], [2, 4], [-1, -2]], multiplicities=[2, 1, 1, 1])
+DROP_CONFIG = make_config([[0, 0], [1, 0], [0, 1], [2, -1]], multiplicities=[3, 2, 2, 1])
+FRAME_CONFIGS = {"tied-j0-1": TIED_CONFIG, "n1": TABLE_CONFIGS[0], "n2": TABLE_CONFIGS[1],
+                 "n3": TABLE_CONFIGS[2], "collinear": COLLINEAR_CONFIG, "drop": DROP_CONFIG,
+                 "grid-3^2": grid_points(2, 3), "grid-2^3": grid_points(3, 2)}
 
 
-@pytest.mark.parametrize("cfg", [TIED_CONFIG, *TABLE_CONFIGS],
-                         ids=["tied-j0-1", "n1", "n2", "n3"])
+@pytest.mark.parametrize("cfg, offsets", [
+    (TIED_CONFIG, [3, 2]), (COLLINEAR_CONFIG, [1, 0]), (DROP_CONFIG, [2, 0]),
+    (grid_points(2, 3), [1, 1]), (grid_points(3, 2), [1, 1, 1]),
+], ids=["tied-j0-1", "collinear", "drop", "grid-3^2", "grid-2^3"])
+@pytest.mark.parametrize("fld", [None, *TABLE_FIELDS], ids=TABLE_IDS)
+def test_frame_takes_independent_points_in_decreasing_order(cfg, offsets, fld):
+    assert fatpoints._frame_conditions(cfg, uniform_orders(cfg, 1), fld)[1].tolist() == offsets
+
+
+@pytest.mark.parametrize("cfg", FRAME_CONFIGS.values(), ids=FRAME_CONFIGS.keys())
 @pytest.mark.parametrize("fld", [None, *TABLE_FIELDS],
                          ids=TABLE_IDS)
 def test_reduced_dimensions_match_the_full_matrix(cfg, fld):
@@ -319,8 +335,8 @@ def test_reduced_dimensions_match_the_full_matrix(cfg, fld):
 @settings(deadline=None, max_examples=30)
 @given(st.data())
 def test_rational_dimension_matches_the_full_matrix_on_mixed_denominators(data):
-    # the reduced block is built in integers, over per-axis common
-    # denominators of the translated points
+    # the reduced block is built in integers, from the primitive integer
+    # images of the points in the frame, on collinear points too
     n = data.draw(st.integers(1, 3))
     coord = st.fractions(-4, 4, max_denominator=12)
     points = data.draw(st.lists(st.tuples(*[coord] * n), min_size=1, max_size=4, unique=True))
@@ -344,13 +360,45 @@ def test_reduced_dimensions_with_points_congruent_mod_p():
     # mod 7 the order-1 condition at (0, 0) is one of the three at (7, 0)
     assert want[:4] == [0, 0, 2, 6]
     assert vanishing_dimension(InterpolationProblem(cfg, 2, orders, None)) == 1
+    # (8, 0) is (1, 0) mod 7, a point of the frame over Q, so mod 7 it lies at
+    # infinity until the frame drops both directions (k = 0)
+    cfg = make_config([[0, 0], [1, 0], [0, 1], [8, 0]], multiplicities=[2, 1, 1, 1])
+    orders = uniform_orders(cfg, 1)
+    assert fatpoints._frame_conditions(cfg, orders, None)[1].tolist() == [1, 1]
+    assert fatpoints._frame_conditions(cfg, orders, f7)[1].tolist() == [0, 0]
+    degrees = range(max(orders) + 4)
+    want = [vanishing_dimension(InterpolationProblem(cfg, d, orders, f7)) for d in degrees]
+    search = DimensionSearch(cfg, orders, f7)
+    assert [search.dimension_at(d) for d in degrees] == want == [0, 0, 1, 5, 10, 16]
+    assert [rational_dimension(cfg, orders, d) for d in degrees] == [0, 0, 1, 4, 9, 15]
+
+
+@settings(deadline=None, max_examples=40)
+@given(st.data())
+def test_dimension_search_matches_the_full_matrix_mod_p(data):
+    # small coordinates repeat, fall on common lines and meet mod 7, so
+    # frames with fewer directions, drops and coinciding residues all occur
+    fld = data.draw(st.sampled_from([PrimeField(7), F]))
+    n = data.draw(st.integers(1, 3))
+    coord = st.integers(-8, 8) | st.fractions(-3, 3, max_denominator=3)
+    points = data.draw(st.lists(st.tuples(*[coord] * n), min_size=1, max_size=6, unique=True))
+    orders = tuple(data.draw(st.lists(st.integers(1, 3), min_size=len(points),
+                                      max_size=len(points))))
+    cfg = make_config(points)
+    degrees = range(max(orders) + 3)
+    search = DimensionSearch(cfg, orders, fld)
+    assert [search.dimension_at(d) for d in degrees] == [
+        vanishing_dimension(InterpolationProblem(cfg, d, orders, fld)) for d in degrees]
 
 
 def test_dimension_search_builds_no_column_below_the_largest_order():
     cfg = generic_points(2, 9, 0)
     search = DimensionSearch(cfg, uniform_orders(cfg, 8), F)
     assert search.dimension_at(23) == 0
-    assert search._cols == comb(25, 2) - comb(9, 2) == 264
+    # the frame takes the order-8 conditions of three points: 36 monomials
+    # below degree 8 at the origin, and 36 with beta_i > 15 at each point at
+    # infinity, leaving 216 x 192 of the full 324 x 300
+    assert search._cols == comb(25, 2) - 3 * comb(9, 2) == 192
     assert search.n_conditions == 9 * comb(9, 2)
     one = DimensionSearch(make_config([[1, 2]]), (3,), F)
     assert [one.dimension_at(d) for d in range(7)] == [0, 0, 0, 4, 9, 15, 22]
