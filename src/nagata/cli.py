@@ -201,6 +201,13 @@ def _run_green_profile(spec: ExperimentSpec):
             target, mode = (lambda z: ball_green_single_pole([0, 0], z)), "ball"
         else:  # "two-point-limit", the other --exact choice
             target, mode = polydisc_two_pole_limit, "polydisc"
+        if p["mode"] not in (None, mode):
+            raise CliError(f"mode: --exact {p['exact']} lives in mode {mode}, not {p['mode']}")
+        if p["t"] is not None:
+            raise CliError("t: --t scales an approximant's poles, not an --exact target")
+        if spec.config is not None:
+            raise CliError("config: --exact profiles a closed form and takes no config")
+        p["mode"] = mode  # the report's spec records the mode profiled
         profile = radial_profile(target, radii, p["sphere_samples"], seed,
                                  mode=mode, axis=p["axis"])
         source = {"exact": p["exact"]}
@@ -210,6 +217,7 @@ def _run_green_profile(spec: ExperimentSpec):
             raise CliError("config: a config (or --exact) is required")
         if p["t"] is None:
             raise CliError("t: required when profiling an approximant")
+        p["mode"] = p["mode"] or "ball"
         g = build_approximant(cfg, p["t"], p["l"], p["d"],
                               p["boundary_samples"], seed, p["mode"])
         profile = radial_profile(g, radii, p["sphere_samples"],
@@ -383,7 +391,8 @@ _COMMANDS = {
     "green-profile": Subcommand("radial profile and log slope", _run_green_profile, (
         ("--exact", dict(choices=["ball-origin", "two-point-limit"],
                          help="profile a closed form instead of an approximant")),
-        ("--mode", dict(choices=["ball", "polydisc"], default="ball")),
+        ("--mode", dict(choices=["ball", "polydisc"],
+                        help="default: the --exact target's own mode, else ball")),
         ("--t", dict(type=_fraction, help="exact rational pole scale, e.g. 1/10")),
         ("--l", dict(type=int, default=1)),
         ("--d", dict(type=int, default=2)),

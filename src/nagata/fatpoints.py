@@ -17,15 +17,14 @@ columns (a whole matrix, or a few degrees' new monomials in DimensionSearch)
 is a product of n gathered arrays.  ``condition_row`` evaluates the same
 formula independently and serves as the reference in the tests.
 
-Over Q the tables hold Python ints.  With the coordinates of axis i over
-one common denominator c_i, the tables of the integer numerators c_i x_ji
-give the rational block scaled by c^(-alpha) on the rows and c^beta on the
-columns: the same rank and column rank profile.  Scaling column beta again
-by prod_i c_i^(d - beta_i) leaves a row scaling only, with the rational
-block's kernel, which ``kernel_polynomials`` takes; only
-``condition_matrix`` makes Fractions, for its public result.
-``rational_dimension`` takes the tables of primitive integer points of
-P^n instead (see ``_frame_conditions``).
+Over Q the tables hold Python ints, those of each point as the primitive
+integer vector (c_j, c_j x_j) of P^n, c_j the lcm of its denominators
+(``_homogeneous``).  Read at ((0,) + alpha, (d - |beta|, beta)), they give
+row (j, alpha) of the rational block times c_j^(d - |alpha|): a row
+scaling, with the same kernel, rank, column rank profile and zero pattern
+(``_condition_tables``).  Every rank, kernel and order over Q is taken on
+those integers; only ``condition_matrix`` makes Fractions, for its public
+result.
 
 The dimension of the linear system is column count minus rank; kernel vectors
 convert to polynomials.  The searches take that rank of a smaller matrix,
@@ -191,10 +190,9 @@ class _ConditionTables:
     beta is ``prod_i T[j, i, alpha_i, beta_i]``, gathered for a whole block
     of monomials by fancy indexing.  Entries are field elements, or Python
     ints when ``field`` is None: over Q the coordinates must be integers,
-    such as the numerators of ``_integer_coordinates`` or the homogeneous
-    images of ``_frame_conditions``.  The tables grow by
-    one column per degree through Pascal's rule,
-    T[a, b] = x T[a, b-1] + T[a-1, b-1].
+    the homogeneous ones of ``_homogeneous`` or the images of
+    ``_frame_conditions``.  The tables grow by one column per degree
+    through Pascal's rule, T[a, b] = x T[a, b-1] + T[a-1, b-1].
 
     ``index`` lists the conditions as two arrays, the point index of each
     and its alpha (one entry per coordinate); ``_index_arrays`` makes them from
@@ -244,61 +242,69 @@ def _index_arrays(pairs) -> tuple:
     return np.array([j for j, _ in pairs]), np.array([alpha for _, alpha in pairs])
 
 
-def _integer_coordinates(points) -> tuple:
-    """(c, numerators) of rational points: c_i = lcm_j den(x_ji), the common
-    denominator of axis i, and the integer numerators c_i x_ji."""
-    points = [[Fraction(x) for x in p] for p in points]
-    dens = [lcm(*(p[i].denominator for p in points)) for i in range(len(points[0]))]
-    return dens, [[x.numerator * (c // x.denominator) for x, c in zip(p, dens)]
-                  for p in points]
+def _homogeneous(points) -> list:
+    """Each rational point x as the primitive integer vector (c, c x) of
+    P^n, c the lcm of its denominators."""
+    out = []
+    for p in points:
+        c = lcm(*(Fraction(x).denominator for x in p))
+        out.append([c] + [int(c * Fraction(x)) for x in p])
+    return out
 
 
-def _power(dens, exponents) -> int:
-    """prod_i c_i^e_i."""
-    return prod(c ** e for c, e in zip(dens, exponents))
+def _condition_tables(points, index, basis, field: PrimeField | None) -> tuple:
+    """(tables, columns): the ``_ConditionTables`` of the conditions in
+    ``index`` at the points, and the multi-indices whose block is that of
+    the conditions on the basis.  Mod p those are the basis itself.  Over Q
+    the tables are those of the homogeneous points (``_homogeneous``) at
+    (0,) + alpha and the columns are (d - |beta|, beta), d the largest
+    degree of the basis: the entry at (j, alpha) and beta is
+    C(beta, alpha) c_j^(d - |beta|) (c_j x_j)^(beta - alpha), c_j^(d - |alpha|)
+    times the rational one.  That is a row scaling, with the rational
+    block's kernel, rank, column rank profile and zero pattern."""
+    if field is not None:
+        return _ConditionTables(points, index, field), basis
+    point, alpha = index
+    betas = np.array(basis)
+    sizes = betas.sum(axis=1)
+    tables = _ConditionTables(_homogeneous(points), (point, np.pad(alpha, ((0, 0), (1, 0)))), None)
+    return tables, np.column_stack([sizes.max() - sizes, betas])
 
 
-def _degree_scales(dens, basis) -> np.ndarray:
-    """prod_i c_i^(d - beta_i) for each beta of the basis, d its largest
-    degree, as an object array of ints."""
-    degree = max(sum(beta) for beta in basis)
-    return np.array([_power(dens, [degree - b for b in beta]) for beta in basis], dtype=object)
-
-
-def _integer_conditions(points, index, basis) -> tuple:
-    """(block, c): the conditions x monomials block over Q as Python ints,
-    from the numerators of the points over their common denominators c
-    (``_integer_coordinates``).  The tables give c^(beta - alpha) times the
-    rational entry at ((j, alpha), beta); scaling column beta by
-    prod_i c_i^(d - beta_i) makes every entry c^(d - alpha) times the
-    rational one, d the largest degree of the basis.  That is a row scaling
-    of the rational block: the same kernel, rank and column rank profile."""
-    dens, numerators = _integer_coordinates(points)
-    block = _ConditionTables(numerators, _index_arrays(index), None).block(basis)
-    if any(c != 1 for c in dens):
-        block = block * _degree_scales(dens, basis)
-    return block, dens
+def _block(problem: InterpolationProblem) -> np.ndarray:
+    """The problem's conditions x monomials block of ``_condition_tables``:
+    field elements, or Python ints over Q."""
+    tables, columns = _condition_tables(problem.config.points,
+                                        _index_arrays(problem.condition_index()),
+                                        monomials(problem.n, problem.degree), problem.field)
+    return tables.block(columns)
 
 
 def condition_matrix(problem: InterpolationProblem) -> ExactMatrix:
     """Assemble the full conditions x monomials matrix in the scalar domain:
     field elements, or Fractions over Q."""
-    basis = monomials(problem.n, problem.degree)
-    index = problem.condition_index()
-    if problem.field is not None:
-        tables = _ConditionTables(problem.config.points, _index_arrays(index), problem.field)
-        block = tables.block(basis)
-    else:
-        block, dens = _integer_conditions(problem.config.points, index, basis)
-        top = _power(dens, [problem.degree] * problem.n)  # row alpha is c^(d - alpha) x rational
-        block = np.array([[Fraction(x * _power(dens, alpha), top) for x in row]
-                          for row, (_, alpha) in zip(block.tolist(), index)], dtype=object)
+    block = _block(problem)
+    if problem.field is None:  # row (j, alpha) of the block is c_j^(d - |alpha|) times its own
+        dens = [h[0] for h in _homogeneous(problem.config.points)]
+        block = np.array([[Fraction(x, dens[j] ** max(0, problem.degree - sum(alpha))) for x in row]
+                          for row, (j, alpha) in zip(block.tolist(), problem.condition_index())],
+                         dtype=object)
     return ExactMatrix(*block.shape, block, problem.field)
+
+
+def _system_matrix(problem: InterpolationProblem) -> ExactMatrix:
+    """A matrix with the condition matrix's rank and kernel: that matrix mod
+    p, and over Q the integer block of ``_block``, so that no Fraction
+    enters a rank or kernel."""
+    if problem.field is not None:
+        return condition_matrix(problem)
+    block = _block(problem)
+    return ExactMatrix(*block.shape, block)
 
 
 def vanishing_dimension(problem: InterpolationProblem) -> int:
     """Dimension of the space of degree <= d polynomials meeting all orders."""
-    return problem.n_columns - rank(condition_matrix(problem))
+    return problem.n_columns - rank(_system_matrix(problem))
 
 
 def _red(field: PrimeField | None, x):
@@ -396,14 +402,10 @@ def _frame_conditions(config: PointConfig, orders: tuple, field: PrimeField | No
     n, r = config.dimension, config.r
     m0 = max(orders)
     j0 = orders.index(m0)
-    to = Fraction if field is None else field.from_rational
-    coords = [[to(c) for c in p] for p in config.points]
-    if field is None:  # over Q, each point on integer homogeneous coordinates
-        dens = [lcm(*(x.denominator for x in p)) for p in coords]
-        homog = [[c] + [x.numerator * (c // x.denominator) for x in p]
-                 for p, c in zip(coords, dens)]
+    if field is None:
+        homog = _homogeneous(config.points)
     else:
-        homog = [[1] + p for p in coords]
+        homog = [[1] + [field.from_rational(c) for c in p] for p in config.points]
     order = sorted(set(range(r)) - {j0}, key=lambda j: (-orders[j], j))
     b = [order[i] for i in _extend_basis([homog[j0]], [homog[j] for j in order], field)]
     units = [[int(i == k) for i in range(n + 1)] for k in range(1, n + 1)]
@@ -421,10 +423,9 @@ def _frame_conditions(config: PointConfig, orders: tuple, field: PrimeField | No
     if not rest:
         return m0, offsets, None
     alphas = {m: monomials(n, m - 1) for m in set(orders)}
-    if field is None:
-        index = [(i, (0,) + alpha) for i, j in enumerate(rest) for alpha in alphas[orders[j]]]
-    else:
-        index = [(i, alpha) for i, j in enumerate(rest) for alpha in alphas[orders[j]]]
+    lead = (0,) if field is None else ()  # over Q, alpha_0 = 0 on homogeneous coordinates
+    index = [(i, lead + alpha) for i, j in enumerate(rest) for alpha in alphas[orders[j]]]
+    if field is not None:
         images = field.vec_mul(images[1:], field.vec([field.inv(x) for x in images[0].tolist()]))
     return m0, offsets, _ConditionTables(images.T.tolist(), _index_arrays(index), field)
 
@@ -582,20 +583,19 @@ def vanishing_order(vectors, points, basis, field: PrimeField | None = None,
     the vectors open at any of those points.  A pair closes at its first
     shell with a nonzero dot, and the loop ends when every pair has closed.
 
-    Over Q the products stay in integers.  The coordinates of axis i are put
-    over one common denominator c_i = lcm_j den(x_ji), the tables are those
-    of the integer numerators c_i x_ji (``_integer_coordinates``), and the
-    vectors are scaled to integer rows whose entry at beta is scaled again
-    by prod_i c_i^(d - beta_i), the same factor at every point.  The
-    product for condition alpha at any point is then prod_i c_i^(d - alpha_i)
-    times the Taylor coefficient, so the zero pattern, and with it every
-    order, is unchanged.
+    Over Q the products stay in integers: the vectors are scaled to integer
+    rows and the tables are those of ``_condition_tables``, whose row
+    (j, alpha) is c_j^(d - |alpha|) times the condition row.  So every
+    product is a nonzero multiple of the Taylor coefficient, and the zero
+    pattern, and with it every order, is unchanged.
     """
     if not all(any(v) for v in vectors):
         raise ValueError("zero polynomial has no vanishing order")
     n, r = len(points[0]), len(points)
     degree = max(sum(b) for b in basis)
     low = np.array(reached if reached is not None else (0,) * r)
+    if len(low) != r or (low < 0).any():
+        raise ValueError(f"reached needs {r} orders >= 0, one per point; got {len(low)}: {reached}")
     if low.max() > degree:
         raise ValueError(f"no nonzero polynomial of degree {degree} reaches order {low.max()}")
     shells = {t: np.array(monomials_exact_degree(n, t)) for t in range(low.min(), degree + 1)}
@@ -603,14 +603,8 @@ def vanishing_order(vectors, points, basis, field: PrimeField | None = None,
     index = (np.concatenate([np.repeat(members[t], len(shell)) for t, shell in shells.items()]),
              np.concatenate([np.tile(shell, (len(members[t]), 1))
                              for t, shell in shells.items()]))
-    if field is None:
-        dens, points = _integer_coordinates(points)
-        vecs = integer_rows(vectors)
-        if any(c != 1 for c in dens):
-            vecs = vecs * _degree_scales(dens, basis)
-    else:
-        vecs = field.vec(vectors)
-    tables = _ConditionTables(points, index, field)
+    vecs = integer_rows(vectors) if field is None else field.vec(vectors)
+    tables, columns = _condition_tables(points, index, basis, field)
     orders = np.full((r, len(vectors)), -1)  # -1 while the pair is open
     start = 0
     for t, shell in shells.items():
@@ -621,7 +615,7 @@ def vanishing_order(vectors, points, basis, field: PrimeField | None = None,
         pts, vs = np.flatnonzero(todo.any(axis=1)), np.flatnonzero(todo.any(axis=0))
         if len(pts):
             rows = (start + pts[:, None] * size + np.arange(size)).ravel()
-            dots = exact_products(tables.block(basis, rows), vecs[vs], field)
+            dots = exact_products(tables.block(columns, rows), vecs[vs], field)
             hit = (dots != 0).reshape(-1, size, len(vs)).any(axis=1)
             at, of = np.nonzero(hit & todo[np.ix_(pts, vs)])
             orders[members[t][pts[at]], vs[of]] = t
@@ -657,17 +651,13 @@ def kernel_polynomials(problem: InterpolationProblem) -> list:
     """Kernel basis of the condition matrix as polynomials with exact
     achieved orders.  Raises when the system is empty at this degree.
 
-    Over Q the kernel is that of the integer block of
-    ``_integer_conditions``, a row scaling of the rational one, so
-    ``kernel_basis`` returns the rational kernel itself and no Fraction
-    condition matrix is built.  The orders are read from the shells of the
-    required orders up, which the verified kernel has proven zero."""
+    The kernel is that of ``_system_matrix``, over Q a row scaling of the
+    rational condition matrix in integers, so ``kernel_basis`` returns the
+    rational kernel itself and no Fraction matrix is built.  The orders are
+    read from the shells of the required orders up, which the verified
+    kernel has proven zero."""
     basis = monomials(problem.n, problem.degree)
-    if problem.field is None:
-        block, _ = _integer_conditions(problem.config.points, problem.condition_index(), basis)
-        vectors = kernel_basis(ExactMatrix(*block.shape, block))
-    else:
-        vectors = kernel_basis(condition_matrix(problem))
+    vectors = kernel_basis(_system_matrix(problem))
     if not vectors:
         raise ValueError(
             f"system empty at this degree (d={problem.degree}, orders={problem.orders})"

@@ -47,6 +47,8 @@ from .seeds import derive_seed
 NEG_INF = float("-inf")
 
 _MODES = ("ball", "polydisc")
+_EXTRA_COMBOS = 32  # random complex kernel combinations added to each approximant
+_SHAPE_TOL = 1e-7  # slack of the radial envelope's monotonicity and convexity checks
 
 
 def _as_points(z) -> tuple:
@@ -286,7 +288,7 @@ class GreenApproximant:
 
 def build_approximant(config: PointConfig, t, l: int, d: int,
                       boundary_samples: int = 4096, seed: int = 0,
-                      mode: str = "ball", extra_combos: int = 32) -> GreenApproximant:
+                      mode: str = "ball") -> GreenApproximant:
     """Exact kernel of the t-scaled system, normalized by sampled sup norms.
 
     t must be an exact rational (int, Fraction, or a decimal string such as
@@ -313,11 +315,11 @@ def build_approximant(config: PointConfig, t, l: int, d: int,
 
     exps, coeffs = _kernel_arrays(polys)
     rng = np.random.default_rng(seed)
-    if extra_combos > 0 and len(polys) >= 2:
+    if len(polys) >= 2:
         # random complex combinations of the kernel basis widen the family;
         # each is normalized by its own sampled sup, so they stay minorants
-        weights = rng.standard_normal((extra_combos, len(polys))) \
-            + 1j * rng.standard_normal((extra_combos, len(polys)))
+        weights = rng.standard_normal((_EXTRA_COMBOS, len(polys))) \
+            + 1j * rng.standard_normal((_EXTRA_COMBOS, len(polys)))
         coeffs = np.concatenate([coeffs, coeffs @ weights.T], axis=1)
 
     probe = _boundary(rng, 2 * boundary_samples, config.dimension, mode)
@@ -399,27 +401,26 @@ def _fit_line(x: np.ndarray, y: np.ndarray) -> tuple:
     return slope, stderr
 
 
-def _check_shape(x: np.ndarray, y: np.ndarray, tol: float) -> None:
+def _check_shape(x: np.ndarray, y: np.ndarray) -> None:
     # sup over spheres of a psh function is convex non-decreasing in ln r;
-    # sampled sups must respect this up to the stated tolerance
+    # sampled sups must respect this up to _SHAPE_TOL
     order = np.argsort(x)
     xs, ys = x[order], y[order]
-    if np.any(np.diff(ys) < -tol):
+    if np.any(np.diff(ys) < -_SHAPE_TOL):
         raise ValueError("radial envelope decreases with radius beyond tolerance")
     slopes = np.diff(ys) / np.diff(xs)
-    if np.any(np.diff(slopes) < -tol):
+    if np.any(np.diff(slopes) < -_SHAPE_TOL):
         raise ValueError("radial envelope is non-convex in ln r beyond tolerance")
 
 
 def radial_profile(target, radii=None, sphere_samples: int = 512, seed: int = 0,
                    mode: str | None = None, axis: int | None = None,
-                   pole_radius: float | None = None, dimension: int | None = None,
-                   shape_tol: float = 1e-7) -> RadialProfile:
+                   pole_radius: float | None = None) -> RadialProfile:
     """Sup of target over sampled spheres of each radius, with log-slope fit.
 
     target is a GreenApproximant (mode, dimension, and pole radius inferred)
-    or a callable with mode given (dimension defaults to 2) that maps an
-    (m, n) array of points to their m values.
+    or a callable on C^2, with mode given, that maps an (m, 2) array of
+    points to their m values.
     Radii must be decreasing in (0, 1) and stay outside the pole radius;
     passing axis=j restricts the sampling to the j-th coordinate axis (an
     axial slope).
@@ -433,7 +434,7 @@ def radial_profile(target, radii=None, sphere_samples: int = 512, seed: int = 0,
     else:
         if mode not in _MODES:
             raise ValueError("mode is required for callable targets")
-        n = dimension or 2
+        n = 2
         fn = target
         if pole_radius is None:
             pole_radius = 0.0
@@ -477,7 +478,7 @@ def radial_profile(target, radii=None, sphere_samples: int = 512, seed: int = 0,
             raise ValueError(f"target is -inf on the whole sampled sphere r={r}")
 
     x = np.log(np.array(radii))
-    _check_shape(x, y, shape_tol)
+    _check_shape(x, y)
     slope, stderr = _fit_line(x, y)
     return RadialProfile(radii, tuple(y.tolist()), slope, stderr)
 
@@ -544,8 +545,7 @@ def collision_experiment(config: PointConfig, l: int, d: int, t_sequence,
                          mode: str = "ball", r_min: float = 0.3,
                          r_max: float = 0.95, n_radii: int = 20,
                          n_dirs: int = 20, boundary_samples: int = 4096,
-                         extra_combos: int = 32, seed: int = 0,
-                         oracle=None) -> CollisionTable:
+                         seed: int = 0, oracle=None) -> CollisionTable:
     """Convergence of approximants as the poles t*S collide at the origin.
 
     For each t the approximant's radial envelope over an annulus grid is
@@ -580,8 +580,7 @@ def collision_experiment(config: PointConfig, l: int, d: int, t_sequence,
     rows = []
     for i, t in enumerate(ts):
         g = build_approximant(config, t, l, d, boundary_samples,
-                              derive_seed(seed, f"collision-t{i}"), mode,
-                              extra_combos)
+                              derive_seed(seed, f"collision-t{i}"), mode)
         if g.pole_radius >= r_min:
             raise ValueError(
                 f"t={t}: poles (radius {g.pole_radius:.3g}) intrude on the "
@@ -600,7 +599,7 @@ def collision_experiment(config: PointConfig, l: int, d: int, t_sequence,
         rows.append(CollisionRow(t, dev, slope, upper_ok, margin,
                                  g.eps_sample, gap))
     grid = {"r_min": r_min, "r_max": r_max, "n_radii": n_radii, "n_dirs": n_dirs,
-            "boundary_samples": boundary_samples, "extra_combos": extra_combos}
+            "boundary_samples": boundary_samples, "extra_combos": _EXTRA_COMBOS}
     return CollisionTable(tuple(rows), omega_hat, config, l, d, mode, seed, grid)
 
 

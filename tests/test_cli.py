@@ -90,6 +90,19 @@ def test_green_profile_exact(tmp_path):
     assert report["results"]["slope"] == pytest.approx(1.0, abs=1e-9)
 
 
+@pytest.mark.parametrize("argv, mode", [
+    (["--exact", "two-point-limit"], "polydisc"),
+    (["--exact", "ball-origin"], "ball"),
+    (["--example", "two-point", "--t", "1/10", "--boundary-samples", "64"], "ball"),
+])
+def test_green_profile_spec_records_the_mode_profiled(tmp_path, argv, mode):
+    # with no --mode, an --exact target is profiled in its own mode and an
+    # approximant in the ball, and the report's spec says which
+    code, out = run_cli(tmp_path, "green-profile", *argv, "--sphere-samples", "16")
+    assert code == EXIT_OK
+    assert read_report(out, "green-profile")["spec"]["params"]["mode"] == mode
+
+
 def test_green_profile_approximant(tmp_path):
     code, out = run_cli(tmp_path, "green-profile", "--example", "two-point",
                         "--t", "1/10", "--l", "1", "--d", "2", "--mode",
@@ -297,6 +310,18 @@ def assert_one_line_error(tmp_path, capsys, argv, name):
      "config-json: points[0] must hold rationals, got '1/x'"),
     (["omega", "--config-json", '{"dimension": 1, "points": [[Infinity]]}'],
      "config-json: points[0] must hold rationals, got inf"),
+    # an --exact target has its own mode, no pole scale and no config
+    (["green-profile", "--exact", "two-point-limit", "--mode", "ball"],
+     "mode: --exact two-point-limit lives in mode polydisc, not ball"),
+    (["green-profile", "--exact", "ball-origin", "--mode", "polydisc"],
+     "mode: --exact ball-origin lives in mode ball, not polydisc"),
+    (["green-profile", "--exact", "two-point-limit", "--mode", "polydisc", "--t", "1/3"],
+     "t: --t scales an approximant's poles"),
+    (["green-profile", "--exact", "two-point-limit", "--mode", "ball", "--t", "1/3",
+      "--r", "5"], "mode: --exact two-point-limit"),
+    *((["green-profile", "--exact", "ball-origin", *source], "config: --exact")
+      for source in (["--r", "5"], ["--grid", "2"], ["--example", "two-point"],
+                     ["--config-json", '{"dimension": 2, "points": [["0", "0"]]}'])),
 ])
 def test_bad_arguments_are_one_line_errors(tmp_path, capsys, argv, name):
     assert_one_line_error(tmp_path, capsys, argv, name)

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 from nagata import fatpoints, invariants
 from nagata.configs import generic_points, grid_points, make_config, two_point_example
-from nagata.exactla import PrimeField, ReductionError
+from nagata.exactla import ExactMatrix, PrimeField, ReductionError, kernel_basis, rank
 from nagata.fatpoints import (
     DimensionSearch,
     InterpolationProblem,
@@ -179,6 +179,20 @@ def test_a_shell_zero_mod_the_lift_prime_is_read_exactly():
         vanishing_order([p], [(0,)], basis, reached=(5,))
 
 
+def test_reached_needs_one_order_at_least_zero_per_point():
+    # x^2 has order 2 at the origin and 0 at (1, 0); a reached that skips
+    # (1, 0) or goes below 0 there is refused, not read as order -1
+    basis = monomials(2, 2)
+    square = as_vector({(2, 0): Fraction(1)}, basis)
+    points = [(0, 0), (1, 0)]
+    assert vanishing_order([square], points, basis, reached=(2, 0)) == ((2,), (0,))
+    for reached in ((0,), (0, 0, 0), (0, -1)):
+        with pytest.raises(ValueError, match=f"reached needs 2 orders >= 0.*got {len(reached)}"):
+            vanishing_order([square], points, basis, reached=reached)
+    with pytest.raises(ValueError, match="reached needs 2"):
+        vanishing_order([as_vector({(2, 0): 1}, basis, F)], points, basis, F, reached=(0,))
+
+
 def test_dimension_search_monotonicity_in_degree_and_orders():
     rng = random.Random(11)
     for _ in range(6):
@@ -335,17 +349,29 @@ def test_reduced_dimensions_match_the_full_matrix(cfg, fld):
 @settings(deadline=None, max_examples=30)
 @given(st.data())
 def test_rational_dimension_matches_the_full_matrix_on_mixed_denominators(data):
-    # the reduced block is built in integers, from the primitive integer
-    # images of the points in the frame, on collinear points too
+    # coordinate i of point j is k +- 1/den_ji, with den a different integer
+    # 1..12 at every point and axis.  The reduced block is built from the
+    # primitive integer images of the points in the frame (on collinear
+    # points too), the full block from the homogeneous points; both must
+    # match the rank and kernel of the Fraction rows of condition_row
     n = data.draw(st.integers(1, 3))
-    coord = st.fractions(-4, 4, max_denominator=12)
-    points = data.draw(st.lists(st.tuples(*[coord] * n), min_size=1, max_size=4, unique=True))
-    orders = tuple(data.draw(st.lists(st.integers(1, 3), min_size=len(points),
-                                      max_size=len(points))))
-    cfg = make_config(points)
+    r = data.draw(st.integers(1, 4))
+    dens = data.draw(st.permutations(range(1, 13)))[:r * n]
+    coords = [data.draw(st.integers(-3, 3)) + Fraction(data.draw(st.sampled_from((-1, 1))), c)
+              for c in dens]
+    cfg = make_config([coords[j * n:(j + 1) * n] for j in range(r)])
+    assert [x.denominator for p in cfg.points for x in p] == dens
+    orders = tuple(data.draw(st.lists(st.integers(1, 3), min_size=r, max_size=r)))
     for d in range(max(orders) + 3):
-        assert rational_dimension(cfg, orders, d) == vanishing_dimension(
-            InterpolationProblem(cfg, d, orders))
+        problem = InterpolationProblem(cfg, d, orders)
+        basis = monomials(n, d)
+        full = ExactMatrix.from_rows([condition_row(cfg.points[j], alpha, basis)
+                                      for j, alpha in problem.condition_index()])
+        dim = len(basis) - rank(full)
+        assert rational_dimension(cfg, orders, d) == vanishing_dimension(problem) == dim
+        if dim:
+            want = [{b: c for b, c in zip(basis, v) if c} for v in kernel_basis(full)]
+            assert [p.as_dict() for p in kernel_polynomials(problem)] == want
 
 
 def test_reduced_dimensions_with_points_congruent_mod_p():
@@ -489,8 +515,8 @@ def order_oracle(vector, point, basis) -> int:
 
 
 def test_rational_orders_at_the_scaled_two_point_example():
-    # coordinates +-1/20 and 0: the common denominators per axis are 20 and
-    # 1 at the two points, and 60 and 7 with the extra point
+    # coordinates +-1/20 and 0: each of the two points is (20, +-1, 0) in
+    # homogeneous integers, and the extra point (21, 7, -6)
     cfg = two_point_example().scaled(Fraction(1, 10))
     assert {c.denominator for p in cfg.points for c in p} == {1, 20}
     points = [*cfg.points, (Fraction(1, 3), Fraction(-2, 7))]

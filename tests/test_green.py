@@ -259,16 +259,16 @@ def test_approximant_determinism():
 
 
 def test_extra_combos_are_seeded_kernel_combinations():
-    # the family is the kernel basis, then extra_combos complex combinations
-    # whose weights are the first draws of the seed's stream
+    # the family is the kernel basis, then 32 complex combinations whose
+    # weights are the first draws of the seed's stream
     g = build_approximant(TWO, Fraction(1, 4), 1, 2, boundary_samples=64,
-                          seed=9, mode="polydisc", extra_combos=5)
-    basis = g.coeffs[:, :-5]
+                          seed=9, mode="polydisc")
+    basis = g.coeffs[:, :-32]
     k = basis.shape[1]
     rng = np.random.default_rng(9)
-    weights = rng.standard_normal((5, k)) + 1j * rng.standard_normal((5, k))
+    weights = rng.standard_normal((32, k)) + 1j * rng.standard_normal((32, k))
     assert np.array_equal(g.coeffs[:, k:], basis @ weights.T)
-    assert len(g.sup_estimates) == k + 5
+    assert len(g.sup_estimates) == k + 32
 
 
 def test_approximant_nonpositive_up_to_sampling():
