@@ -192,6 +192,11 @@ def _run_harbourne(spec: ExperimentSpec):
     return results, check.verdicts(), rows
 
 
+# green-profile options that only an approximant reads, and their defaults;
+# the report's spec records them as resolved, or null for an --exact target
+_APPROXIMANT_DEFAULTS = {"l": 1, "d": 2, "boundary_samples": 4096}
+
+
 def _run_green_profile(spec: ExperimentSpec):
     p = spec.params
     radii = p["radii"]
@@ -207,6 +212,10 @@ def _run_green_profile(spec: ExperimentSpec):
             raise CliError("t: --t scales an approximant's poles, not an --exact target")
         if spec.config is not None:
             raise CliError("config: --exact profiles a closed form and takes no config")
+        for key in _APPROXIMANT_DEFAULTS:
+            if p[key] is not None:
+                flag = "--" + key.replace("_", "-")
+                raise CliError(f"{key}: {flag} shapes an approximant, not an --exact target")
         p["mode"] = mode  # the report's spec records the mode profiled
         profile = radial_profile(target, radii, p["sphere_samples"], seed,
                                  mode=mode, axis=p["axis"])
@@ -218,6 +227,9 @@ def _run_green_profile(spec: ExperimentSpec):
         if p["t"] is None:
             raise CliError("t: required when profiling an approximant")
         p["mode"] = p["mode"] or "ball"
+        for key, default in _APPROXIMANT_DEFAULTS.items():
+            if p[key] is None:
+                p[key] = default
         g = build_approximant(cfg, p["t"], p["l"], p["d"],
                               p["boundary_samples"], seed, p["mode"])
         profile = radial_profile(g, radii, p["sphere_samples"],
@@ -394,12 +406,12 @@ _COMMANDS = {
         ("--mode", dict(choices=["ball", "polydisc"],
                         help="default: the --exact target's own mode, else ball")),
         ("--t", dict(type=_fraction, help="exact rational pole scale, e.g. 1/10")),
-        ("--l", dict(type=int, default=1)),
-        ("--d", dict(type=int, default=2)),
+        ("--l", dict(type=int, help="default 1; an approximant's only")),
+        ("--d", dict(type=int, help="default 2; an approximant's only")),
         ("--radii", dict(type=_floats,
                          help="comma-separated decreasing radii in (0,1)")),
         ("--sphere-samples", dict(type=int, default=512)),
-        _BOUNDARY_SAMPLES,
+        ("--boundary-samples", dict(type=int, help="default 4096; an approximant's only")),
         ("--axis", dict(type=int, help="restrict sampling to one axis")),
     ), config="optional"),
     "collide": Subcommand("pole-collision convergence table", _run_collide, (

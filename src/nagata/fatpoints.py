@@ -44,6 +44,11 @@ monomials entered by d minus the rank of the other points' conditions on
 them (``DimensionSearch`` mod p, ``rational_dimension`` over Q).
 ``vanishing_dimension`` and ``condition_matrix`` stay on the full matrix.
 
+In the plane the same triangle serves the quadratic transformations
+themselves: ``_cremona_nonempty`` moves a class (d; orders) and its points
+by them, mod p, and reads off whether the system is empty, without
+building any matrix (see ``invariants._omega``).
+
 The condition rows also give exact vanishing orders: the (z - p)^alpha
 Taylor coefficient of a polynomial is the dot of its coefficient vector with
 the row of (p, alpha), so the order at p is the least t whose shell of rows
@@ -428,6 +433,80 @@ def _frame_conditions(config: PointConfig, orders: tuple, field: PrimeField | No
     if field is not None:
         images = field.vec_mul(images[1:], field.vec([field.inv(x) for x in images[0].tolist()]))
     return m0, offsets, _ConditionTables(images.T.tolist(), _index_arrays(index), field)
+
+
+def _cremona_nonempty(config: PointConfig, orders, degree: int, field: PrimeField):
+    """Whether the plane system of the given orders at the config's points
+    has a nonzero form of degree ``degree`` over Q, decided by quadratic
+    transformations of those points mod p: True, False, or None where they
+    cannot tell.
+
+    A step is centred at the three points of largest order (ties in config
+    order), P1, P2, P3, taken as primitive homogeneous vectors
+    (``_homogeneous``) mod p.  Its lines L_i = P_j x P_k, through the two
+    centres other than P_i, are the rows of adj[P1 P2 P3].  It needs
+    L_1 . P1 != 0 (the centres are not collinear) and L_i . P != 0 for
+    every other point P and every i (P lies on none of the three lines).
+    Then the adjugate and sigma(x:y:z) = (yz : xz : xy) take each other
+    point to (L_2.P L_3.P : L_1.P L_3.P : L_1.P L_2.P) and the line L_i to
+    the coordinate point e_i, of order d - m_j - m_k; with
+    k = d - m_1 - m_2 - m_3 the class (d; orders) becomes (d + k; m_i + k,
+    the other orders).  This is an isomorphism of the blown-up planes, so
+    the system's dimension is the same.  Every check is a value nonzero mod
+    p, hence nonzero in the integers it reduces (the same steps on the
+    primitive vectors over Z), so the chain holds over Q.  An order below 0
+    is clamped to 0, which removes an exceptional curve, a fixed component,
+    and a point of order 0 is dropped: it no longer changes the system.
+
+    The chain ends in False at d < 0 or at an order above d.  It ends in
+    True at fewer than three points, each of order <= d (a power of their
+    line times a power of a line through the first), or at a standard form,
+    d >= m_1 + m_2 + m_3, with more monomials than conditions (chi >= 1);
+    at a standard form with chi <= 0 it cannot tell.  With a point that has
+    no image mod p there is no chain: the search raises its ReductionError
+    there.  O(r) operations mod p a step.
+    """
+    p = field.modulus
+    points = [[x % p for x in h] for h in _homogeneous(config.points)]
+    if not all(h[0] for h in points):
+        return None
+    pts = list(zip(points, orders))
+    d = degree
+    while True:
+        pts = [(h, m) for h, m in pts if m > 0]
+        ms = sorted((m for _, m in pts), reverse=True)
+        if d < 0 or (ms and ms[0] > d):
+            return False
+        if len(ms) < 3:
+            return True
+        if sum(ms[:3]) <= d:
+            return True if comb(d + 2, 2) > sum(comb(m + 1, 2) for m in ms) else None
+        top = sorted(range(len(pts)), key=lambda j: -pts[j][1])[:3]
+        (a, _), (b, _), (c, _) = (pts[j] for j in top)
+        lines = [_cross(b, c, p), _cross(c, a, p), _cross(a, b, p)]
+        if not _dot(lines[0], a, p):
+            return None
+        k = d - sum(ms[:3])
+        out = []
+        for j, (h, m) in enumerate(pts):
+            if j in top:
+                i = top.index(j)
+                out.append(([int(i == t) for t in range(3)], m + k))
+                continue
+            x, y, z = (_dot(line, h, p) for line in lines)
+            if not (x and y and z):
+                return None
+            out.append(([y * z % p, x * z % p, x * y % p], m))
+        pts, d = out, d + k
+
+
+def _cross(u, v, p: int) -> list:
+    return [(u[1] * v[2] - u[2] * v[1]) % p, (u[2] * v[0] - u[0] * v[2]) % p,
+            (u[0] * v[1] - u[1] * v[0]) % p]
+
+
+def _dot(u, v, p: int) -> int:
+    return sum(x * y for x, y in zip(u, v)) % p
 
 
 def _shells(n: int, low: int, high: int) -> np.ndarray:

@@ -103,6 +103,19 @@ def test_green_profile_spec_records_the_mode_profiled(tmp_path, argv, mode):
     assert read_report(out, "green-profile")["spec"]["params"]["mode"] == mode
 
 
+@pytest.mark.parametrize("argv, params", [
+    (["--exact", "ball-origin"], {"l": None, "d": None, "boundary_samples": None}),
+    (["--example", "two-point", "--t", "1/10", "--boundary-samples", "64"],
+     {"l": 1, "d": 2, "boundary_samples": 64}),
+])
+def test_green_profile_spec_records_the_approximant_options_read(tmp_path, argv, params):
+    # an approximant resolves the defaults it reads; an --exact target reads none
+    code, out = run_cli(tmp_path, "green-profile", *argv, "--sphere-samples", "16")
+    assert code == EXIT_OK
+    recorded = read_report(out, "green-profile")["spec"]["params"]
+    assert {key: recorded[key] for key in params} == params
+
+
 def test_green_profile_approximant(tmp_path):
     code, out = run_cli(tmp_path, "green-profile", "--example", "two-point",
                         "--t", "1/10", "--l", "1", "--d", "2", "--mode",
@@ -322,6 +335,11 @@ def assert_one_line_error(tmp_path, capsys, argv, name):
     *((["green-profile", "--exact", "ball-origin", *source], "config: --exact")
       for source in (["--r", "5"], ["--grid", "2"], ["--example", "two-point"],
                      ["--config-json", '{"dimension": 2, "points": [["0", "0"]]}'])),
+    # --l, --d and --boundary-samples shape an approximant: an --exact target
+    # refuses them rather than record values it never reads
+    *((["green-profile", "--exact", "ball-origin", flag, "3"],
+      f"{flag[2:].replace('-', '_')}: {flag} shapes an approximant")
+      for flag in ("--l", "--d", "--boundary-samples")),
 ])
 def test_bad_arguments_are_one_line_errors(tmp_path, capsys, argv, name):
     assert_one_line_error(tmp_path, capsys, argv, name)

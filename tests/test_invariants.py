@@ -13,6 +13,7 @@ from nagata.exactla import PrimeField, ReductionError
 from nagata.fatpoints import (
     DimensionSearch,
     InterpolationProblem,
+    _cremona_nonempty,
     rational_dimension,
     uniform_orders,
     vanishing_dimension,
@@ -195,16 +196,92 @@ def test_upper_bound_is_the_harbourne_ceiling(r):
 
 @pytest.mark.parametrize("scalar", ["field", "rational"])
 def test_harbourne_table_needs_no_confirmation(monkeypatch, scalar):
-    # every cell stops at its bound in either domain omega_l still accepts:
-    # one search mod the default prime per cell, no lower level and no exact
-    # rank
+    # every cell's bound is certified by quadratic transformations of its own
+    # points, in either domain omega_l still accepts: no search, no lower
+    # level and no exact rank
     built, ranked = recorded_searches(monkeypatch)
     monkeypatch.setattr(invariants, "omega_l",
                         lambda cfg, l: omega_l(cfg, l, scalar))
     assert harbourne_table_check(8, 2024).all_pass
-    assert len(built) == 72
-    assert {p for p, _ in built} == {invariants.DEFAULT_FIELD.modulus}
+    assert not built
     assert not ranked
+
+
+@st.composite
+def plane_configs(draw):
+    """Up to nine plane points with coordinates in -2..2, some on the line
+    y = 2x + 1 or the conic y = x^2, so that collinear triples, points on a
+    line through two others and points on a conic are common; then some
+    coordinates moved by 2^31 - 1 (so they coincide mod the search prime);
+    multiplicities 1..5."""
+    t = st.integers(-2, 2)
+    shape = st.one_of(st.tuples(t, t), t.map(lambda x: (x, 2 * x + 1)), t.map(lambda x: (x, x * x)))
+    point = st.builds(lambda p, k: (p[0] + k[0] * P31, p[1] + k[1] * P31),
+                      shape, st.tuples(st.integers(0, 1), st.integers(0, 1)))
+    points = draw(st.lists(point, min_size=1, max_size=9, unique=True))
+    mults = st.lists(st.integers(1, 5), min_size=len(points), max_size=len(points))
+    return make_config(points, draw(mults))
+
+
+@settings(deadline=None, max_examples=30)  # an open cell can take seconds of exact ranks
+@given(plane_configs())
+def test_cremona_certificate_agrees_with_the_search(cfg):
+    # the value with the certificate off is the same in both domains (one
+    # search mod the default prime, then exact ranks over Q)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(invariants, "_cremona_nonempty", lambda *args: None)
+        want = omega_l(cfg, 1)
+    assert omega_l(cfg, 1) == omega_l(cfg, 1, "rational") == want
+
+
+@settings(deadline=None, max_examples=150)
+@given(plane_configs())
+def test_cremona_answer_is_sound_at_every_degree(cfg):
+    # where the chain answers, whatever the prime its checks run mod, the
+    # exact rank over Q must agree
+    orders = uniform_orders(cfg, 1)
+    for d in range(_upper_bound(cfg, 1) + 1):
+        for fld in (PrimeField(7), invariants.DEFAULT_FIELD):
+            nonempty = _cremona_nonempty(cfg, orders, d, fld)
+            if nonempty is not None:
+                assert (rational_dimension(cfg, orders, d) >= 1) == nonempty
+
+
+# three points of order 2 and three of order 1; at the bound 4 - 1 the class
+# (3; 2, 2, 2, 1, 1, 1) needs a quadratic transformation centred at the first three
+CENTRED = [2, 2, 2, 1, 1, 1]
+REFUSED = {
+    # the three centres lie on the line y = x
+    "collinear-centres": ([[0, 0], [1, 1], [2, 2], [1, 0], [0, 1], [3, 5]],
+                          [[0, 0], [1, 1], [2, 7], [1, 0], [0, 1], [3, 5]]),
+    # (2, 0) lies on the line y = 0 through the centres (0, 0) and (1, 0)
+    "point-on-a-centre-line": ([[0, 0], [1, 0], [0, 1], [2, 0], [3, 5], [5, 2]],
+                               [[0, 0], [1, 0], [0, 1], [2, 7], [3, 5], [5, 2]]),
+}
+
+
+@pytest.mark.parametrize("special, moved", REFUSED.values(), ids=REFUSED.keys())
+def test_cremona_chain_refuses_special_centres(monkeypatch, special, moved):
+    for points, certified in ((special, False), (moved, True)):
+        cfg = make_config(points, CENTRED)
+        assert _upper_bound(cfg, 1) == 4
+        answer = _cremona_nonempty(cfg, CENTRED, 3, invariants.DEFAULT_FIELD)
+        assert answer is (False if certified else None)
+        built, _ = recorded_searches(monkeypatch)
+        for l in (1, 2, 3):
+            assert omega_l(cfg, l) == omega_l(cfg, l, "rational") == rational_scan(cfg, l)
+        assert bool(built) is not certified
+
+
+def test_cremona_certifies_from_fewer_than_three_points(monkeypatch):
+    # two points: (2; 3, 3) is empty, and the cube of their line lies in (3; 3, 3)
+    built, ranked = recorded_searches(monkeypatch)
+    cfg = make_config([[0, 0], [1, 2]])
+    assert _cremona_nonempty(cfg, (3, 3), 2, invariants.DEFAULT_FIELD) is False
+    assert _cremona_nonempty(cfg, (3, 3), 3, invariants.DEFAULT_FIELD) is True
+    assert omega_l(cfg, 3) == omega_l(cfg, 3, "rational") == 3
+    assert not built and not ranked
+    assert rational_scan(cfg, 3) == 3
 
 
 @pytest.mark.parametrize("scalar", ["field", "rational"])
