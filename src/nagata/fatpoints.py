@@ -32,22 +32,24 @@ in a projective frame of up to n + 1 of the points (``_frame_conditions``).
 A polynomial of degree <= d is a form of degree d in the homogeneous
 coordinates of P^n, and a change of coordinates A of P^n (over Q, or mod p
 where A is invertible there) maps the forms vanishing to given orders at
-given points onto those vanishing to the same orders at their images.  A
-sends p_j0, a point of the largest order m0, to the origin and up to n more
-points b_i to the points at infinity of the coordinate axes, the coordinate
-triangle of Nagata's quadratic transformations.  There the conditions only
-delete monomials: order m0 at the origin deletes those of degree below m0,
-and order c_i at the point at infinity of axis i deletes those with
-beta_i > d - c_i.  So monomial beta enters at degree
+given points onto those vanishing to the same orders at their images.
+One fraction-free elimination (``_simplex``) finds such an A that sends
+p_j0, a point of the largest order m0, to the origin and up to n more
+points b_i to the points at infinity of the coordinate axes, the
+coordinate simplex, and applies it to every other point.  There the
+conditions only delete monomials: order m0 at the origin deletes those of
+degree below m0, and order c_i at the point at infinity of axis i deletes
+those with beta_i > d - c_i.  So monomial beta enters at degree
 max(|beta|, max_i(beta_i + c_i)), and the dimension at d is the number of
 monomials entered by d minus the rank of the other points' conditions on
 them (``DimensionSearch`` mod p, ``rational_dimension`` over Q).
 ``vanishing_dimension`` and ``condition_matrix`` stay on the full matrix.
 
-In the plane the same triangle serves the quadratic transformations
-themselves: ``_cremona_nonempty`` moves a class (d; orders) and its points
-by them, mod p, and reads off whether the system is empty, without
-building any matrix (see ``invariants._omega``).
+In the plane the same routine serves Nagata's quadratic transformations:
+``_simplex`` sends the three centres of each to the coordinate triangle,
+and ``_cremona_nonempty`` moves a class (d; orders) and its points by the
+transformations, mod p, and reads off whether the system is empty,
+without building any matrix (see ``invariants._omega``).
 
 The condition rows also give exact vanishing orders: the (z - p)^alpha
 Taylor coefficient of a polynomial is the dot of its coefficient vector with
@@ -62,7 +64,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb, lcm, prod
+from math import comb, gcd, lcm
 
 import numpy as np
 
@@ -248,12 +250,12 @@ def _index_arrays(pairs) -> tuple:
 
 
 def _homogeneous(points) -> list:
-    """Each rational point x as the primitive integer vector (c, c x) of
-    P^n, c the lcm of its denominators."""
+    """Each rational point x (Fractions or ints) as the primitive integer
+    vector (c, c x) of P^n, c the lcm of its denominators."""
     out = []
     for p in points:
-        c = lcm(*(Fraction(x).denominator for x in p))
-        out.append([c] + [int(c * Fraction(x)) for x in p])
+        c = lcm(*(x.denominator for x in p))
+        out.append([c] + [x.numerator * (c // x.denominator) for x in p])
     return out
 
 
@@ -312,93 +314,71 @@ def vanishing_dimension(problem: InterpolationProblem) -> int:
     return problem.n_columns - rank(_system_matrix(problem))
 
 
-def _red(field: PrimeField | None, x):
-    return x if field is None else x % field.modulus
+def _simplex(columns: list, field: PrimeField | None) -> tuple:
+    """(pivots, images): the column rank profile of the matrix M with the
+    given columns (n + 1 entries each), and every column times one E with
+    E F = D diagonal, each D_t != 0, F the pivot columns: as points of P^n
+    the t-th pivot column goes to the t-th coordinate point.
 
-
-def _echelon_add(span: list, v: list, field: PrimeField | None) -> bool:
-    """Add v to the echelon rows ``span``, (c, row) pairs with row[c] != 0
-    and row zero at every earlier pivot, unless v is in their span; returns
-    whether it was added.  Fraction-free: v <- row[c] v - v[c] row clears
-    pivot c, in integers over Q.  O(len(v)^2) scalar operations."""
-    for c, row in span:
-        if v[c]:
-            v = [_red(field, row[c] * x - v[c] * y) for x, y in zip(v, row)]
-    c = next((i for i, x in enumerate(v) if x), None)
-    if c is None:
-        return False
-    span.append((c, v))
-    return True
-
-
-def _extend_basis(vectors: list, candidates: list, field: PrimeField | None) -> list:
-    """Positions of the first candidates, in order, that are independent of
-    the (independent) vectors and the candidates taken before them, until a
-    basis of the whole space is reached."""
-    span = []
-    for v in vectors:
-        _echelon_add(span, v, field)
-    taken = []
-    for i, v in enumerate(candidates):
-        if len(span) == len(v):
+    Fraction-free Gauss-Jordan on the rows of M: the pivot in row k and
+    column j clears column j from every other row,
+    row <- M[k][j] row - row[j] M[k], reduced mod p in the same pass.  Over
+    Q each step is divided exactly by the previous pivot (Bareiss), so
+    every entry stays a minor of M up to sign, and D = +-det(F) I for a
+    full-rank F.  O(n^2 len(columns)) scalar operations."""
+    rows = [list(row) for row in zip(*columns)]
+    pivots, last = [], 1
+    for j in range(len(columns)):
+        k = len(pivots)
+        if k == len(rows):
             break
-        if _echelon_add(span, v, field):
-            taken.append(i)
-    return taken
-
-
-def _inverse(m: list, field: PrimeField | None) -> list:
-    """A nonzero multiple of the inverse of an invertible square matrix (a
-    list of rows), in integers over Q: any multiple maps every point to the
-    same point of P^n.  Fraction-free Gauss-Jordan turns [m | I] into
-    [diag(D) | R], so m^-1 = diag(D)^-1 R, and row i of R times
-    prod_{k != i} D_k is prod(D) m^-1."""
-    size = len(m)
-    a = [list(row) + [int(i == k) for k in range(size)] for i, row in enumerate(m)]
-    for k in range(size):
-        p = next(i for i in range(k, size) if a[i][k])
-        a[k], a[p] = a[p], a[k]
-        for i in range(size):
-            if i != k and a[i][k]:
-                f, g = a[k][k], a[i][k]
-                a[i] = [_red(field, f * x - g * y) for x, y in zip(a[i], a[k])]
-    diag = [a[i][i] for i in range(size)]
-    return [[_red(field, prod(diag[:i] + diag[i + 1:]) * x) for x in row[size:]]
-            for i, row in enumerate(a)]
-
-
-def _images(a: list, points: list, field: PrimeField | None) -> np.ndarray:
-    """a times each point (a row), as the columns of one array; over Q each
-    column is scaled to a primitive integer vector, the same point of P^n."""
-    if field is not None:  # a dot of n + 1 residues of products stays below 2^64
-        prods = np.array(a, dtype=np.uint64)[:, None] * np.array(points, dtype=np.uint64)
-        return (prods % np.uint64(field.modulus)).sum(axis=2) % np.uint64(field.modulus)
-    out = np.array(a, dtype=object) @ np.array(points, dtype=object).T
-    return out // np.gcd.reduce(out, axis=0)
+        i = next((i for i in range(k, len(rows)) if rows[i][j]), None)
+        if i is None:
+            continue
+        rows[k], rows[i] = rows[i], rows[k]
+        top, f = rows[k], rows[k][j]
+        for i, row in enumerate(rows):
+            if i == k:
+                continue
+            g = row[j]
+            if field is None:
+                rows[i] = [(f * x - g * y) // last for x, y in zip(row, top)]
+            elif g:
+                rows[i] = [(f * x - g * y) % field.modulus for x, y in zip(row, top)]
+        pivots.append(j)
+        last = f
+    return pivots, list(zip(*rows))
 
 
 def _frame_conditions(config: PointConfig, orders: tuple, field: PrimeField | None):
     """The system in a projective frame of up to n + 1 of its points.
 
     Returns (m0, offsets, tables).  m0 = max(orders), p_j0 is the first
-    point of order m0, and A, the inverse of [P_j0, P_b1, ..., P_bk,
-    completing unit directions] for P = (1, x), sends p_j0 to the origin and
-    b_i to the point at infinity of axis i.  ``offsets`` holds c_i, the
-    order of b_i, for i <= k and 0 for a completing direction: monomial beta
-    of degree >= m0 enters at degree max(|beta|, max_i(beta_i + c_i)).
+    point of order m0, and one ``_simplex`` of the columns P_j0, the
+    candidates, the unit directions (0, e_i) and then every P_j, for
+    P = (1, x), gives the frame and E.  Its pivots are p_j0, the b_i and
+    the completing directions: the b_i are the first candidates (the other
+    points in decreasing order and then config order) independent of p_j0
+    and the points taken before them, n at most.  E sends the frame to
+    D times the coordinate simplex, D diagonal: p_j0 to the origin and b_i
+    to the point at infinity of axis i.  ``offsets`` holds c_i, the order
+    of b_i, for i <= k and 0 for a completing direction: monomial beta of
+    degree >= m0 enters at degree max(|beta|, max_i(beta_i + c_i)).
     ``tables`` holds the conditions of every other point at its image
-    Q_j = A P_j (None when there is no other point).
+    Q_j = E P_j, one of the trailing columns (None when there is no other
+    point).
+
+    E is the inverse of the frame only up to D, which changes nothing: D
+    fixes the origin and every point at infinity of an axis, and on the
+    other points' conditions it multiplies row (j, alpha) and column beta
+    by nonzero factors, so every column prefix keeps its rank.
 
     Every coordinate is reduced first, in config order, so a point with no
-    image mod p raises the same ReductionError wherever it stands.  The b_i
-    are the first points independent of p_j0 and the points taken before
-    them, in decreasing order and then config order, n at most; unit
-    directions (0, e_i) complete the frame (``_extend_basis``: each check
-    reduces one vector by at most n + 1 echelon rows, and the scan stops at
-    a basis).  While another point has Q_j0 = 0, so lies at infinity, the
-    last b_i is dropped and the frame recomputed; each check maps every
-    point at once, O(r).  With k = 0, A is the translation by -p_j0 and
-    every Q_j0 is 1.  Mod p the tables are those of the affine images
+    image mod p raises the same ReductionError wherever it stands.  While
+    another point has Q_j0 = 0, so lies at infinity, the last b_i is
+    dropped and ``_simplex`` run again on the frame kept, O(n^2 r) each
+    time.  With k = 0, E is D times the translation by -p_j0, and no
+    Q_j0 is 0.  Mod p the tables are those of the affine images
     Q_j / Q_j0.  Over Q each Q_j is a primitive integer vector and the
     tables are homogeneous, coordinate 0 first with alpha_0 = 0: the entry
     at (j, alpha) and beta (with beta_0 = d - |beta|) is the affine one of
@@ -411,17 +391,15 @@ def _frame_conditions(config: PointConfig, orders: tuple, field: PrimeField | No
         homog = _homogeneous(config.points)
     else:
         homog = [[1] + [field.from_rational(c) for c in p] for p in config.points]
-    order = sorted(set(range(r)) - {j0}, key=lambda j: (-orders[j], j))
-    b = [order[i] for i in _extend_basis([homog[j0]], [homog[j] for j in order], field)]
     units = [[int(i == k) for i in range(n + 1)] for k in range(1, n + 1)]
+    b = sorted(set(range(r)) - {j0}, key=lambda j: (-orders[j], j))  # the candidates
     while True:
+        frame = [j0] + b
+        pivots, images = _simplex([homog[j] for j in frame] + units + homog, field)
+        b = [frame[i] for i in pivots[1:] if i < len(frame)]
+        images = images[-r:]
         rest = [j for j in range(r) if j != j0 and j not in b]
-        if not rest:
-            break
-        frame = [homog[j0]] + [homog[j] for j in b]
-        frame += [units[i] for i in _extend_basis(frame, units, field)]
-        images = _images(_inverse(list(zip(*frame)), field), [homog[j] for j in rest], field)
-        if not b or images[0].all():
+        if not b or all(images[j][0] for j in rest):
             break
         b.pop()
     offsets = np.array([orders[j] for j in b] + [0] * (n - len(b)))
@@ -430,9 +408,12 @@ def _frame_conditions(config: PointConfig, orders: tuple, field: PrimeField | No
     alphas = {m: monomials(n, m - 1) for m in set(orders)}
     lead = (0,) if field is None else ()  # over Q, alpha_0 = 0 on homogeneous coordinates
     index = [(i, lead + alpha) for i, j in enumerate(rest) for alpha in alphas[orders[j]]]
-    if field is not None:
-        images = field.vec_mul(images[1:], field.vec([field.inv(x) for x in images[0].tolist()]))
-    return m0, offsets, _ConditionTables(images.T.tolist(), _index_arrays(index), field)
+    points = [images[j] for j in rest]
+    if field is None:
+        points = [[x // gcd(*q) for x in q] for q in points]
+    else:
+        points = [[x * field.inv(q[0]) % field.modulus for x in q[1:]] for q in points]
+    return m0, offsets, _ConditionTables(points, _index_arrays(index), field)
 
 
 def _cremona_nonempty(config: PointConfig, orders, degree: int, field: PrimeField):
@@ -443,16 +424,21 @@ def _cremona_nonempty(config: PointConfig, orders, degree: int, field: PrimeFiel
 
     A step is centred at the three points of largest order (ties in config
     order), P1, P2, P3, taken as primitive homogeneous vectors
-    (``_homogeneous``) mod p.  Its lines L_i = P_j x P_k, through the two
-    centres other than P_i, are the rows of adj[P1 P2 P3].  It needs
-    L_1 . P1 != 0 (the centres are not collinear) and L_i . P != 0 for
-    every other point P and every i (P lies on none of the three lines).
-    Then the adjugate and sigma(x:y:z) = (yz : xz : xy) take each other
-    point to (L_2.P L_3.P : L_1.P L_3.P : L_1.P L_2.P) and the line L_i to
-    the coordinate point e_i, of order d - m_j - m_k; with
+    (``_homogeneous``) mod p.  One ``_simplex`` of [P1, P2, P3, every
+    point] gives E with E P_i = D_i e_i, D_i != 0, and every image E P.
+    It needs the pivots 0, 1, 2 (the centres are not collinear) and every
+    coordinate of every other image nonzero: row i of E vanishes at the two
+    centres other than P_i, so it is the line L_i through them, and
+    (E P)_i = 0 says that P lies on L_i.  Then sigma(x:y:z) = (yz : xz : xy)
+    takes each other image (x : y : z) to (yz : xz : xy) and the line L_i
+    to the coordinate point e_i, of order d - m_j - m_k; with
     k = d - m_1 - m_2 - m_3 the class (d; orders) becomes (d + k; m_i + k,
     the other orders).  This is an isomorphism of the blown-up planes, so
-    the system's dimension is the same.  Every check is a value nonzero mod
+    the system's dimension is the same.  E is the adjugate of
+    [P1 P2 P3] only up to a diagonal map, and a diagonal map fixes e_1,
+    e_2, e_3, keeps every zero coordinate, and passes through sigma as
+    another diagonal map, so no check of this step or a later one
+    changes.  Every check is a value nonzero mod
     p, hence nonzero in the integers it reduces (the same steps on the
     primitive vectors over Z), so the chain holds over Q.  An order below 0
     is clamped to 0, which removes an exceptional curve, a fixed component,
@@ -482,31 +468,20 @@ def _cremona_nonempty(config: PointConfig, orders, degree: int, field: PrimeFiel
         if sum(ms[:3]) <= d:
             return True if comb(d + 2, 2) > sum(comb(m + 1, 2) for m in ms) else None
         top = sorted(range(len(pts)), key=lambda j: -pts[j][1])[:3]
-        (a, _), (b, _), (c, _) = (pts[j] for j in top)
-        lines = [_cross(b, c, p), _cross(c, a, p), _cross(a, b, p)]
-        if not _dot(lines[0], a, p):
+        pivots, images = _simplex([pts[j][0] for j in top] + [h for h, _ in pts], field)
+        if pivots != [0, 1, 2]:
             return None
         k = d - sum(ms[:3])
         out = []
-        for j, (h, m) in enumerate(pts):
+        for j, (image, (_, m)) in enumerate(zip(images[3:], pts)):
             if j in top:
-                i = top.index(j)
-                out.append(([int(i == t) for t in range(3)], m + k))
-                continue
-            x, y, z = (_dot(line, h, p) for line in lines)
-            if not (x and y and z):
+                out.append((image, m + k))
+            elif all(image):
+                x, y, z = image
+                out.append(([y * z % p, x * z % p, x * y % p], m))
+            else:
                 return None
-            out.append(([y * z % p, x * z % p, x * y % p], m))
         pts, d = out, d + k
-
-
-def _cross(u, v, p: int) -> list:
-    return [(u[1] * v[2] - u[2] * v[1]) % p, (u[2] * v[0] - u[0] * v[2]) % p,
-            (u[0] * v[1] - u[1] * v[0]) % p]
-
-
-def _dot(u, v, p: int) -> int:
-    return sum(x * y for x, y in zip(u, v)) % p
 
 
 def _shells(n: int, low: int, high: int) -> np.ndarray:

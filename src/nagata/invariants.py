@@ -38,7 +38,6 @@ from __future__ import annotations
 
 import csv
 import io
-import json
 import math
 from dataclasses import dataclass, field as dc_field
 from fractions import Fraction
@@ -179,10 +178,16 @@ def _upper_bound(config: PointConfig, l: int) -> int:
 
 
 def omega_table(config: PointConfig, l_max: int) -> tuple:
-    """((l, omega_l) for l = 1..l_max)."""
+    """((l, omega_l) for l = 1..l_max), each value that of ``omega_l``.
+    One memo of certified levels runs through every ``_omega`` call, so no
+    level is searched twice: a lower level one cell needs is that of the
+    table, and a level computed for a cell is not computed again."""
     if l_max < 1:
         raise ValueError("l_max must be >= 1")
-    return tuple((l, omega_l(config, l)) for l in range(1, l_max + 1))
+    levels = {}
+    for l in range(1, l_max + 1):
+        levels[l] = _omega(config, l, DEFAULT_FIELD, levels)
+    return tuple((l, levels[l]) for l in range(1, l_max + 1))
 
 
 def _require_uniform(config: PointConfig, what: str) -> None:
@@ -367,9 +372,6 @@ class InvariantReport:
             "w_lower": frac_str(self.w_lower),
             "verdicts": [v.to_json_dict() for v in self.verdicts],
         }
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_json_dict(), indent=2, sort_keys=True)
 
     def to_csv(self) -> str:
         buf = io.StringIO()

@@ -331,6 +331,36 @@ def test_frame_takes_independent_points_in_decreasing_order(cfg, offsets, fld):
     assert fatpoints._frame_conditions(cfg, uniform_orders(cfg, 1), fld)[1].tolist() == offsets
 
 
+@settings(deadline=None, max_examples=150)
+@given(st.integers(1, 4).flatmap(lambda rows: st.lists(
+    st.lists(st.integers(-3, 3), min_size=rows, max_size=rows), min_size=1, max_size=8)))
+def test_simplex_sends_the_pivot_columns_to_a_diagonal(columns):
+    rows = len(columns[0])
+    for fld in (None, PrimeField(7)):
+        m = columns if fld is None else [[x % 7 for x in c] for c in columns]
+        pivots, reduced = fatpoints._simplex(m, fld)
+
+        def prefix_rank(k):
+            return rank(ExactMatrix.from_rows([[c[i] for c in m[:k]] for i in range(rows)], fld))
+
+        assert pivots == [j for j in range(len(m)) if prefix_rank(j + 1) > prefix_rank(j)]
+        # E F = D: column t of the pivot block is D_t e_t, D_t != 0 (over Q,
+        # one D_t for all t)
+        diag = [reduced[j][t] for t, j in enumerate(pivots)]
+        assert all(diag) and (fld is not None or len(set(diag)) <= 1)
+        for t, j in enumerate(pivots):
+            assert [x for i, x in enumerate(reduced[j]) if i != t] == [0] * (rows - 1)
+        # reduced[j] = D F^-1 M[j]: zero below the rank, and the coefficients
+        # c = D^-1 reduced[j] rebuild M[j] = F c exactly
+        inv = ([Fraction(1, x) for x in diag] if fld is None
+               else [fld.inv(x) for x in diag])
+        for j, col in enumerate(m):
+            assert list(reduced[j][len(pivots):]) == [0] * (rows - len(pivots))
+            coeffs = [reduced[j][t] * inv[t] for t in range(len(pivots))]
+            rebuilt = [sum(m[p][i] * c for p, c in zip(pivots, coeffs)) for i in range(rows)]
+            assert (rebuilt if fld is None else [x % 7 for x in rebuilt]) == col
+
+
 @pytest.mark.parametrize("cfg", FRAME_CONFIGS.values(), ids=FRAME_CONFIGS.keys())
 @pytest.mark.parametrize("fld", [None, *TABLE_FIELDS],
                          ids=TABLE_IDS)

@@ -155,6 +155,16 @@ def test_open_cell_is_certified_by_a_lower_level(monkeypatch):
     assert built == [(p, (2,) * 16), (p, (1,) * 16)]
 
 
+def test_omega_table_searches_each_level_once(monkeypatch):
+    # levels 1 and 2 are as above; level 3 closes from the memoized levels,
+    # omega_1 + omega_2 = 12, with no search or rank of level 1 or 2 again
+    built, ranked = recorded_searches(monkeypatch)
+    assert omega_table(grid_points(2, 4), 3) == ((1, 4), (2, 8), (3, 12))
+    p = invariants.DEFAULT_FIELD.modulus
+    assert built == [(p, (l,) * 16) for l in (1, 2, 3)]
+    assert ranked == [((1,) * 16, 4)]
+
+
 P31 = 2**31 - 1
 
 
@@ -474,16 +484,9 @@ def test_invariant_report_structure():
 def test_invariant_report_reads_one_table(monkeypatch):
     cfg = generic_points(2, 16, seed=13)
     l_max = 3
-    calls = []
-    real = invariants.omega_l
-
-    def counted(*args, **kwargs):
-        calls.append(args[1])
-        return real(*args, **kwargs)
-
-    monkeypatch.setattr(invariants, "omega_l", counted)
+    built, _ = recorded_searches(monkeypatch)
     report = invariant_report(cfg, l_max)
-    assert len(calls) <= l_max
+    assert len(built) == len(set(built)) <= l_max  # no level searched twice
     nagata = [v for v in report.verdicts if v.name.startswith("nagata-l")]
     assert [(int(v.name[len("nagata-l"):]), v.passed) for v in nagata] == \
         nagata_check(cfg, l_max)
