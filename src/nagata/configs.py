@@ -16,6 +16,8 @@ import operator
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
+from math import lcm
 
 
 def _integer(key: str, x) -> int:
@@ -41,6 +43,16 @@ def _rational(key: str, x) -> Fraction:
         return Fraction(x)
     except (TypeError, ValueError, OverflowError):  # OverflowError: JSON's Infinity
         raise TypeError(f"{key} must hold rationals, got {x!r}") from None
+
+
+def primitive_vectors(points) -> tuple:
+    """Each rational point x (Fractions or ints) as the primitive integer
+    vector (c, c x) of P^n, c the lcm of its denominators."""
+    out = []
+    for p in points:
+        c = lcm(*(x.denominator for x in p))
+        out.append((c,) + tuple(x.numerator * (c // x.denominator) for x in p))
+    return tuple(out)
 
 
 def frac_str(x: Fraction) -> str:
@@ -87,6 +99,12 @@ class PointConfig:
     @property
     def r(self) -> int:
         return len(self.points)
+
+    @cached_property
+    def homogeneous(self) -> tuple:
+        """The points as ``primitive_vectors``, made once per config: every
+        frame, rank and quadratic transformation over the config reads them."""
+        return primitive_vectors(self.points)
 
     def is_uniform(self) -> bool:
         return self.multiplicities is None or all(m == 1 for m in self.multiplicities)

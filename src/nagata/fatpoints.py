@@ -19,12 +19,13 @@ formula independently and serves as the reference in the tests.
 
 Over Q the tables hold Python ints, those of each point as the primitive
 integer vector (c_j, c_j x_j) of P^n, c_j the lcm of its denominators
-(``_homogeneous``).  Read at ((0,) + alpha, (d - |beta|, beta)), they give
-row (j, alpha) of the rational block times c_j^(d - |alpha|): a row
-scaling, with the same kernel, rank, column rank profile and zero pattern
-(``_condition_tables``).  Every rank, kernel and order over Q is taken on
-those integers; only ``condition_matrix`` makes Fractions, for its public
-result.
+(``configs.primitive_vectors``, made once per config as
+``PointConfig.homogeneous``).  Read at ((0,) + alpha, (d - |beta|, beta)),
+they give row (j, alpha) of the rational block times c_j^(d - |alpha|): a
+row scaling, with the same kernel, rank, column rank profile and zero
+pattern (``_condition_tables``).  Every rank, kernel and order over Q is
+taken on those integers; only ``condition_matrix`` makes Fractions, for its
+public result.
 
 The dimension of the linear system is column count minus rank; kernel vectors
 convert to polynomials.  The searches take that rank of a smaller matrix,
@@ -49,7 +50,10 @@ In the plane the same routine serves Nagata's quadratic transformations:
 ``_simplex`` sends the three centres of each to the coordinate triangle,
 and ``_cremona_nonempty`` moves a class (d; orders) and its points by the
 transformations, mod p, and reads off whether the system is empty,
-without building any matrix (see ``invariants._omega``).
+without building any matrix (see ``invariants._omega``).  Where the
+points go depends only on the points and the centres, not on the class,
+so each transformation is taken once and memoized (``_quadratic_step``)
+for every degree and level asked of the same points.
 
 The condition rows also give exact vanishing orders: the (z - p)^alpha
 Taylor coefficient of a polynomial is the dot of its coefficient vector with
@@ -64,11 +68,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb, gcd, lcm
+from functools import lru_cache
+from math import comb, gcd
 
 import numpy as np
 
-from .configs import PointConfig
+from .configs import PointConfig, primitive_vectors
 from .exactla import (
     ExactMatrix,
     PrimeField,
@@ -197,7 +202,7 @@ class _ConditionTables:
     beta is ``prod_i T[j, i, alpha_i, beta_i]``, gathered for a whole block
     of monomials by fancy indexing.  Entries are field elements, or Python
     ints when ``field`` is None: over Q the coordinates must be integers,
-    the homogeneous ones of ``_homogeneous`` or the images of
+    the homogeneous ones of ``primitive_vectors`` or the images of
     ``_frame_conditions``.  The tables grow by one column per degree
     through Pascal's rule, T[a, b] = x T[a, b-1] + T[a-1, b-1].
 
@@ -249,21 +254,11 @@ def _index_arrays(pairs) -> tuple:
     return np.array([j for j, _ in pairs]), np.array([alpha for _, alpha in pairs])
 
 
-def _homogeneous(points) -> list:
-    """Each rational point x (Fractions or ints) as the primitive integer
-    vector (c, c x) of P^n, c the lcm of its denominators."""
-    out = []
-    for p in points:
-        c = lcm(*(x.denominator for x in p))
-        out.append([c] + [x.numerator * (c // x.denominator) for x in p])
-    return out
-
-
 def _condition_tables(points, index, basis, field: PrimeField | None) -> tuple:
     """(tables, columns): the ``_ConditionTables`` of the conditions in
     ``index`` at the points, and the multi-indices whose block is that of
     the conditions on the basis.  Mod p those are the basis itself.  Over Q
-    the tables are those of the homogeneous points (``_homogeneous``) at
+    the tables are those of the homogeneous points (``primitive_vectors``) at
     (0,) + alpha and the columns are (d - |beta|, beta), d the largest
     degree of the basis: the entry at (j, alpha) and beta is
     C(beta, alpha) c_j^(d - |beta|) (c_j x_j)^(beta - alpha), c_j^(d - |alpha|)
@@ -274,7 +269,8 @@ def _condition_tables(points, index, basis, field: PrimeField | None) -> tuple:
     point, alpha = index
     betas = np.array(basis)
     sizes = betas.sum(axis=1)
-    tables = _ConditionTables(_homogeneous(points), (point, np.pad(alpha, ((0, 0), (1, 0)))), None)
+    tables = _ConditionTables(primitive_vectors(points),
+                              (point, np.pad(alpha, ((0, 0), (1, 0)))), None)
     return tables, np.column_stack([sizes.max() - sizes, betas])
 
 
@@ -292,7 +288,7 @@ def condition_matrix(problem: InterpolationProblem) -> ExactMatrix:
     field elements, or Fractions over Q."""
     block = _block(problem)
     if problem.field is None:  # row (j, alpha) of the block is c_j^(d - |alpha|) times its own
-        dens = [h[0] for h in _homogeneous(problem.config.points)]
+        dens = [h[0] for h in problem.config.homogeneous]
         block = np.array([[Fraction(x, dens[j] ** max(0, problem.degree - sum(alpha))) for x in row]
                           for row, (j, alpha) in zip(block.tolist(), problem.condition_index())],
                          dtype=object)
@@ -388,7 +384,7 @@ def _frame_conditions(config: PointConfig, orders: tuple, field: PrimeField | No
     m0 = max(orders)
     j0 = orders.index(m0)
     if field is None:
-        homog = _homogeneous(config.points)
+        homog = list(config.homogeneous)
     else:
         homog = [[1] + [field.from_rational(c) for c in p] for p in config.points]
     units = [[int(i == k) for i in range(n + 1)] for k in range(1, n + 1)]
@@ -416,6 +412,41 @@ def _frame_conditions(config: PointConfig, orders: tuple, field: PrimeField | No
     return m0, offsets, _ConditionTables(points, _index_arrays(index), field)
 
 
+_CHAIN_STEPS = 512  # quadratic transformations memoized, some 1 MB at r = 9
+
+
+@lru_cache(maxsize=_CHAIN_STEPS)
+def _quadratic_step(images: tuple, centres: tuple, field: PrimeField):
+    """The quadratic transformation centred at the points of index
+    ``centres`` applied to every point of ``images`` (homogeneous vectors
+    mod p): (every point's image, the indices of the other points on a
+    line through two centres), or None where the centres are collinear.
+
+    One ``_simplex`` of [the centres, every point] gives E with
+    E P_i = D_i e_i, D_i != 0, and every image E P.  It needs the pivots
+    0, 1, 2: the centres are not collinear.  Row i of E vanishes at the two
+    centres other than P_i, so it is the line L_i through them, and
+    (E P)_i = 0 says that P lies on L_i.  sigma(x:y:z) = (yz : xz : xy)
+    then takes each other image (x : y : z) to (yz : xz : xy), and each
+    centre stays at D_i e_i, the point that replaces L_i.  E is the adjugate
+    of [P1 P2 P3] only up to a diagonal map, which fixes e_1, e_2, e_3,
+    keeps every zero coordinate and passes through sigma as another
+    diagonal map, so no later check changes.  O(r) operations mod p."""
+    pivots, moved = _simplex([images[j] for j in centres] + list(images), field)
+    if pivots != [0, 1, 2]:
+        return None
+    p = field.modulus
+    out, on_lines = [], set()
+    for j, (x, y, z) in enumerate(moved[3:]):
+        if j in centres:
+            out.append((x, y, z))
+            continue
+        if not (x and y and z):
+            on_lines.add(j)
+        out.append((y * z % p, x * z % p, x * y % p))
+    return tuple(out), frozenset(on_lines)
+
+
 def _cremona_nonempty(config: PointConfig, orders, degree: int, field: PrimeField):
     """Whether the plane system of the given orders at the config's points
     has a nonzero form of degree ``degree`` over Q, decided by quadratic
@@ -424,25 +455,29 @@ def _cremona_nonempty(config: PointConfig, orders, degree: int, field: PrimeFiel
 
     A step is centred at the three points of largest order (ties in config
     order), P1, P2, P3, taken as primitive homogeneous vectors
-    (``_homogeneous``) mod p.  One ``_simplex`` of [P1, P2, P3, every
-    point] gives E with E P_i = D_i e_i, D_i != 0, and every image E P.
-    It needs the pivots 0, 1, 2 (the centres are not collinear) and every
-    coordinate of every other image nonzero: row i of E vanishes at the two
-    centres other than P_i, so it is the line L_i through them, and
-    (E P)_i = 0 says that P lies on L_i.  Then sigma(x:y:z) = (yz : xz : xy)
-    takes each other image (x : y : z) to (yz : xz : xy) and the line L_i
-    to the coordinate point e_i, of order d - m_j - m_k; with
-    k = d - m_1 - m_2 - m_3 the class (d; orders) becomes (d + k; m_i + k,
-    the other orders).  This is an isomorphism of the blown-up planes, so
-    the system's dimension is the same.  E is the adjugate of
-    [P1 P2 P3] only up to a diagonal map, and a diagonal map fixes e_1,
-    e_2, e_3, keeps every zero coordinate, and passes through sigma as
-    another diagonal map, so no check of this step or a later one
-    changes.  Every check is a value nonzero mod
-    p, hence nonzero in the integers it reduces (the same steps on the
-    primitive vectors over Z), so the chain holds over Q.  An order below 0
-    is clamped to 0, which removes an exceptional curve, a fixed component,
-    and a point of order 0 is dropped: it no longer changes the system.
+    (``PointConfig.homogeneous``) mod p, and moves every point by
+    ``_quadratic_step``.  The step is refused (None) where the centres are
+    collinear or another point of positive order lies on a line L_i through
+    two of them.  Otherwise it takes L_i to the coordinate point e_i, of
+    order d - m_j - m_k; with k = d - m_1 - m_2 - m_3 the class
+    (d; orders) becomes (d + k; m_i + k, the other orders).  This is an
+    isomorphism of the blown-up planes, so the system's dimension is the
+    same.  Every check is a value nonzero mod p, hence nonzero in the
+    integers it reduces (the same steps on the primitive vectors over Z),
+    so the chain holds over Q.  An order below 0 is clamped to 0, which
+    removes an exceptional curve, a fixed component, and a point of order 0
+    is dropped: it no longer changes the system.
+
+    The points' images depend on the points mod p and the centres taken so
+    far, never on d or the orders: E is fixed by the centre columns alone.
+    So each step moves every point, dropped or not, and records which
+    points it puts on a centre line; only the call's orders decide whether
+    one of those counts.  ``_quadratic_step`` memoizes the steps, keyed by
+    the images before the step, the centres and p, so every degree and
+    level asked of one config takes each of its transformations once (the
+    72 Harbourne cells of one seed take 25 ``_simplex``).  The memo is
+    bounded (least recently used, ``_CHAIN_STEPS``), as it would otherwise
+    grow with every config a process asks.
 
     The chain ends in False at d < 0 or at an order above d.  It ends in
     True at fewer than three points, each of order <= d (a power of their
@@ -450,38 +485,31 @@ def _cremona_nonempty(config: PointConfig, orders, degree: int, field: PrimeFiel
     d >= m_1 + m_2 + m_3, with more monomials than conditions (chi >= 1);
     at a standard form with chi <= 0 it cannot tell.  With a point that has
     no image mod p there is no chain: the search raises its ReductionError
-    there.  O(r) operations mod p a step.
+    there.
     """
     p = field.modulus
-    points = [[x % p for x in h] for h in _homogeneous(config.points)]
-    if not all(h[0] for h in points):
+    images = tuple((w % p, x % p, y % p) for w, x, y in config.homogeneous)
+    if not all(h[0] for h in images):
         return None
-    pts = list(zip(points, orders))
+    alive = {j: m for j, m in enumerate(orders) if m > 0}
     d = degree
     while True:
-        pts = [(h, m) for h, m in pts if m > 0]
-        ms = sorted((m for _, m in pts), reverse=True)
+        ms = sorted(alive.values(), reverse=True)
         if d < 0 or (ms and ms[0] > d):
             return False
         if len(ms) < 3:
             return True
         if sum(ms[:3]) <= d:
             return True if comb(d + 2, 2) > sum(comb(m + 1, 2) for m in ms) else None
-        top = sorted(range(len(pts)), key=lambda j: -pts[j][1])[:3]
-        pivots, images = _simplex([pts[j][0] for j in top] + [h for h, _ in pts], field)
-        if pivots != [0, 1, 2]:
+        centres = tuple(sorted(alive, key=lambda j: -alive[j])[:3])
+        step = _quadratic_step(images, centres, field)
+        if step is None or not step[1].isdisjoint(alive):
             return None
-        k = d - sum(ms[:3])
-        out = []
-        for j, (image, (_, m)) in enumerate(zip(images[3:], pts)):
-            if j in top:
-                out.append((image, m + k))
-            elif all(image):
-                x, y, z = image
-                out.append(([y * z % p, x * z % p, x * y % p], m))
-            else:
-                return None
-        pts, d = out, d + k
+        images, k = step[0], d - sum(ms[:3])
+        for j in centres:
+            alive[j] += k
+        alive = {j: m for j, m in alive.items() if m > 0}
+        d += k
 
 
 def _shells(n: int, low: int, high: int) -> np.ndarray:

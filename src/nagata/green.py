@@ -41,7 +41,7 @@ import numpy as np
 
 from .configs import PointConfig, frac_str
 from .fatpoints import InterpolationProblem, kernel_polynomials, uniform_orders
-from .invariants import omega_l, waldschmidt_interval, Verdict
+from .invariants import Verdict, _interval_from_table, _require_uniform, omega_l, omega_table
 from .seeds import derive_seed
 
 NEG_INF = float("-inf")
@@ -645,8 +645,10 @@ def schwarz_check(config: PointConfig, l: int, d: int | None = None,
 
     Omega(S) is replaced by the certified Waldschmidt lower bound from levels
     1..l (unless ``omega_lower`` is given), which only weakens the inequality
-    and keeps a pass sound.  Verdicts are reported per (R, rho, epsilon); no
-    claim is made about the asymptotic threshold radius.
+    and keeps a pass sound.  ``d`` defaults to omega_l; with neither given,
+    both come from one ``omega_table``, so no level is computed twice.
+    Verdicts are reported per (R, rho, epsilon); no claim is made about
+    the asymptotic threshold radius.
     """
     if not 0.0 < rho <= 1.0:
         raise ValueError("rho must lie in (0, 1]")
@@ -654,10 +656,13 @@ def schwarz_check(config: PointConfig, l: int, d: int | None = None,
         raise ValueError("R must be positive")
     if boundary_samples < 1:
         raise ValueError("boundary_samples must be >= 1")
-    if d is None:
-        d = omega_l(config, l)
     if omega_lower is None:
-        omega_lower, _ = waldschmidt_interval(config, l)
+        _require_uniform(config, "the Waldschmidt sandwich")
+        table = omega_table(config, l)
+        omega_lower, _ = _interval_from_table(table, config.dimension)
+        d = table[-1][1] if d is None else d
+    elif d is None:
+        d = omega_l(config, l)
     omega_lower = Fraction(omega_lower)
 
     problem = InterpolationProblem(config, d, uniform_orders(config, l), None)

@@ -39,8 +39,10 @@ from __future__ import annotations
 import csv
 import io
 import math
+from bisect import bisect_right
 from dataclasses import dataclass, field as dc_field
 from fractions import Fraction
+from functools import lru_cache
 
 from .configs import PointConfig, frac_str, generic_points
 from .exactla import PrimeField, ReductionError
@@ -167,14 +169,31 @@ def _upper_bound(config: PointConfig, l: int) -> int:
     U(l) = min(count(l), min over a + b = l of U(a) + U(b)), where count(a)
     is the least degree whose monomials outnumber the conditions at level a
     (a kernel over any field), and a product of nonzero level-a and level-b
-    polynomials is nonzero and vanishes to the orders of level a + b."""
-    n = config.dimension
-    bound = []  # U(1), U(2), ...
-    for a in range(1, l + 1):
-        conditions = sum(monomial_count(n, m - 1) for m in uniform_orders(config, a))
-        count = next(d for d in range(conditions + 1) if monomial_count(n, d) > conditions)
-        bound.append(min([count] + [bound[b] + bound[a - b - 2] for b in range(a - 1)]))
-    return bound[-1]
+    polynomials is nonzero and vanishes to the orders of level a + b.
+
+    U depends only on the dimension and the multiplicities, so the levels
+    U(1), U(2), ... are kept per (dimension, multiplicities) in
+    ``_bound_levels`` and each is computed once, however many levels, cells
+    or configs ask for it; count(a) is found by bisection, the monomial
+    count being increasing in the degree."""
+    n, weights = config.dimension, uniform_orders(config, 1)
+    bound = _bound_levels(n, weights)
+    for a in range(len(bound) + 1, l + 1):
+        conditions = sum(monomial_count(n, a * w - 1) for w in weights)
+        count = bisect_right(range(conditions + 1), conditions,
+                             key=lambda d: monomial_count(n, d))
+        bound[a] = min([count] + [bound[b] + bound[a - b] for b in range(1, a)])
+    return bound[l]
+
+
+@lru_cache(maxsize=256)
+def _bound_levels(n: int, weights: tuple) -> dict:
+    """{a: U(a)} of ``_upper_bound`` for points of these multiplicities in
+    dimension n, for a = 1, 2, ... as far as any call has asked; the calls
+    fill it in place, each level once and in order, so a level set twice
+    gets the same value.  Bounded, as it is keyed by every config's
+    multiplicities."""
+    return {}
 
 
 def omega_table(config: PointConfig, l_max: int) -> tuple:

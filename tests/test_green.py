@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from nagata import invariants
 from nagata.configs import generic_points, grid_points, make_config, two_point_example
 from nagata.fatpoints import KernelPolynomial
 from nagata.green import (
@@ -488,6 +489,30 @@ def test_schwarz_explicit_lower_bound_override():
                         boundary_samples=2048, seed=4)
     # f = z_i, Omega = 1, eps = 0: equality case, sampled within tolerance
     assert all(v.lhs <= v.rhs + 1e-9 for v in res.verdicts)
+
+
+def test_schwarz_computes_each_level_once(monkeypatch):
+    # d and the Waldschmidt lower bound come from one omega table
+    levels = []
+
+    def recording(config, l, field, memo):
+        levels.append(l)
+        return omega(config, l, field, memo)
+
+    omega = invariants._omega
+    monkeypatch.setattr(invariants, "_omega", recording)
+    res = schwarz_check(grid_points(2, 3), 2, boundary_samples=64, seed=4)
+    assert sorted(levels) == [1, 2]
+    assert res.omega_lower == Fraction(6, 3) and {v.degree for v in res.verdicts} == {6}
+
+
+def test_schwarz_needs_uniform_multiplicities_for_its_lower_bound():
+    weighted = make_config([[0, 0], [1, 0]], [1, 2])
+    for d in (None, 2):
+        with pytest.raises(ValueError, match="uniform multiplicities"):
+            schwarz_check(weighted, 1, d, boundary_samples=64)
+    res = schwarz_check(weighted, 1, omega_lower=Fraction(1, 2), boundary_samples=64)
+    assert {v.degree for v in res.verdicts} == {2}
 
 
 def test_schwarz_validation():

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from nagata import invariants
+from nagata import fatpoints, invariants
 from nagata.configs import generic_points, grid_points, make_config, two_point_example
 from nagata.exactla import PrimeField, ReductionError
 from nagata.fatpoints import (
@@ -255,6 +255,64 @@ def test_cremona_answer_is_sound_at_every_degree(cfg):
             nonempty = _cremona_nonempty(cfg, orders, d, fld)
             if nonempty is not None:
                 assert (rational_dimension(cfg, orders, d) >= 1) == nonempty
+
+
+@settings(deadline=None, max_examples=100)
+@given(plane_configs(), st.integers(1, 2))
+def test_memoized_chain_steps_change_no_answer(cfg, l):
+    # each answer with the memo warm from every other degree, field and
+    # config is that of a chain run on an empty memo
+    orders = uniform_orders(cfg, l)
+    asked = [(d, fld) for d in range(_upper_bound(cfg, l) + 1)
+             for fld in (PrimeField(7), invariants.DEFAULT_FIELD)]
+    warm = [_cremona_nonempty(cfg, orders, d, fld) for d, fld in asked]
+    cold = []
+    for d, fld in asked:
+        fatpoints._quadratic_step.cache_clear()
+        cold.append(_cremona_nonempty(cfg, orders, d, fld))
+    assert warm == cold
+
+
+@pytest.mark.parametrize("seed", [2024, 7])
+def test_harbourne_table_takes_each_quadratic_step_once(monkeypatch, seed):
+    # the 72 cells of one seed take 25 distinct quadratic transformations,
+    # each one _simplex, however many degrees and levels meet it
+    calls = []
+
+    def counted(columns, field):
+        calls.append(len(columns))
+        return simplex(columns, field)
+
+    simplex = fatpoints._simplex
+    monkeypatch.setattr(fatpoints, "_simplex", counted)
+    built, _ = recorded_searches(monkeypatch)
+    fatpoints._quadratic_step.cache_clear()
+    assert harbourne_table_check(8, seed).all_pass
+    assert len(calls) <= 25
+    assert not built
+
+
+def scanned_bound(cfg, l):
+    """Reference for _upper_bound: each count by a linear scan of the
+    degrees, every level recomputed."""
+    n = cfg.dimension
+    bound = []
+    for a in range(1, l + 1):
+        conditions = sum(math.comb(m - 1 + n, n) for m in uniform_orders(cfg, a))
+        count = next(d for d in range(conditions + 1) if math.comb(d + n, n) > conditions)
+        bound.append(min([count] + [bound[b] + bound[a - b - 2] for b in range(a - 1)]))
+    return bound[-1]
+
+
+@settings(deadline=None, max_examples=100)
+@given(st.integers(1, 3), st.lists(st.integers(1, 5), min_size=1, max_size=12),
+       st.booleans(), st.lists(st.integers(1, 8), min_size=1, max_size=8))
+def test_bisected_upper_bound_is_the_scanned_one(n, mults, uniform, levels):
+    # levels asked in any order, on top of those earlier examples stored
+    points = [[i] + [0] * (n - 1) for i in range(len(mults))]
+    cfg = make_config(points, None if uniform else mults)
+    for l in levels:
+        assert _upper_bound(cfg, l) == scanned_bound(cfg, l)
 
 
 # three points of order 2 and three of order 1; at the bound 4 - 1 the class
