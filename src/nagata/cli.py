@@ -7,7 +7,9 @@ Exit status 0 means success, 2 means at least one mathematical verdict failed
 (so a scan over seeds can be gated in CI), 1 means an operational error.
 All randomness flows from the single --seed through named sub-streams.
 One table, ``_COMMANDS``, declares each subcommand once (help, runner, own
-options, config source); it builds both the parser and the spec.  No option
+options, config source); it builds both the parser and the spec.  One
+serializer, ``_json_safe``, turns every runner's library results into the
+report's JSON, so no other module knows the report format.  No option
 picks a scalar domain or a search prime: every omega_l is certified over Q.
 """
 
@@ -15,6 +17,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
 import functools
 import json
 import sys
@@ -79,6 +82,16 @@ class ExperimentSpec:
 
 
 def _json_safe(value):
+    """The report JSON of a result, the one serializer of every report: an
+    object with ``to_json_dict`` (a PointConfig, whose method is also the
+    config-file format, a Verdict, the spec) by that method, any other
+    dataclass as {field name: its value's JSON}, a Fraction as "num/den",
+    and dicts, lists and tuples item by item."""
+    if hasattr(value, "to_json_dict"):
+        return value.to_json_dict()
+    if dataclasses.is_dataclass(value):
+        return {f.name: _json_safe(getattr(value, f.name))
+                for f in dataclasses.fields(value)}
     if isinstance(value, Fraction):
         return frac_str(value)
     if isinstance(value, dict):
@@ -139,14 +152,15 @@ def _resolve_config(args) -> PointConfig | None:
 
 
 # ---------------------------------------------------------------------------
-# Subcommand implementations: each returns (results dict, verdicts, csv rows)
+# Subcommand implementations: each returns (results, verdicts, csv rows),
+# the results as library values that ``run`` serializes with ``_json_safe``
 
 
 def _run_omega(spec: ExperimentSpec):
     cfg = spec.config
     l_max = spec.params["l_max"]
     table = omega_table(cfg, l_max)
-    results = {"config": cfg.to_json_dict(), "table": [[l, om] for l, om in table]}
+    results = {"config": cfg, "table": table}
     rows = [("l", "omega_l")] + [(l, om) for l, om in table]
     return results, [], rows
 
@@ -155,12 +169,11 @@ def _run_interval(spec: ExperimentSpec):
     cfg = spec.config
     l_max = spec.params["l_max"]
     report = invariant_report(cfg, l_max)
-    results = report.to_json_dict()
     rows = [("l", "omega_l", "omega_lower", "omega_upper", "w_lower")]
     for l, om in report.table:
         rows.append((l, om, frac_str(report.omega_lower),
                      frac_str(report.omega_upper), frac_str(report.w_lower)))
-    return results, list(report.verdicts), rows
+    return report, list(report.verdicts), rows
 
 
 def _run_nagata(spec: ExperimentSpec):
@@ -172,21 +185,15 @@ def _run_nagata(spec: ExperimentSpec):
                 f"strict inequality {'holds' if ok else 'fails'} at l={l}")
         for l, ok in checks
     ]
-    results = {"config": cfg.to_json_dict(), "checks": [[l, ok] for l, ok in checks]}
+    results = {"config": cfg, "checks": checks}
     rows = [("l", "strict_inequality_holds")] + [(l, ok) for l, ok in checks]
     return results, verdicts, rows
 
 
 def _run_harbourne(spec: ExperimentSpec):
     check = harbourne_table_check(spec.params["m_max"], spec.seed)
-    results = {
-        "seed": spec.seed,
-        "cells": [
-            {"r": c.r, "m": c.m, "expected": c.expected, "actual": c.actual,
-             "pass": c.passed}
-            for c in check.cells
-        ],
-    }
+    results = {"seed": check.seed,
+               "cells": [{**_json_safe(c), "pass": c.passed} for c in check.cells]}
     rows = [("r", "m", "expected", "actual", "pass")]
     rows += [(c.r, c.m, c.expected, c.actual, c.passed) for c in check.cells]
     return results, check.verdicts(), rows
@@ -235,15 +242,8 @@ def _run_green_profile(spec: ExperimentSpec):
         profile = radial_profile(g, radii, p["sphere_samples"],
                                  derive_seed(spec.seed, "green-profile"),
                                  axis=p["axis"])
-        source = {"config": cfg.to_json_dict(), "t": frac_str(p["t"]),
-                  "eps_sample": g.eps_sample}
-    results = {
-        "source": source,
-        "radii": list(profile.radii),
-        "sup_values": list(profile.sup_values),
-        "slope": profile.slope,
-        "slope_stderr": profile.slope_stderr,
-    }
+        source = {"config": cfg, "t": p["t"], "eps_sample": g.eps_sample}
+    results = {"source": source, **_json_safe(profile)}
     rows = [("radius", "sup", "residual")] + profile.to_csv_rows()
     return results, [], rows
 
@@ -268,9 +268,9 @@ def _run_collide(spec: ExperimentSpec):
             f"margin {row.upper_margin:.4f} vs eps {row.eps_sample:.2e} "
             "(collision-limit bound; expected to fail at coarse t when "
             "omega_hat > 1)"))
-    results = table.to_json_dict()
-    rows = [("t", "deviation", "slope")] + table.to_csv_rows()
-    return results, verdicts, rows
+    rows = [("t", "deviation", "slope")]
+    rows += [(frac_str(r.t), r.envelope_dev, r.slope) for r in table.rows]
+    return table, verdicts, rows
 
 
 def _run_schwarz(spec: ExperimentSpec):
@@ -279,19 +279,12 @@ def _run_schwarz(spec: ExperimentSpec):
     result = schwarz_check(cfg, p["l"], p["d"], p["rho"], p["R"],
                            p["epsilon"], p["boundary_samples"],
                            derive_seed(spec.seed, "green"))
-    verdicts = [v.to_verdict() for v in result.verdicts]
-    results = {
-        "config": cfg.to_json_dict(),
-        "omega_lower": frac_str(result.omega_lower),
-        "rho": result.rho,
-        "R": result.R,
-        "epsilon": result.epsilon,
-        "checks": [
-            {"index": v.index, "degree": v.degree, "lhs": v.lhs, "rhs": v.rhs,
-             "pass": v.passed}
-            for v in result.verdicts
-        ],
-    }
+    verdicts = [Verdict(f"schwarz-poly{v.index}", v.passed,
+                        f"ln||f||_r = {v.lhs:.6f} <= {v.rhs:.6f}")
+                for v in result.verdicts]
+    results = {"config": cfg, **_json_safe(result),
+               "checks": [{**_json_safe(v), "pass": v.passed} for v in result.verdicts]}
+    del results["verdicts"]
     rows = [("index", "degree", "lhs", "rhs", "pass")]
     rows += [(v.index, v.degree, v.lhs, v.rhs, v.passed) for v in result.verdicts]
     return results, verdicts, rows
@@ -302,17 +295,17 @@ def run(spec: ExperimentSpec) -> int:
     start = time.monotonic()
     results, verdicts, rows = _COMMANDS[spec.command].run(spec)
     elapsed_ms = int((time.monotonic() - start) * 1000)
-    report = {
-        "spec": spec.to_json_dict(),
+    report = _json_safe({
+        "spec": spec,
         "results": results,
-        "verdicts": [v.to_json_dict() for v in verdicts],
+        "verdicts": verdicts,
         "meta": {
             "version": __version__,
             "seed": spec.seed,
             "elapsed_ms": elapsed_ms,
             "timestamp": time.strftime("%Y-%m-%dT%H:%M:%S", time.gmtime()),
         },
-    }
+    })
     _report_validator().validate(report)
     # a non-finite float is no JSON: refuse it before anything is written
     text = json.dumps(report, indent=2, sort_keys=True, allow_nan=False) + "\n"
@@ -364,7 +357,7 @@ class Subcommand(NamedTuple):
     land in ``spec.params`` under their dests."""
 
     help: str
-    run: Callable  # spec -> (results dict, verdicts, csv rows)
+    run: Callable  # spec -> (results, verdicts, csv rows)
     options: tuple
     config: str = "required"  # "required", "optional" or "none"
 

@@ -39,9 +39,9 @@ from fractions import Fraction
 
 import numpy as np
 
-from .configs import PointConfig, frac_str
+from .configs import PointConfig
 from .fatpoints import InterpolationProblem, kernel_polynomials, uniform_orders
-from .invariants import Verdict, _interval_from_table, _require_uniform, omega_l, omega_table
+from .invariants import _interval_from_table, _require_uniform, omega_l, omega_table
 from .seeds import derive_seed
 
 NEG_INF = float("-inf")
@@ -509,32 +509,6 @@ class CollisionTable:
     seed: int
     grid: dict
 
-    def to_csv_rows(self) -> list:
-        return [(frac_str(r.t), r.envelope_dev, r.slope) for r in self.rows]
-
-    def to_json_dict(self) -> dict:
-        return {
-            "config": self.config.to_json_dict(),
-            "omega_hat": frac_str(self.omega_hat),
-            "l": self.l,
-            "degree": self.degree,
-            "mode": self.mode,
-            "seed": self.seed,
-            "grid": self.grid,
-            "rows": [
-                {
-                    "t": frac_str(r.t),
-                    "envelope_dev": r.envelope_dev,
-                    "slope": r.slope,
-                    "upper_ok": r.upper_ok,
-                    "upper_margin": r.upper_margin,
-                    "eps_sample": r.eps_sample,
-                    "oracle_gap": r.oracle_gap,
-                }
-                for r in self.rows
-            ],
-        }
-
 
 def two_point_oracle(t: Fraction, z) -> float:
     """Exact polydisc Green value for the two-point config at scale t."""
@@ -617,10 +591,6 @@ class SchwarzVerdict:
     @property
     def passed(self) -> bool:
         return self.lhs <= self.rhs + 1e-9
-
-    def to_verdict(self) -> Verdict:
-        return Verdict(f"schwarz-poly{self.index}", self.passed,
-                       f"ln||f||_r = {self.lhs:.6f} <= {self.rhs:.6f}")
 
 
 @dataclass(frozen=True)

@@ -36,8 +36,6 @@ the dimension is the same.
 
 from __future__ import annotations
 
-import csv
-import io
 import math
 from bisect import bisect_right
 from dataclasses import dataclass, field as dc_field
@@ -129,9 +127,8 @@ def _omega(config: PointConfig, l: int, field: PrimeField, levels: dict) -> int:
     rank can only drop mod p).  From there, U is tightened by products of
     the certified lower levels, omega(a) + omega(l - a), computed here only
     for such an open cell, and one loop steps d up to it until an exact rank
-    over Q (``rational_dimension``) finds a kernel.  With no image mod the
-    default prime the value starts at the largest order; mod a chosen prime
-    the ReductionError stands.
+    over Q (``rational_dimension``) finds a kernel.  With a point that has
+    no image mod p, the search's lower end is the largest order.
     """
     orders = uniform_orders(config, l)
     bound = _upper_bound(config, l)
@@ -141,8 +138,6 @@ def _omega(config: PointConfig, l: int, field: PrimeField, levels: dict) -> int:
     try:
         search = DimensionSearch(config, orders, field)
     except ReductionError:
-        if field != DEFAULT_FIELD:
-            raise
         d = max(orders)
     else:
         # where the count leaves the bound open, it has a kernel mod p too
@@ -170,30 +165,23 @@ def _upper_bound(config: PointConfig, l: int) -> int:
     is the least degree whose monomials outnumber the conditions at level a
     (a kernel over any field), and a product of nonzero level-a and level-b
     polynomials is nonzero and vanishes to the orders of level a + b.
-
-    U depends only on the dimension and the multiplicities, so the levels
-    U(1), U(2), ... are kept per (dimension, multiplicities) in
-    ``_bound_levels`` and each is computed once, however many levels, cells
-    or configs ask for it; count(a) is found by bisection, the monomial
-    count being increasing in the degree."""
-    n, weights = config.dimension, uniform_orders(config, 1)
-    bound = _bound_levels(n, weights)
-    for a in range(len(bound) + 1, l + 1):
-        conditions = sum(monomial_count(n, a * w - 1) for w in weights)
-        count = bisect_right(range(conditions + 1), conditions,
-                             key=lambda d: monomial_count(n, d))
-        bound[a] = min([count] + [bound[b] + bound[a - b] for b in range(1, a)])
-    return bound[l]
+    U depends only on the dimension and the multiplicities: see
+    ``_bound``."""
+    return _bound(config.dimension, uniform_orders(config, 1), l)
 
 
-@lru_cache(maxsize=256)
-def _bound_levels(n: int, weights: tuple) -> dict:
-    """{a: U(a)} of ``_upper_bound`` for points of these multiplicities in
-    dimension n, for a = 1, 2, ... as far as any call has asked; the calls
-    fill it in place, each level once and in order, so a level set twice
-    gets the same value.  Bounded, as it is keyed by every config's
-    multiplicities."""
-    return {}
+@lru_cache(maxsize=4096)
+def _bound(n: int, weights: tuple, l: int) -> int:
+    """U(l) of ``_upper_bound`` for points of these multiplicities in
+    dimension n.  Memoized, so each level is computed once however many
+    levels, cells or configs ask for it, and bounded, as it is keyed by
+    every config's multiplicities; count(l) is found by bisection, the
+    monomial count being increasing in the degree."""
+    conditions = sum(monomial_count(n, l * w - 1) for w in weights)
+    count = bisect_right(range(conditions + 1), conditions,
+                         key=lambda d: monomial_count(n, d))
+    return min([count] + [_bound(n, weights, a) + _bound(n, weights, l - a)
+                          for a in range(1, l // 2 + 1)])
 
 
 def omega_table(config: PointConfig, l_max: int) -> tuple:
@@ -381,28 +369,6 @@ class InvariantReport:
     @property
     def all_pass(self) -> bool:
         return all(v.passed for v in self.verdicts)
-
-    def to_json_dict(self) -> dict:
-        return {
-            "config": self.config.to_json_dict(),
-            "table": [[l, om] for l, om in self.table],
-            "omega_lower": frac_str(self.omega_lower),
-            "omega_upper": frac_str(self.omega_upper),
-            "w_lower": frac_str(self.w_lower),
-            "verdicts": [v.to_json_dict() for v in self.verdicts],
-        }
-
-    def to_csv(self) -> str:
-        buf = io.StringIO()
-        w = csv.writer(buf)
-        w.writerow(["l", "omega_l", "omega_lower", "omega_upper", "w_lower", "verdicts"])
-        verdict_text = ";".join(
-            f"{v.name}:{'pass' if v.passed else 'FAIL'}" for v in self.verdicts
-        )
-        for l, om in self.table:
-            w.writerow([l, om, frac_str(self.omega_lower), frac_str(self.omega_upper),
-                        frac_str(self.w_lower), verdict_text])
-        return buf.getvalue()
 
 
 def invariant_report(config: PointConfig, l_max: int) -> InvariantReport:

@@ -7,9 +7,10 @@ import jsonschema
 import pytest
 
 from nagata import invariants
-from nagata.cli import EXIT_ERROR, EXIT_OK, EXIT_VERDICT_FAILED, load_schema, main
-from nagata.configs import generic_points
+from nagata.cli import EXIT_ERROR, EXIT_OK, EXIT_VERDICT_FAILED, _json_safe, load_schema, main
+from nagata.configs import generic_points, make_config
 from nagata.exactla import PrimeField
+from nagata.invariants import HarbourneCell, HarbourneCheck, Verdict
 
 
 def run_cli(tmp_path, *args):
@@ -133,11 +134,12 @@ def test_collide_subcommand(tmp_path):
                         "--n-dirs", "8", "--format", "both")
     assert code == EXIT_OK
     report = read_report(out, "collide")
+    assert report["results"]["omega_hat"] == "1/1"
     gaps = [row["oracle_gap"] for row in report["results"]["rows"]]
     assert gaps[0] > gaps[-1]
     csv_lines = (out / "collide.csv").read_text().splitlines()
-    assert csv_lines[0] == "t,deviation,slope"
-    assert len(csv_lines) == 4
+    assert [line.split(",")[0] for line in csv_lines[1:]] == \
+        [row["t"] for row in report["results"]["rows"]] == ["1/2", "1/4", "1/10"]
 
 
 def test_schwarz_subcommand(tmp_path):
@@ -146,6 +148,62 @@ def test_schwarz_subcommand(tmp_path):
     assert code == EXIT_OK
     report = read_report(out, "schwarz")
     assert all(c["pass"] for c in report["results"]["checks"])
+
+
+# command: (argv, results keys, CSV header, the results list the CSV rows
+# follow, the keys of each of its items or None for a list of lists)
+REPORT_CONTRACTS = {
+    "omega": (["--grid", "2", "--l-max", "2"], {"config", "table"}, "l,omega_l",
+              "table", None),
+    "interval": (["--n", "2", "--r", "10", "--l-max", "2", "--seed", "3"],
+                 {"config", "table", "omega_lower", "omega_upper", "w_lower", "verdicts"},
+                 "l,omega_l,omega_lower,omega_upper,w_lower", "table", None),
+    "nagata": (["--n", "2", "--r", "10", "--l-max", "2", "--seed", "2"],
+               {"config", "checks"}, "l,strict_inequality_holds", "checks", None),
+    "harbourne": (["--m-max", "1", "--seed", "1"], {"seed", "cells"},
+                  "r,m,expected,actual,pass", "cells",
+                  {"r", "m", "expected", "actual", "pass"}),
+    "green-profile": (["--exact", "ball-origin", "--sphere-samples", "16"],
+                      {"source", "radii", "sup_values", "slope", "slope_stderr"},
+                      "radius,sup,residual", "radii", None),
+    "collide": (["--example", "two-point", "--t", "1/4", "--boundary-samples", "128",
+                 "--n-radii", "6", "--n-dirs", "6"],
+                {"config", "omega_hat", "l", "degree", "mode", "seed", "grid", "rows"},
+                "t,deviation,slope", "rows",
+                {"t", "envelope_dev", "slope", "upper_ok", "upper_margin", "eps_sample",
+                 "oracle_gap"}),
+    "schwarz": (["--example", "two-point", "--boundary-samples", "256"],
+                {"config", "omega_lower", "rho", "R", "epsilon", "checks"},
+                "index,degree,lhs,rhs,pass", "checks",
+                {"index", "degree", "lhs", "rhs", "pass"}),
+}
+
+
+@pytest.mark.parametrize("command", REPORT_CONTRACTS)
+def test_report_contract(tmp_path, command):
+    argv, keys, header, items, item_keys = REPORT_CONTRACTS[command]
+    code, out = run_cli(tmp_path, command, *argv, "--format", "both")
+    assert code == EXIT_OK
+    results = read_report(out, command)["results"]
+    assert set(results) == keys
+    if item_keys is not None:
+        assert all(set(item) == item_keys for item in results[items])
+    csv_lines = (out / f"{command}.csv").read_text().splitlines()
+    assert csv_lines[0] == header
+    assert len(csv_lines) == 1 + len(results[items]) > 1
+
+
+def test_json_safe():
+    plain = make_config([[0, Fraction(1, 2)]])
+    assert "multiplicities" not in _json_safe(plain)
+    assert _json_safe(make_config([[0, 0]], [2]))["multiplicities"] == [2]
+    check = HarbourneCheck((HarbourneCell(2, 1, 1, 1),), seed=5)
+    assert _json_safe({"check": check, "t": Fraction(1, 4), "pair": (Fraction(2), plain)}) == {
+        "check": {"cells": [{"r": 2, "m": 1, "expected": 1, "actual": 1}], "seed": 5},
+        "t": "1/4",
+        "pair": ["2/1", {"dimension": 2, "points": [["0/1", "1/2"]], "label": ""}],
+    }
+    assert _json_safe(Verdict("v", False, "d")) == {"name": "v", "pass": False, "detail": "d"}
 
 
 def test_config_file_source(tmp_path):

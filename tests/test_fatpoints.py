@@ -466,9 +466,13 @@ def test_the_point_moved_to_the_origin_must_still_reduce():
     msg = "denominator 7 divisible by modulus 7; re-draw the prime"
     with pytest.raises(ReductionError) as search_error:
         DimensionSearch(cfg, (2, 2), PrimeField(7)).dimension_at(2)
-    with pytest.raises(ReductionError) as omega_error:
-        invariants.omega_l(cfg, 2, prime=7)
-    assert str(search_error.value) == str(omega_error.value) == msg
+    assert str(search_error.value) == msg
+    # omega_l then steps up from the largest order by exact ranks over Q:
+    # the same value as under the default prime
+    five = make_config([[Fraction(1, 7), 0], [1, 2], [2, 5], [4, 1], [3, 3]])
+    for c in (cfg, five):
+        for l in (1, 2, 3):
+            assert invariants.omega_l(c, l, prime=7) == invariants.omega_l(c, l)
 
 
 # Points with fractional and negative coordinates, n = 1, 2, 3.

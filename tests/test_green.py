@@ -458,16 +458,6 @@ def test_collision_validation():
             collision_experiment(TWO, 1, 2, ts, mode="polydisc")
 
 
-def test_collision_table_serialization():
-    table = collision_experiment(TWO, 1, 2, ["1/4"], mode="polydisc",
-                                 boundary_samples=128, n_radii=6, n_dirs=6,
-                                 seed=1)
-    d = table.to_json_dict()
-    assert d["omega_hat"] == "1/1"
-    assert len(d["rows"]) == 1
-    assert table.to_csv_rows()[0][0] == "1/4"
-
-
 # -- Schwarz norm inequality ------------------------------------------------
 
 

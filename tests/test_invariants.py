@@ -530,12 +530,7 @@ def test_invariant_report_structure():
     report = invariant_report(cfg, 2)
     assert report.omega_lower <= report.omega_upper
     assert report.w_lower >= Fraction(cfg.r, report.table[0][1])
-    d = report.to_json_dict()
-    assert {"config", "table", "omega_lower", "omega_upper", "w_lower",
-            "verdicts"} <= set(d)
-    csv_text = report.to_csv()
-    assert csv_text.splitlines()[0] == "l,omega_l,omega_lower,omega_upper,w_lower,verdicts"
-    assert len(csv_text.splitlines()) == 3
+    assert len(report.table) == 2
     assert report.all_pass  # r=10: strictness holds, all checks green
 
 
