@@ -173,7 +173,9 @@ def _run_interval(spec: ExperimentSpec):
     for l, om in report.table:
         rows.append((l, om, frac_str(report.omega_lower),
                      frac_str(report.omega_upper), frac_str(report.w_lower)))
-    return report, list(report.verdicts), rows
+    results = _json_safe(report)
+    del results["verdicts"]  # the report's top-level verdicts
+    return results, list(report.verdicts), rows
 
 
 def _run_nagata(spec: ExperimentSpec):

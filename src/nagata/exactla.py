@@ -31,14 +31,21 @@ domains are supported:
   rows R, the column rank profile P and the inverse of B = a[R, P] mod p,
   and B X = -a[R, F] (F the free columns) is lifted one p-adic digit at a
   time: ``matmul`` for B^-1 r mod p, and one exact float64 product of
-  signed w-bit limbs for B x, on the same 2^53 argument.  X is rebuilt from its digits
-  with one shared denominator (rational reconstruction), at digit counts
+  signed w-bit limbs for B x, on the same 2^53 argument.  X is reconstructed
+  with one shared denominator (rational reconstruction) at digit counts
   growing by about a quarter and at the cap p^N > 2 prod_i |a_i|^2 over the
-  rows of R (Hadamard), where it is exact.  Vectors are returned only once
-  m @ v = 0 holds exactly and each is zero on every pivot column right of
-  its free column; together these prove that rho is the rank over Q, that
-  P is its column rank profile and that the vectors are the reduced row
-  echelon basis.  A prime that fails the checks at the cap, or fails the
+  rows of R (Hadamard), where it is exact.  An attempt first reconstructs
+  three probe entries, kept as ints as the digits come: when all of X
+  reconstructs, so does every subset, so an attempt whose probes fail has
+  no candidate.  X is then summed from its digits once, by a product tree,
+  and only from the low digits the answer needs: about half, those with
+  p^n1 > 2^65 h for the bound h = isqrt(p^N // 2) of the attempt.  Where
+  that candidate fails, X from all N digits is reconstructed, so the
+  candidates are those of the full reconstruction.  Vectors are returned
+  only once m @ v = 0 holds exactly and each is zero on every pivot column
+  right of its free column; together these prove that rho is the rank over
+  Q, that P is its column rank profile and that the vectors are the reduced
+  row echelon basis.  A prime that fails the checks at the cap, or fails the
   second, divides a nonzero minor of the input: the lift moves to the next
   prime below, so every result is a function of the matrix alone.  The rank
   over Q is rho where rho = min(rows, cols), and otherwise comes from the
@@ -521,11 +528,27 @@ def _lift_solution(field: PrimeField, b: np.ndarray, inv: np.ndarray, rhs: np.nd
     Dixon's p-adic lift: with C = ``inv``, B^-1 mod p from the elimination
     that found B, and the residue r = rhs at first, each digit is
     x = C r mod p (``matmul``) and r becomes (r - B x) / p, exact since
-    B x = r mod p; after N digits, X = sum_i x_i p^i mod p^N.
-    ``_reconstruct`` makes a candidate when the digit count reaches 1, 2,
-    3, ... growing by about a quarter each time, and at the cap: once p^N > cap >= 2 H^2, with H bounding |det B| and
-    every Cramer numerator, it gives X exactly.  Nothing is lifted past the
-    cap.
+    B x = r mod p; after N digits, X = sum_i x_i p^i mod p^N.  A
+    reconstruction is attempted when the digit count reaches 1, 2, 3, ...
+    growing by about a quarter each time, and at the cap: once p^N > cap >=
+    2 H^2, with H bounding |det B| and every Cramer numerator, it gives X
+    exactly.  Nothing is lifted past the cap.
+
+    The digits are kept as they come, and X is not summed from them until
+    an attempt needs it.  Three probe entries of X, (0, last), (k - 1, 0)
+    and (k / 2, cols / 2), are kept as Python ints, one multiply-add per
+    digit, and each attempt first runs ``_reconstruct`` on them alone.  If
+    all of X reconstructs mod p^N, so does every subset of its entries:
+    each entry's fraction is the only one in the bounds (2 h^2 < p^N), and
+    the denominator of a subset divides that of X.  So an attempt whose
+    probes do not reconstruct has no candidate, and the others go to
+    ``_candidates``.  One probe would not do: a single residue mod p^N has
+    a fraction in the bounds about 6 times in 10 (some 12 h^2 / pi^2 of
+    the 2 h^2 residues), while the next entry must then fit the denominator
+    found.  So three make a false pass rare, and a false pass costs only a
+    candidate that the caller's checks refuse.  They are spread over X
+    (corners and middle), so that a block of zeros in X, which reconstructs
+    at any N, does not hold all of them.
 
     r stays in int64 limbs, r = sum_s r_s 2^(w s), with w = (53 - L) // 2
     for k < 2^L rows of B, as in ``PrimeField.matmul``.  B is split into
@@ -553,13 +576,14 @@ def _lift_solution(field: PrimeField, b: np.ndarray, inv: np.ndarray, rhs: np.nd
     powers = np.array([pow(2, w * s, p) for s in range(len(r))], dtype=np.int64)
     shifts = _U(w) * np.arange(tx, dtype=_U)
     mask = _U((1 << w) - 1)
-    xs, base, pending = 0, 1, []  # xs = X mod base; the digits in pending come next
-    modulus = 1
-    digits, attempt = 0, 1
+    cols = rhs.shape[1]
+    probes = list(dict.fromkeys([(0, cols - 1), (k - 1, 0), (k // 2, cols // 2)]))
+    seen = [0] * len(probes)  # the probe entries of X mod modulus
+    digits, modulus, attempt = [], 1, 1
     while modulus <= cap:
-        residue = sum(np.tensordot(powers[s:s + 16], r[s:s + 16], 1) % p
-                      for s in range(0, len(r), 16))
-        x = field.matmul(inv, residue.astype(_U))
+        flat = r.reshape(len(r), -1)  # a copy where r is not C-ordered
+        residue = sum(powers[s:s + 16] @ flat[s:s + 16] % p for s in range(0, len(r), 16))
+        x = field.matmul(inv, residue.reshape(k, -1).astype(_U))
         x_limbs = (x[:, None] >> shifts[None, :, None]) & mask  # k x tx x cols
         bx = (b_limbs @ x_limbs.reshape(k, -1).astype(np.float64)).astype(np.int64)
         bx = bx.reshape(t, k, tx, -1)
@@ -567,21 +591,79 @@ def _lift_solution(field: PrimeField, b: np.ndarray, inv: np.ndarray, rhs: np.nd
             r[i:i + t] -= bx[:, :, i]
         rem = 0
         for s in reversed(range(len(r))):
-            cur = (rem << w) + r[s]
-            r[s] = cur // p
-            rem = cur - r[s] * p
-        pending.append(x)
+            r[s], rem = np.divmod((rem << w) + r[s], p)
+        digits.append(x)
+        seen = [v + int(x[e]) * modulus for v, e in zip(seen, probes)]
         modulus *= p
-        digits += 1
-        if digits == attempt or modulus > cap:
-            attempt += digits // 4 + 1
-            high = 0
-            for x in reversed(pending):
-                high = high * p + x.astype(object)
-            xs, base, pending = xs + high * base, modulus, []
-            candidate = _reconstruct(xs, modulus)
-            if candidate is not None:
-                yield candidate
+        if len(digits) == attempt or modulus > cap:
+            attempt += len(digits) // 4 + 1
+            gate = _reconstruct(np.array(seen, dtype=object), modulus)
+            if gate is not None:
+                yield from _candidates(digits, p, gate[1])
+
+
+# The truncated reconstruction works mod p^n1 > _GUARD h, so Wang's step
+# there takes denominator factors up to 2^64: one machine word of slack over
+# the probes' denominator, for a few digits more than half of them
+_GUARD = 1 << 65
+
+
+def _candidates(digits: list, p: int, d: int):
+    """The candidates (Y, D) of one reconstruction attempt on X mod p^N, N
+    = len(digits), once its probe entries have reconstructed with the
+    shared denominator d.
+
+    The first comes from the low n1 digits only, the least n1 with p^n1 >
+    2^65 h for h = isqrt(p^N // 2), where n1 < N: ``_reconstruct`` walks
+    X mod p^n1 with the full bound h and starts from d, so an entry whose
+    denominator divides d is read off directly (|Y| <= h < p^n1 / 2), and
+    one that needs more extends d by Wang's step with denominators up to
+    (p^n1 - 1) // (2h) >= 2^64, the most for which the fraction is still
+    the only one congruent to it.  That is about half the digits and half
+    the bits of every product of the full reconstruction.  Generically the
+    probes already hold the whole denominator of X, and no entry extends
+    it.  Such a candidate agrees with X on the low digits only, so the
+    caller's checks decide it: one that passes them is X, whose numerators
+    and denominator are within h, so the full reconstruction would have
+    given the same fractions.  When the step refuses, or the caller asks
+    for the next candidate (its checks failed), ``_reconstruct`` runs on
+    all N digits, as at every attempt before, and its candidate comes
+    next.  So every candidate of the full reconstruction is still tried,
+    in the same order.
+
+    The digits are uint64 arrays below p; X is summed from them by a
+    product tree, digit pairs in uint64 (below p^2 < 2^62) and then Python
+    ints, so no array is multiplied once per digit."""
+    modulus = p ** len(digits)
+    h = isqrt(modulus // 2)
+    low, base = 1, p
+    while base <= _GUARD * h:
+        low, base = low + 1, base * p
+    if low < len(digits):
+        xs = _digit_sum(digits[:low], p)
+        candidate = _reconstruct(xs, base, h, d)
+        if candidate is not None:
+            yield candidate
+        xs = xs + _digit_sum(digits[low:], p) * base
+    else:
+        xs = _digit_sum(digits, p)
+    candidate = _reconstruct(xs, modulus)
+    if candidate is not None:
+        yield candidate
+
+
+def _digit_sum(digits: list, p: int) -> np.ndarray:
+    """sum_i digits[i] p^i as an object array of Python ints, by a product
+    tree: each level adds the odd blocks, times p to the block length, to
+    the even ones, so the large products are few."""
+    def pairs(level, base):  # block 2i + 1 times base, added to block 2i
+        odd = level[len(level) // 2 * 2:]
+        return [a + b * base for a, b in zip(level[::2], level[1::2])] + odd
+
+    level, base = [v.astype(object) for v in pairs(digits, _U(p))], p * p
+    while len(level) > 1:
+        level, base = pairs(level, base), base * base
+    return level[0]
 
 
 def _limbs(a: np.ndarray, w: int, count: int = 1) -> np.ndarray:
@@ -595,21 +677,26 @@ def _limbs(a: np.ndarray, w: int, count: int = 1) -> np.ndarray:
     return limbs * np.where(a < 0, -1, 1)
 
 
-def _reconstruct(xs: np.ndarray, modulus: int):
-    """(Y, D) with Y = D xs mod modulus, |Y| <= h and 0 < D <= h for
-    h = isqrt(modulus // 2), or None.  As 2 h^2 < modulus, each fraction
-    Y / D in these bounds is the only one congruent to its entry.  D is
-    shared: each entry in turn is reduced with the current D, and one that
-    does not fit gives D a new factor (``_fraction``); the entries before
-    it are scaled by that factor at the end."""
-    h = isqrt(modulus // 2)
-    d, ys = 1, []
+def _reconstruct(xs: np.ndarray, modulus: int, h: int | None = None, d: int = 1):
+    """(Y, D) with Y = D xs mod modulus, |Y| <= h and 0 < D <= h, or None;
+    h = isqrt(modulus // 2) unless given.  D is shared: it starts at d, each
+    entry in turn is reduced with the current D, and one that does not fit
+    gives D a new factor e (``_fraction``); the entries before it are scaled
+    by e at the end.  e is at most h // D, and at most (modulus - 1) // (2h),
+    so 2 h e < modulus and the fraction found is the only one congruent to
+    its entry in these bounds.  At the default h the second bound is never
+    the smaller (2 h^2 < modulus), and each fraction Y / D in the bounds is
+    the only one congruent to its entry."""
+    if h is None:
+        h = isqrt(modulus // 2)
+    factor_bound = (modulus - 1) // (2 * h)
+    ys = []
     for u in xs.flat:
         y = u * d % modulus
         if y > h:
             y -= modulus
         if y < -h:
-            found = _fraction(y % modulus, modulus, h, h // d)
+            found = _fraction(y % modulus, modulus, h, min(factor_bound, h // d))
             if found is None:
                 return None
             y, e = found
@@ -624,9 +711,15 @@ def _reconstruct(xs: np.ndarray, modulus: int):
 def _fraction(u: int, modulus: int, num_bound: int, den_bound: int):
     """(n, e) with n / e = u mod modulus, |n| <= num_bound and
     1 < e <= den_bound, by Wang's rational reconstruction (the extended
-    Euclidean algorithm), or None."""
+    Euclidean algorithm), or None.  The caller keeps 2 num_bound den_bound
+    < modulus, so by Wang's lemma a fraction in the bounds, if there is one,
+    is +-(r, t) at the first remainder r <= num_bound, and |t| only grows along
+    the way: the loop stops as soon as |t| passes den_bound, which with the
+    small bound h // D of a shared denominator D is after a few steps."""
     r0, r1, t0, t1 = modulus, u, 0, 1
     while r1 > num_bound:
+        if abs(t1) > den_bound:
+            return None
         q = r0 // r1
         r0, r1, t0, t1 = r1, r0 - q * r1, t1, t0 - q * t1
     g = gcd(t1, r1) * (1 if t1 > 0 else -1)

@@ -29,6 +29,13 @@ random combinations, or a Schwarz check's kernel) is one complex coefficient
 matrix over one shared monomial list, evaluated at m points as V @ coeffs
 with V the (m, N) monomial matrix; sups and values are column reductions of
 its modulus.
+
+Scaling.  The exact kernel at the poles t*S is the one at S rescaled: P(z/t)
+vanishes at t*p to the order P does at p, so the kernel polynomial of t*S,
+normalized by its lead as ``kernel_polynomials`` normalizes it, has the
+coefficient c_beta t^(|lead| - |beta|) where the one of S has c_beta.  An
+approximant takes its kernel at S and rescales it (``_scaled_kernel``), and a
+collision table computes that kernel once for all its t.
 """
 
 from __future__ import annotations
@@ -40,7 +47,7 @@ from fractions import Fraction
 import numpy as np
 
 from .configs import PointConfig
-from .fatpoints import InterpolationProblem, kernel_polynomials, uniform_orders
+from .fatpoints import InterpolationProblem, KernelPolynomial, kernel_polynomials, uniform_orders
 from .invariants import _interval_from_table, _require_uniform, omega_l, omega_table
 from .seeds import derive_seed
 
@@ -293,8 +300,41 @@ def build_approximant(config: PointConfig, t, l: int, d: int,
 
     t must be an exact rational (int, Fraction, or a decimal string such as
     "1/10" or "0.25") so the scaled condition matrix stays exact.  The scaled
-    poles must lie strictly inside the unit domain of the chosen mode.
+    poles must lie strictly inside the unit domain of the chosen mode.  The
+    kernel is that of the unscaled system, rescaled (``_scaled_kernel``).
     """
+    return _approximant(config, t, l, d, boundary_samples, seed, mode)
+
+
+def _kernel(config: PointConfig, l: int, d: int) -> list:
+    """The exact kernel polynomials of the (l, d) system at the config's
+    points; raises when the kernel is empty."""
+    return kernel_polynomials(InterpolationProblem(config, d, uniform_orders(config, l), None))
+
+
+def _scaled_kernel(polys: list, t: Fraction) -> list:
+    """The kernel polynomials of ``config.scaled(t)`` from those of config.
+
+    P vanishes to order m at p exactly when P(z / t) vanishes to order m at
+    t p.  So the condition matrix at t S is the one at S with column beta
+    times t^(-|beta|) (and its rows rescaled): the same column rank profile,
+    and the kernel vector c_beta t^(-|beta|) for each vector c.  Normalized
+    by its lead (its first nonzero coefficient, 1 in c), coefficient c_beta
+    becomes c_beta t^(|lead| - |beta|).  The support, degree and achieved
+    orders stay as they are, and the result equals ``kernel_polynomials``
+    of the scaled problem."""
+    out = []
+    for p in polys:
+        lead = sum(p.coefficients[0][0])
+        coefficients = tuple((beta, c * t ** (lead - sum(beta))) for beta, c in p.coefficients)
+        out.append(KernelPolynomial(coefficients, p.degree, p.achieved_orders))
+    return out
+
+
+def _approximant(config: PointConfig, t, l: int, d: int, boundary_samples: int,
+                 seed: int, mode: str, kernel: list | None = None) -> GreenApproximant:
+    """``build_approximant``, from the unscaled kernel when it is given (a
+    collision table computes it once for all its t)."""
     if mode not in _MODES:
         raise ValueError(f"mode must be one of {_MODES}")
     if isinstance(t, float):
@@ -302,7 +342,8 @@ def build_approximant(config: PointConfig, t, l: int, d: int,
     t = Fraction(t)
     if boundary_samples < 1:
         raise ValueError("boundary_samples must be >= 1")
-    scaled = config.scaled(t)
+    if t == 0:
+        raise ValueError("scale factor must be nonzero (points must stay distinct)")
     if mode == "ball":
         if t * t * config.max_norm_squared() >= 1:
             raise ValueError("scaled poles must lie strictly inside the unit ball")
@@ -310,8 +351,7 @@ def build_approximant(config: PointConfig, t, l: int, d: int,
         if abs(t) * config.max_sup_norm() >= 1:
             raise ValueError("scaled poles must lie strictly inside the unit polydisc")
 
-    problem = InterpolationProblem(scaled, d, uniform_orders(config, l), None)
-    polys = kernel_polynomials(problem)  # raises when the kernel is empty
+    polys = _scaled_kernel(_kernel(config, l, d) if kernel is None else kernel, t)
 
     exps, coeffs = _kernel_arrays(polys)
     rng = np.random.default_rng(seed)
@@ -551,10 +591,11 @@ def collision_experiment(config: PointConfig, l: int, d: int, t_sequence,
     log_r = np.log(radii)
     target = float(omega_hat)
 
+    kernel = _kernel(config, l, d)
     rows = []
     for i, t in enumerate(ts):
-        g = build_approximant(config, t, l, d, boundary_samples,
-                              derive_seed(seed, f"collision-t{i}"), mode)
+        g = _approximant(config, t, l, d, boundary_samples,
+                         derive_seed(seed, f"collision-t{i}"), mode, kernel)
         if g.pole_radius >= r_min:
             raise ValueError(
                 f"t={t}: poles (radius {g.pole_radius:.3g}) intrude on the "
@@ -635,8 +676,7 @@ def schwarz_check(config: PointConfig, l: int, d: int | None = None,
         d = omega_l(config, l)
     omega_lower = Fraction(omega_lower)
 
-    problem = InterpolationProblem(config, d, uniform_orders(config, l), None)
-    polys = kernel_polynomials(problem)
+    polys = _kernel(config, l, d)
     exps, coeffs = _kernel_arrays(polys)
     dirs = _unit_sphere(np.random.default_rng(seed), boundary_samples,
                         config.dimension)

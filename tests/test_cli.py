@@ -156,7 +156,7 @@ REPORT_CONTRACTS = {
     "omega": (["--grid", "2", "--l-max", "2"], {"config", "table"}, "l,omega_l",
               "table", None),
     "interval": (["--n", "2", "--r", "10", "--l-max", "2", "--seed", "3"],
-                 {"config", "table", "omega_lower", "omega_upper", "w_lower", "verdicts"},
+                 {"config", "table", "omega_lower", "omega_upper", "w_lower"},
                  "l,omega_l,omega_lower,omega_upper,w_lower", "table", None),
     "nagata": (["--n", "2", "--r", "10", "--l-max", "2", "--seed", "2"],
                {"config", "checks"}, "l,strict_inequality_holds", "checks", None),

@@ -1,11 +1,11 @@
 """Exact linear algebra: field arithmetic, rank, kernels, incremental rank."""
 
 from fractions import Fraction
-from math import prod
+from math import gcd, isqrt, lcm, prod
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from nagata import exactla
@@ -30,6 +30,7 @@ from nagata.fatpoints import (
     monomials,
     vanishing_order,
 )
+from nagata.green import _scaled_kernel
 from nagata.seeds import derive_seed
 
 F = PrimeField()
@@ -416,6 +417,22 @@ def test_integer_kernel_path_matches_the_rref_oracle(problem):
                                                                  problem.orders))
 
 
+@settings(deadline=None, max_examples=30)
+@given(mixed_denominator_problems(),
+       st.fractions(-3, 3, max_denominator=200).filter(lambda t: t != 0))
+def test_rescaled_kernel_is_the_kernel_of_the_scaled_points(problem, t):
+    # green's collision tables rescale one kernel for every t: P(z / t),
+    # renormalized by its lead, is the kernel polynomial at t S
+    scaled = InterpolationProblem(problem.config.scaled(t), problem.degree, problem.orders)
+    got = _scaled_kernel(kernel_polynomials(problem), t)
+    assert got == kernel_polynomials(scaled)
+    mat = condition_matrix(scaled)
+    basis = monomials(problem.n, problem.degree)
+    assert [p.coefficients for p in got] == [
+        tuple((b, c) for b, c in zip(basis, v) if c)
+        for v in rref_kernel(mat.entries.tolist(), mat.cols)]
+
+
 def test_stacked_elimination_inverts_the_pivot_block():
     # one Gauss-Jordan of [b; I] with pivots sought in b only: the same
     # profile and reduced b as on b alone, and the identity's part inverts
@@ -548,6 +565,178 @@ def test_a_lift_that_never_verifies_raises(monkeypatch):
     assert rank(m) == 2
     with pytest.raises(RuntimeError, match="no prime lifts the kernel"):
         rank(ExactMatrix.from_rows([rows[0], [2 * x for x in rows[0]]]))
+
+
+# denominators of the non-probe entries: coprime, small ones that the
+# truncated reconstruction extends its denominator by, and primes past 2^64
+# that it refuses, so the full reconstruction takes over
+DENOMINATORS = (3, 5, 7, 11, 13, 2**61 - 1, 2**89 - 1)
+
+
+@st.composite
+def probe_free_kernels(draw):
+    """(rows, cols) of [D | -D X] for a k x c rational X whose probe entries
+    (0, c - 1), (k - 1, 0) and (k // 2, c // 2) are integers, zero among
+    them, and whose other entries carry the denominators, D the diagonal of
+    each row's lcm: the lift solves D X' = D X on the first k columns, so X'
+    is X, and the probes reconstruct with denominator 1 at every attempt."""
+    k, c = draw(st.integers(1, 5)), draw(st.integers(1, 4))
+    probes = {(0, c - 1), (k - 1, 0), (k // 2, c // 2)}
+    small = st.integers(-3, 3)
+    x = [[draw(small) if (i, j) in probes else
+          Fraction(draw(st.integers(-2**70, 2**70)), draw(st.sampled_from(DENOMINATORS)))
+          for j in range(c)] for i in range(k)]
+    rows = []
+    for i, xi in enumerate(x):
+        m = lcm(*(v.denominator for v in map(Fraction, xi)))
+        rows.append([m if j == i else 0 for j in range(k)] + [int(-m * v) for v in xi])
+    return rows, k + c
+
+
+@settings(deadline=None, max_examples=60)
+@given(probe_free_kernels())
+@example(([[2**89 - 1, 0, -5, 0], [0, 1, -1, -2]], 4))  # X = [[5 / (2^89 - 1), 0], [1, 2]]
+def test_rational_kernel_with_integral_probes_matches_the_rref_oracle(case):
+    rows, nc = case
+    m = ExactMatrix.from_rows(rows)
+    assert kernel_basis(m) == rref_kernel(rows, nc)
+
+
+def recorded_candidates(monkeypatch):
+    """Wrap exactla._lift_solution and exactla._candidates: returns one
+    [modulus, cap, candidates] per lift, each candidate as (digits taken
+    when it came, (Y, D))."""
+    lifts = []
+    lift_solution, candidates = exactla._lift_solution, exactla._candidates
+
+    def recorded_lift(field, b, inv, rhs, cap):
+        lifts.append([field.modulus, cap, []])
+        return lift_solution(field, b, inv, rhs, cap)
+
+    def recorded_attempt(digits, p, d):
+        for candidate in candidates(digits, p, d):
+            lifts[-1][2].append((len(digits), candidate))
+            yield candidate
+
+    monkeypatch.setattr(exactla, "_lift_solution", recorded_lift)
+    monkeypatch.setattr(exactla, "_candidates", recorded_attempt)
+    return lifts
+
+
+def reference_first_candidate(p, x, cap):
+    """Digit count of the first candidate of the lift that rebuilds all of X
+    mod p^N at every attempt and reconstructs it in full, for the exact
+    solution x = (Y, D): X mod p^N is Y D^-1 mod p^N, the value of its first
+    N digits.  The attempts come at N = 1, 2, 3, ... growing by about a
+    quarter, and at the cap."""
+    y, d = x
+    digits, attempt, modulus = 0, 1, 1
+    while modulus <= cap:
+        digits += 1
+        modulus *= p
+        if digits == attempt or modulus > cap:
+            attempt += digits // 4 + 1
+            xs = np.array([v * pow(d, -1, modulus) % modulus for v in y.flat],
+                          dtype=object).reshape(y.shape)
+            if reference_reconstruct(xs, modulus) is not None:
+                return digits
+    return None
+
+
+def reference_reconstruct(xs, modulus):
+    """Shared-denominator reconstruction over the full modulus, every entry
+    in turn (the oracle of ``exactla._reconstruct`` at its default bounds)."""
+    h = isqrt(modulus // 2)
+    d, ys = 1, []
+    for u in xs.flat:
+        y = u * d % modulus
+        if y > h:
+            y -= modulus
+        if y < -h:
+            found = reference_fraction(y % modulus, modulus, h, h // d)
+            if found is None:
+                return None
+            y, e = found
+            d *= e
+        ys.append((y, d))
+    if any(abs(y * (d // di)) > h for y, di in ys):
+        return None
+    return d
+
+
+def reference_fraction(u, modulus, num_bound, den_bound):
+    """Wang's rational reconstruction by the extended Euclidean algorithm,
+    at every bound (the oracle of ``exactla._fraction``)."""
+    r0, r1, t0, t1 = modulus, u, 0, 1
+    while r1 > num_bound:
+        q = r0 // r1
+        r0, r1, t0, t1 = r1, r0 - q * r1, t1, t0 - q * t1
+    g = gcd(t1, r1) * (1 if t1 > 0 else -1)
+    n, e = r1 // g, t1 // g
+    return (n, e) if 1 < e <= den_bound else None
+
+
+@settings(deadline=None, max_examples=200)
+@given(st.sampled_from([3, 2**31 - 1]), st.integers(1, 8), st.integers(1, 200),
+       st.integers(1, 100), st.data())
+def test_fraction_matches_wang_reconstruction(p, digits, den, den_bound, data):
+    # the loop stops once |t| passes den_bound; it must still give Wang's
+    # fraction, and None where Wang finds none, on residues with and without
+    # one.  Where the last remainder and t share the prime, the oracle's
+    # quotient by their gcd is not congruent to u, and None is right there
+    assume(den % p)
+    modulus = p ** digits
+    h = isqrt(modulus // 2)
+    den_bound = min(den_bound, h)
+    num = data.draw(st.integers(-h, h))
+    u = data.draw(st.sampled_from([num * pow(den, -1, modulus) % modulus,
+                                   data.draw(st.integers(0, modulus - 1))]))
+    assume(h < u < modulus - h)  # as _reconstruct calls it: u itself is out of bounds
+    got = exactla._fraction(u, modulus, h, den_bound)
+    want = reference_fraction(u, modulus, h, den_bound)
+    assert got == want or (got is None and (want[0] - u * want[1]) % modulus)
+
+
+def lift_cases():
+    """Integer matrices whose kernels take many digits: the r = 6 condition
+    matrix of the kernel-exact family and seeded dense ones with entries of
+    up to 100 bits."""
+    cfg = generic_points(2, 6, derive_seed(2024, "kernel-exact-r6"), 1000)
+    yield condition_matrix(InterpolationProblem.uniform(cfg, 3, 8, None))
+    rng = np.random.default_rng(derive_seed(0, "lift-cases"))
+    for nr, nc, bits in ((3, 5, 100), (5, 8, 60), (6, 7, 40)):
+        rows = [[int(v) << int(s) for v, s in zip(r, rng.integers(0, bits - 30, nc))]
+                for r in rng.integers(-2**30, 2**30, (nr, nc))]
+        yield ExactMatrix.from_rows(rows)
+
+
+@pytest.mark.parametrize("index", range(4))
+def test_first_candidate_comes_at_the_full_reconstruction_digit_count(monkeypatch, index):
+    # the probes reconstruct whenever all of X does, so the first candidate
+    # comes at the first attempt where the full reconstruction succeeds
+    m = list(lift_cases())[index]
+    lifts = recorded_candidates(monkeypatch)
+    assert kernel_basis(m) == rref_kernel(m.entries.tolist(), m.cols)
+    (p, cap, candidates), = lifts
+    (digits, x), = candidates
+    assert digits == reference_first_candidate(p, x, cap)
+
+
+def test_a_refused_truncated_step_falls_back_to_the_full_reconstruction(monkeypatch):
+    real = exactla._reconstruct
+    refused = []
+
+    def refuse_truncated(xs, modulus, h=None, d=1):
+        if h is not None:  # the truncated step: X mod p^n1 under the full bound h
+            refused.append(modulus)
+            return None
+        return real(xs, modulus)
+
+    monkeypatch.setattr(exactla, "_reconstruct", refuse_truncated)
+    for m in lift_cases():
+        refused.clear()
+        assert kernel_basis(m) == rref_kernel(m.entries.tolist(), m.cols)
+        assert refused
 
 
 # moduli of 16 and 31 bits: one limb in every matmul here, and the most limbs.
