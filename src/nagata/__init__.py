@@ -24,7 +24,6 @@ from .exactla import (
     PrimeField,
     RankAccumulator,
     ReductionError,
-    is_prime,
     kernel_basis,
     rank,
 )
@@ -32,7 +31,6 @@ from .fatpoints import (
     InterpolationProblem,
     KernelPolynomial,
     condition_matrix,
-    condition_row,
     kernel_polynomials,
     monomial_count,
     monomials,
@@ -88,7 +86,6 @@ __all__ = [
     "build_approximant",
     "collision_experiment",
     "condition_matrix",
-    "condition_row",
     "default_radii",
     "derive_seed",
     "evaluate_approximant",
@@ -96,7 +93,6 @@ __all__ = [
     "grid_points",
     "harbourne_table_check",
     "invariant_report",
-    "is_prime",
     "kernel_basis",
     "kernel_polynomials",
     "make_config",

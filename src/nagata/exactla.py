@@ -145,9 +145,6 @@ class PrimeField:
 
     # -- scalar arithmetic ------------------------------------------------
 
-    def mul(self, a: int, b: int) -> int:
-        return a * b % self.modulus
-
     def inv(self, a: int) -> int:
         if a % self.modulus == 0:
             raise ZeroDivisionError("inverse of zero in prime field")
@@ -715,7 +712,10 @@ def _fraction(u: int, modulus: int, num_bound: int, den_bound: int):
     < modulus, so by Wang's lemma a fraction in the bounds, if there is one,
     is +-(r, t) at the first remainder r <= num_bound, and |t| only grows along
     the way: the loop stops as soon as |t| passes den_bound, which with the
-    small bound h // D of a shared denominator D is after a few steps."""
+    small bound h // D of a shared denominator D is after a few steps.
+    Where g = gcd(r, t) shares a factor with the modulus, (r / g, t / g) is
+    not congruent to u (r - u t = s modulus with s prime to t), so the
+    answer is None."""
     r0, r1, t0, t1 = modulus, u, 0, 1
     while r1 > num_bound:
         if abs(t1) > den_bound:
@@ -724,7 +724,7 @@ def _fraction(u: int, modulus: int, num_bound: int, den_bound: int):
         r0, r1, t0, t1 = r1, r0 - q * r1, t1, t0 - q * t1
     g = gcd(t1, r1) * (1 if t1 > 0 else -1)
     n, e = r1 // g, t1 // g
-    return (n, e) if 1 < e <= den_bound else None
+    return (n, e) if 1 < e <= den_bound and gcd(g, modulus) == 1 else None
 
 
 # ---------------------------------------------------------------------------

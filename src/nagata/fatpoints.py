@@ -14,8 +14,9 @@ growth, and the formula is valid verbatim over a prime field with p >> m.
 Every factor C(b, a) * x^(b - a) of an entry is read from a per-point,
 per-coordinate table that grows by one column per degree, so a block of
 columns (a whole matrix, or a few degrees' new monomials in DimensionSearch)
-is a product of n gathered arrays.  ``condition_row`` evaluates the same
-formula independently and serves as the reference in the tests.
+is a product of n gathered arrays.  ``condition_row`` of
+``tests/oracles.py`` evaluates the same formula independently and serves
+as the reference in the tests.
 
 Over Q the tables hold Python ints, those of each point as the primitive
 integer vector (c_j, c_j x_j) of P^n, c_j the lcm of its denominators
@@ -110,26 +111,6 @@ def monomials(n: int, d: int) -> list:
 
 def monomial_count(n: int, d: int) -> int:
     return comb(d + n, n)
-
-
-def condition_row(point, alpha, basis) -> list:
-    """Row expressing vanishing of the (z - p)^alpha Taylor coefficient.
-
-    Entries are exact rationals, one per basis monomial.
-    """
-    point = tuple(Fraction(x) for x in point)
-    row = []
-    for beta in basis:
-        if any(b < a for b, a in zip(beta, alpha)):
-            row.append(Fraction(0))
-            continue
-        val = Fraction(1)
-        for b, a, p in zip(beta, alpha, point):
-            val *= comb(b, a)
-            if b > a:
-                val *= p ** (b - a)
-        row.append(val)
-    return row
 
 
 def uniform_orders(config: PointConfig, l: int) -> tuple:
@@ -483,14 +464,16 @@ def _cremona_nonempty(config: PointConfig, orders, degree: int, field: PrimeFiel
     True at fewer than three points, each of order <= d (a power of their
     line times a power of a line through the first), or at a standard form,
     d >= m_1 + m_2 + m_3, with more monomials than conditions (chi >= 1);
-    at a standard form with chi <= 0 it cannot tell.  With a point that has
-    no image mod p there is no chain: the search raises its ReductionError
-    there.
+    at a standard form with chi <= 0 it cannot tell.
+
+    A point whose primitive vector has w = 0 mod p (p divides a
+    denominator) needs no refusal: it has no affine image mod p, but its
+    primitive vector is nonzero mod p, a point of P^2(F_p) at infinity like
+    any other.  Every check above reduces an integer that the same steps
+    make from the primitive vectors over Z, and none singles out w.
     """
     p = field.modulus
     images = tuple((w % p, x % p, y % p) for w, x, y in config.homogeneous)
-    if not all(h[0] for h in images):
-        return None
     alive = {j: m for j, m in enumerate(orders) if m > 0}
     d = degree
     while True:
@@ -634,17 +617,6 @@ class KernelPolynomial:
     def as_dict(self) -> dict:
         return dict(self.coefficients)
 
-    def evaluate_exact(self, point):
-        """Exact evaluation at a rational point (rational-domain polynomials)."""
-        total = Fraction(0)
-        for beta, c in self.coefficients:
-            term = Fraction(c)
-            for xi, b in zip(point, beta):
-                if b:
-                    term *= Fraction(xi) ** b
-            total += term
-        return total
-
 
 def vanishing_order(vectors, points, basis, field: PrimeField | None = None,
                     reached=None) -> tuple:
@@ -653,8 +625,9 @@ def vanishing_order(vectors, points, basis, field: PrimeField | None = None,
     point, with one order per vector.
 
     The order of P at p is the least t for which some (z - p)^alpha Taylor
-    coefficient with |alpha| = t, ``condition_row(p, alpha, basis) . c``, is
-    nonzero; a nonzero polynomial of degree <= d has order <= d.
+    coefficient with |alpha| = t, the dot of c with the condition row of
+    (p, alpha) (``condition_row`` of ``tests/oracles.py``), is nonzero; a
+    nonzero polynomial of degree <= d has order <= d.
     ``reached`` gives, per point, an order that every vector is already
     known to reach (0 by default); kernel_polynomials passes the problem's
     orders, whose shells its verified kernel has proven zero.  One
@@ -703,30 +676,6 @@ def vanishing_order(vectors, points, basis, field: PrimeField | None = None,
             orders[members[t][pts[at]], vs[of]] = t
         start += len(members[t]) * size
     return tuple(map(tuple, orders.tolist()))
-
-
-def poly_mul(a: dict, b: dict, field: PrimeField | None = None) -> dict:
-    out: dict = {}
-    for ba, ca in a.items():
-        for bb, cb in b.items():
-            key = tuple(x + y for x, y in zip(ba, bb))
-            if field is None:
-                out[key] = out.get(key, Fraction(0)) + ca * cb
-            else:
-                out[key] = (out.get(key, 0) + ca * cb) % field.modulus
-    return {k: v for k, v in out.items() if v}
-
-
-def proportional(a: dict, b: dict, field: PrimeField | None = None) -> bool:
-    """True when a and b agree up to a nonzero scalar."""
-    if set(a) != set(b):
-        return False
-    key = min(a, key=lambda k: (sum(k), tuple(-x for x in k)))
-    if field is None:
-        ratio = b[key] / a[key]
-        return all(b[k] == ratio * a[k] for k in a)
-    ratio = field.mul(b[key], field.inv(a[key]))
-    return all(b[k] == field.mul(ratio, a[k]) for k in a)
 
 
 def kernel_polynomials(problem: InterpolationProblem) -> list:

@@ -19,17 +19,18 @@ U is first put to quadratic transformations of the config's own points
 an empty class and the one at U to a nonempty one, U is the value over Q,
 with no search and no rank.  A step is taken only where its three centres
 are not collinear and no other point lies on a line through two of them;
-both checks are values nonzero mod the search prime, hence nonzero over Q,
+both checks are values nonzero mod a prime, hence nonzero over Q,
 so each step is an isomorphism of the blown-up planes over Q.  That closes
 all 72 cells of the Harbourne table (seeds 2024, 7 and 11).  Every other
-cell is bounded below by a search mod 2^31 - 1: a rank can only drop mod p, so a degree with no kernel
-mod p has none over Q.  Where the search finds none below the bound, the
-bound is the value over Q.  Otherwise the bound is tightened by products of
-the certified lower levels, and one loop steps up to it until one exact
-rank over Q finds a kernel.  So every value is certified over Q, and no
-check takes a scalar domain or a search prime.  Every rank is of the
-reduced matrix of fatpoints: a projective frame sends a point of the
-largest order to the origin and up to n more points to the points at
+cell is bounded below by a search mod the first prime from 2^31 - 1 down
+under which every point reduces: a rank can only drop mod p, so a degree
+with no kernel mod p has none over Q.  Where the search finds none below
+the bound, the bound is the value over Q.  Otherwise the bound is tightened
+by products of the certified lower levels, and one loop steps up to it
+until one exact rank over Q finds a kernel.  So every value is certified
+over Q, and no check takes a scalar domain or a search prime.  Every rank
+is of the reduced matrix of fatpoints: a projective frame sends a point of
+the largest order to the origin and up to n more points to the points at
 infinity of the axes, their conditions drop and only delete monomials, and
 the dimension is the same.
 """
@@ -41,9 +42,10 @@ from bisect import bisect_right
 from dataclasses import dataclass, field as dc_field
 from fractions import Fraction
 from functools import lru_cache
+from itertools import chain
 
 from .configs import PointConfig, frac_str, generic_points
-from .exactla import PrimeField, ReductionError
+from .exactla import PrimeField, _lift_fields
 from .fatpoints import (
     DimensionSearch,
     InterpolationProblem,
@@ -101,8 +103,8 @@ def omega_l(config: PointConfig, l: int, scalar="field", prime=None) -> int:
     order >= l (times any per-point multiplicities) at every config point.
 
     The same certified value over Q whatever ``scalar`` and ``prime`` (the
-    search modulus, 2^31 - 1 by default); they remain only because
-    ``perfbench/layers.py`` binds them.  See ``_omega``.
+    first search modulus tried, 2^31 - 1 by default); they remain only
+    because ``perfbench/layers.py`` binds them.  See ``_omega``.
     """
     fld = resolve_scalar(scalar, prime)
     return _omega(config, l, fld or DEFAULT_FIELD, {})
@@ -117,37 +119,35 @@ def _omega(config: PointConfig, l: int, field: PrimeField, levels: dict) -> int:
     (``_cremona_nonempty``), U is the value and nothing is built: no
     search, rank or lower level.  Every other cell takes the search: one
     whose chain is refused (collinear centres, or another point of
-    positive order on a line through two of them, mod p), one with a point
-    that has no image mod p, and one whose chains do not end in those two
-    answers (U above the value, or a standard form with chi <= 0, as for
-    r >= 10 points).
+    positive order on a line through two of them, mod p), and one whose
+    chains do not end in those two answers (U above the value, or a
+    standard form with chi <= 0, as for r >= 10 points).
 
-    The search runs mod p below U; with no kernel mod p there, U is the
-    value.  The first degree d_p with a kernel mod p is a lower bound (a
-    rank can only drop mod p).  From there, U is tightened by products of
-    the certified lower levels, omega(a) + omega(l - a), computed here only
-    for such an open cell, and one loop steps d up to it until an exact rank
-    over Q (``rational_dimension``) finds a kernel.  With a point that has
-    no image mod p, the search's lower end is the largest order.
+    The search runs below U mod p, the first prime, from ``field`` and
+    then down from 2^31 - 1 (``exactla._lift_fields``), under which every
+    point reduces; with no kernel mod p there, U is the value.  The first
+    degree d_p with a kernel mod p is a lower bound (a rank can only drop
+    mod p).  From there, U is tightened by products of the certified lower
+    levels, omega(a) + omega(l - a), computed here only for such an open
+    cell, and one loop steps d up to it until an exact rank over Q
+    (``rational_dimension``) finds a kernel.
     """
     orders = uniform_orders(config, l)
     bound = _upper_bound(config, l)
     if config.dimension == 2 and (_cremona_nonempty(config, orders, bound - 1, field),
                                   _cremona_nonempty(config, orders, bound, field)) == (False, True):
         return bound
-    try:
-        search = DimensionSearch(config, orders, field)
-    except ReductionError:
-        d = max(orders)
-    else:
-        # where the count leaves the bound open, it has a kernel mod p too
-        top = bound - (monomial_count(config.dimension, bound) > search.n_conditions)
-        search.dimension_at(top)  # the whole matrix in one pass
-        d = next((e for e in range(max(orders), top + 1)
-                  if search.dimension_at(e) >= 1), top + 1)
-        if d > bound:
-            raise RuntimeError(f"no kernel mod {field.modulus} at degree "
-                               f"{bound}, the count-and-product bound on omega_l")
+    search_field = next(f for f in chain([field], _lift_fields())
+                        if all(h[0] % f.modulus for h in config.homogeneous))
+    search = DimensionSearch(config, orders, search_field)
+    # where the count leaves the bound open, it has a kernel mod p too
+    top = bound - (monomial_count(config.dimension, bound) > search.n_conditions)
+    search.dimension_at(top)  # the whole matrix in one pass
+    d = next((e for e in range(max(orders), top + 1)
+              if search.dimension_at(e) >= 1), top + 1)
+    if d > bound:
+        raise RuntimeError(f"no kernel mod {search_field.modulus} at degree "
+                           f"{bound}, the count-and-product bound on omega_l")
     for a in range(1, l // 2 + 1):
         if d == bound:
             break

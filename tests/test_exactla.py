@@ -683,7 +683,8 @@ def test_fraction_matches_wang_reconstruction(p, digits, den, den_bound, data):
     # the loop stops once |t| passes den_bound; it must still give Wang's
     # fraction, and None where Wang finds none, on residues with and without
     # one.  Where the last remainder and t share the prime, the oracle's
-    # quotient by their gcd is not congruent to u, and None is right there
+    # quotient by their gcd is not congruent to u, and None is right there;
+    # every fraction returned is congruent to u
     assume(den % p)
     modulus = p ** digits
     h = isqrt(modulus // 2)
@@ -695,6 +696,7 @@ def test_fraction_matches_wang_reconstruction(p, digits, den, den_bound, data):
     got = exactla._fraction(u, modulus, h, den_bound)
     want = reference_fraction(u, modulus, h, den_bound)
     assert got == want or (got is None and (want[0] - u * want[1]) % modulus)
+    assert got is None or (got[0] - u * got[1]) % modulus == 0
 
 
 def lift_cases():

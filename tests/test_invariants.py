@@ -4,12 +4,12 @@ import math
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from nagata import fatpoints, invariants
 from nagata.configs import generic_points, grid_points, make_config, two_point_example
-from nagata.exactla import PrimeField, ReductionError
+from nagata.exactla import PrimeField
 from nagata.fatpoints import (
     DimensionSearch,
     InterpolationProblem,
@@ -109,11 +109,14 @@ def test_rational_omega_without_modular_image():
     assert omega_l(cfg, 1) == omega_l(cfg, 1, "rational") == rational_scan(cfg, 1) == 1
 
 
-def test_field_omega_without_image_mod_the_search_prime():
-    # 1/(2^31 - 1) has no image mod the default prime: no search, and exact
-    # ranks step up from the largest order
+def test_field_omega_without_image_mod_the_search_prime(monkeypatch):
+    # 1/(2^31 - 1) has no affine image mod the default prime, but its
+    # primitive vector is a point at infinity there, and the quadratic
+    # transformations certify the bound, 4, with no search
+    built, ranked = recorded_searches(monkeypatch)
     cfg = make_config([[Fraction(1, 2**31 - 1), 0], [1, 2], [2, 5], [4, 1], [3, 3]])
     assert omega_l(cfg, 2) == omega_l(cfg, 2, "rational") == rational_scan(cfg, 2) == 4
+    assert not built and not ranked
 
 
 def test_a_degree_the_count_settles_needs_no_confirmation():
@@ -350,6 +353,55 @@ def test_cremona_certifies_from_fewer_than_three_points(monkeypatch):
     assert omega_l(cfg, 3) == omega_l(cfg, 3, "rational") == 3
     assert not built and not ranked
     assert rational_scan(cfg, 3) == 3
+
+
+@st.composite
+def sevens_configs(draw, dimensions=(2, 3)):
+    """Up to five plane points or three points of 3-space, coordinates
+    k / q with k in -3..3 and q in 1, 3, 7, 14, 49, so that most points have
+    no affine image mod 7; multiplicities 1..3."""
+    n = draw(st.sampled_from(dimensions))
+    coord = st.builds(Fraction, st.integers(-3, 3), st.sampled_from([1, 3, 7, 14, 49]))
+    points = draw(st.lists(st.tuples(*[coord] * n), min_size=1, max_size=5 if n == 2 else 3,
+                           unique=True))
+    mults = st.lists(st.integers(1, 3), min_size=len(points), max_size=len(points))
+    return make_config(points, draw(mults))
+
+
+@settings(deadline=None, max_examples=100)
+@given(sevens_configs(dimensions=(2,)))
+@example(make_config([[1, 0], [0, 1], [Fraction(1, 7), Fraction(6, 7)]], [2, 2, 2]))
+def test_cremona_answer_is_sound_at_points_at_infinity_mod_p(cfg):
+    # a point whose denominator 7 divides is a point at infinity mod 7: the
+    # chain runs through it, and every answer matches the exact rank over Q.
+    # In the example (1/7, 6/7) is (0 : 1 : 6) mod 7, on the line x + y = 1
+    # of the other two: the step must be refused, as read off that line
+    # it would call degree 2 empty, though the square of the line is there
+    orders = uniform_orders(cfg, 1)
+    for d in range(max(orders) + 6):
+        nonempty = _cremona_nonempty(cfg, orders, d, PrimeField(7))
+        if nonempty is not None:
+            assert (rational_dimension(cfg, orders, d) >= 1) == nonempty
+
+
+@settings(deadline=None, max_examples=60)
+@given(sevens_configs())
+def test_omega_is_the_same_whatever_prime_the_search_starts_from(cfg):
+    # mod 7 some points have no affine image, and the search takes the first
+    # prime from 2^31 - 1 down under which every point reduces
+    for l in (1, 2, 3):
+        assert omega_l(cfg, l, prime=7) == omega_l(cfg, l) == rational_scan(cfg, l)
+
+
+def test_a_point_without_image_moves_the_search_to_the_next_prime(monkeypatch):
+    # 1/(2^31 - 1) has no affine image mod 2^31 - 1, and the three points of
+    # largest order lie on the line y = 0, so the chain is refused and every
+    # level is searched, mod 2^31 - 19
+    cfg = make_config([[Fraction(1, 2**31 - 1), 0], [0, 0], [1, 0], [2, 0], [3, 5], [5, 2]],
+                      CENTRED)
+    built, _ = recorded_searches(monkeypatch)
+    assert omega_table(cfg, 3) == ((1, 3), (2, 6), (3, 9))
+    assert built and {modulus for modulus, _ in built} == {2147483629}
 
 
 @pytest.mark.parametrize("scalar", ["field", "rational"])
