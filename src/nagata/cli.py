@@ -45,7 +45,6 @@ from .invariants import (
     invariant_report,
     nagata_check,
     omega_table,
-    waldschmidt_interval,
 )
 from .seeds import derive_seed
 

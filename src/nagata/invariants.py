@@ -12,27 +12,33 @@ upper bound, superadditivity).  Omega(S) itself is a limit over all l and is
 never reported as a point value, only as this interval.
 
 Everything here is exact: integer comparisons and Fraction arithmetic, never
-floating point.  omega_l is bounded above by counts alone (more monomials
-than conditions, or a product of two lower levels).  In the plane the bound
-U is first put to quadratic transformations of the config's own points
-(``fatpoints._cremona_nonempty``): where they take the system at U - 1 to
-an empty class and the one at U to a nonempty one, U is the value over Q,
-with no search and no rank.  A step is taken only where its three centres
-are not collinear and no other point lies on a line through two of them;
-both checks are values nonzero mod a prime, hence nonzero over Q,
-so each step is an isomorphism of the blown-up planes over Q.  That closes
-all 72 cells of the Harbourne table (seeds 2024, 7 and 11).  Every other
-cell is bounded below by a search mod the first prime from 2^31 - 1 down
-under which every point reduces: a rank can only drop mod p, so a degree
-with no kernel mod p has none over Q.  Where the search finds none below
-the bound, the bound is the value over Q.  Otherwise the bound is tightened
-by products of the certified lower levels, and one loop steps up to it
-until one exact rank over Q finds a kernel.  So every value is certified
-over Q, and no check takes a scalar domain or a search prime.  Every rank
-is of the reduced matrix of fatpoints: a projective frame sends a point of
-the largest order to the origin and up to n more points to the points at
-infinity of the axes, their conditions drop and only delete monomials, and
-the dimension is the same.
+floating point.  Each omega_l is an interval [lo, hi] over Q, narrowed by
+certificates until lo = hi: hi starts at U = ``_upper_bound`` (monomial
+counts and products of lower bounds), lo at 0, so that even a cell whose
+U is its largest order (one or two points) meets a certificate that could
+contradict U.  They run cheapest first, each only while lo < hi, and one
+that would put lo above hi raises RuntimeError:
+
+1. In the plane, quadratic transformations of the points mod p
+   (``fatpoints._cremona_nonempty``) that take the system at U - 1 to an
+   empty class, and then the one at U to a nonempty one, set lo = U.  A
+   step is taken only where its three centres are not collinear and no
+   other point lies on a line through two of them: values nonzero mod p,
+   hence over Q, so each step is an isomorphism of the blown-up planes
+   over Q.  That closes all 72 Harbourne cells (seeds 2024, 7 and 11).
+2. A search mod p, the prime of ``field`` or else the first from 2^31 - 1
+   down (``exactla._lift_fields``) under which every point reduces, sets lo
+   to the first degree with a kernel mod p (a rank can only drop mod p); it
+   builds U too where the count leaves U open.
+3. Products of the certified lower levels, omega(a) + omega(l - a), lower
+   hi; one memo (``levels``) computes each lower level once.
+4. Exact ranks over Q (``rational_dimension``) step lo up to the first
+   degree with a kernel, or to hi.
+
+Every rank is of the reduced matrix of fatpoints: a projective frame sends
+a point of the largest order to the origin and up to n more points to the
+points at infinity of the axes, their conditions drop and only delete
+monomials, and the dimension is the same.
 """
 
 from __future__ import annotations
@@ -111,52 +117,49 @@ def omega_l(config: PointConfig, l: int, scalar="field", prime=None) -> int:
 
 
 def _omega(config: PointConfig, l: int, field: PrimeField, levels: dict) -> int:
-    """omega_l over Q, certified or searched mod ``field``; ``levels``
-    memoizes the lower levels one call computes.
-
-    In the plane, where quadratic transformations of the points mod p show
-    the system empty at U - 1 and not at U = ``_upper_bound``
-    (``_cremona_nonempty``), U is the value and nothing is built: no
-    search, rank or lower level.  Every other cell takes the search: one
-    whose chain is refused (collinear centres, or another point of
-    positive order on a line through two of them, mod p), and one whose
-    chains do not end in those two answers (U above the value, or a
-    standard form with chi <= 0, as for r >= 10 points).
-
-    The search runs below U mod p, the first prime, from ``field`` and
-    then down from 2^31 - 1 (``exactla._lift_fields``), under which every
-    point reduces; with no kernel mod p there, U is the value.  The first
-    degree d_p with a kernel mod p is a lower bound (a rank can only drop
-    mod p).  From there, U is tightened by products of the certified lower
-    levels, omega(a) + omega(l - a), computed here only for such an open
-    cell, and one loop steps d up to it until an exact rank over Q
-    (``rational_dimension``) finds a kernel.
-    """
+    """omega_l over Q: the interval of the module docstring, narrowed by its
+    certificates in order, searching mod ``field`` first; ``levels``
+    memoizes the lower levels one call computes."""
     orders = uniform_orders(config, l)
-    bound = _upper_bound(config, l)
-    if config.dimension == 2 and (_cremona_nonempty(config, orders, bound - 1, field),
-                                  _cremona_nonempty(config, orders, bound, field)) == (False, True):
-        return bound
-    search_field = next(f for f in chain([field], _lift_fields())
-                        if all(h[0] % f.modulus for h in config.homogeneous))
-    search = DimensionSearch(config, orders, search_field)
-    # where the count leaves the bound open, it has a kernel mod p too
-    top = bound - (monomial_count(config.dimension, bound) > search.n_conditions)
+    lo, hi = 0, _upper_bound(config, l)
+    for certificate in (_chain, _search, _products, _exact):
+        if lo < hi:
+            lo, hi = certificate(config, l, orders, field, levels, lo, hi)
+        if lo > hi:
+            raise RuntimeError(f"omega_l >= {lo}, above the count-and-product bound {hi}")
+    return lo
+
+
+def _chain(config, l, orders, field, levels, lo, hi):
+    if config.dimension == 2 and _cremona_nonempty(config, orders, hi - 1, field) is False:
+        lo = hi if _cremona_nonempty(config, orders, hi, field) else lo
+    return lo, hi
+
+
+def _search(config, l, orders, field, levels, lo, hi):
+    field = next(f for f in chain([field], _lift_fields())
+                 if all(h[0] % f.modulus for h in config.homogeneous))
+    search = DimensionSearch(config, orders, field)
+    # where the count leaves hi open, it has a kernel mod p too
+    top = hi - (monomial_count(config.dimension, hi) > search.n_conditions)
     search.dimension_at(top)  # the whole matrix in one pass
-    d = next((e for e in range(max(orders), top + 1)
-              if search.dimension_at(e) >= 1), top + 1)
-    if d > bound:
-        raise RuntimeError(f"no kernel mod {search_field.modulus} at degree "
-                           f"{bound}, the count-and-product bound on omega_l")
+    return next((d for d in range(max(orders), top + 1)
+                 if search.dimension_at(d) >= 1), top + 1), hi
+
+
+def _products(config, l, orders, field, levels, lo, hi):
     for a in range(1, l // 2 + 1):
-        if d == bound:
-            break
-        for b in {a, l - a} - levels.keys():
-            levels[b] = _omega(config, b, field, levels)
-        bound = min(bound, levels[a] + levels[l - a])
-    while d < bound and rational_dimension(config, orders, d) < 1:
-        d += 1
-    return d
+        if lo < hi:
+            for b in {a, l - a} - levels.keys():
+                levels[b] = _omega(config, b, field, levels)
+            hi = min(hi, levels[a] + levels[l - a])
+    return lo, hi
+
+
+def _exact(config, l, orders, field, levels, lo, hi):
+    while lo < hi and rational_dimension(config, orders, lo) < 1:
+        lo += 1
+    return lo, lo
 
 
 def _upper_bound(config: PointConfig, l: int) -> int:
@@ -224,15 +227,14 @@ def omega_s_witness_bound(config: PointConfig, l: int, d: int) -> Fraction:
     witnesses are always computed over the rationals: a mod-p reduction could
     only overstate an order, and the bound must stay certified.
     """
-    witnessed = _witnessed_ratio(config, l, d)
-    analytic = Fraction(config.r * l, omega_l(config, l))
-    return max(witnessed, analytic)
+    return _witness_bound(config, l, d, [(l, omega_l(config, l))])
 
 
-def _witnessed_ratio(config: PointConfig, l: int, d: int) -> Fraction:
-    problem = InterpolationProblem.uniform(config, l, d, None)
-    polys = kernel_polynomials(problem)  # raises when the system is empty
-    return max(Fraction(sum(p.achieved_orders), p.degree) for p in polys)
+def _witness_bound(config: PointConfig, l: int, d: int, table) -> Fraction:
+    """``omega_s_witness_bound`` at (l, d), analytic at every level of ``table``."""
+    polys = kernel_polynomials(InterpolationProblem.uniform(config, l, d, None))
+    witnessed = max(Fraction(sum(p.achieved_orders), p.degree) for p in polys)
+    return max([witnessed] + [Fraction(config.r * k, om) for k, om in table])
 
 
 def nagata_check(config: PointConfig, l_max: int) -> list:
@@ -377,9 +379,7 @@ def invariant_report(config: PointConfig, l_max: int) -> InvariantReport:
     _require_uniform(config, "the invariant report")
     table = omega_table(config, l_max)
     lower, upper = _interval_from_table(table, config.dimension)
-    w_lower = max(Fraction(config.r * l, om) for l, om in table)
-    # the analytic term of omega_s_witness_bound at l = 1 is already in w_lower
-    w_lower = max(w_lower, _witnessed_ratio(config, 1, table[0][1]))
+    w_lower = _witness_bound(config, 1, table[0][1], table)
     verdicts = [Verdict("interval-order", lower <= upper,
                         f"[{frac_str(lower)}, {frac_str(upper)}]")]
     for (l, ok), (_, om) in zip(_nagata_from_table(config, table), table):

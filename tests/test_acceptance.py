@@ -10,7 +10,6 @@ import time
 from fractions import Fraction
 
 import numpy as np
-import pytest
 
 from nagata.configs import generic_points, make_config, two_point_example
 from nagata.exactla import PrimeField
@@ -18,8 +17,7 @@ from nagata.fatpoints import InterpolationProblem, kernel_polynomials, vanishing
 from nagata.green import annulus_grid, ball_green_single_pole, build_approximant, \
     collision_experiment, polydisc_two_pole_limit, radial_profile, schwarz_check, \
     two_point_oracle
-from nagata.invariants import HARBOURNE_CR, harbourne_table_check, nagata_check, \
-    omega_l, omega_table, waldschmidt_interval
+from nagata.invariants import harbourne_table_check, nagata_check, omega_l, omega_table
 from nagata.seeds import derive_seed
 from oracles import poly_mul, proportional
 

@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from nagata import invariants
-from nagata.configs import generic_points, grid_points, make_config, two_point_example
+from nagata.configs import grid_points, make_config, two_point_example
 from nagata.fatpoints import KernelPolynomial
 from nagata.green import (
     NEG_INF,

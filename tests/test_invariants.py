@@ -4,7 +4,7 @@ import math
 from fractions import Fraction
 
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from nagata import fatpoints, invariants
@@ -295,6 +295,37 @@ def test_harbourne_table_takes_each_quadratic_step_once(monkeypatch, seed):
     assert not built
 
 
+def recorded_chain(monkeypatch):
+    """Wrap the quadratic transformations omega_l asks: returns the list of
+    (degree, answer) of every call."""
+    calls = []
+
+    def recording(config, orders, degree, field):
+        calls.append((degree, chain(config, orders, degree, field)))
+        return calls[-1][1]
+
+    chain = invariants._cremona_nonempty
+    monkeypatch.setattr(invariants, "_cremona_nonempty", recording)
+    return calls
+
+
+@pytest.mark.parametrize("seed", [2024, 7])
+def test_the_chain_is_asked_at_the_bound_only_after_it_answers_below(monkeypatch, seed):
+    # 12 general points end in a standard form with chi <= 0 just below each
+    # bound (4, 8, 11), which the chain cannot tell: one call per level, and
+    # each level is searched
+    calls = recorded_chain(monkeypatch)
+    built, _ = recorded_searches(monkeypatch)
+    assert omega_table(generic_points(2, 12, seed), 3) == ((1, 4), (2, 8), (3, 11))
+    assert calls == [(3, None), (7, None), (10, None)]
+    assert len(built) == 3
+    # a Harbourne cell: empty just below its bound, 5, then nonempty at it
+    calls.clear()
+    assert omega_l(generic_points(2, 6, seed), 2) == 5
+    assert calls == [(4, False), (5, True)]
+    assert len(built) == 3
+
+
 def scanned_bound(cfg, l):
     """Reference for _upper_bound: each count by a linear scan of the
     degrees, every level recomputed."""
@@ -368,15 +399,43 @@ def sevens_configs(draw, dimensions=(2, 3)):
     return make_config(points, draw(mults))
 
 
+@st.composite
+def refused_configs(draw):
+    """Plane configs whose first quadratic transformation must be refused:
+    three points of the largest order m on a line, or a fourth point of
+    order below m on the line through two of them.  One point of the line
+    has a coordinate k / q with q in 7, 14, 49, a point at infinity mod 7,
+    and up to two more points of order below m have coordinates as in
+    ``sevens_configs``."""
+    coord = st.builds(Fraction, st.integers(-3, 3), st.sampled_from([1, 3, 7, 14, 49]))
+    a, c = draw(st.lists(st.tuples(coord, coord), min_size=2, max_size=2, unique=True))
+    unit = st.sampled_from([-3, -2, -1, 1, 2, 3])
+    seventh = st.builds(Fraction, unit, st.sampled_from([7, 14, 49]))
+    e = draw(st.tuples(seventh, coord) | st.tuples(coord, seventh))
+    t = draw(st.sampled_from([-2, -1, Fraction(-1, 2), Fraction(1, 2), Fraction(1, 3), 2, 3]))
+    line = draw(st.permutations([a, e, tuple(u + t * (v - u) for u, v in zip(a, e))]))
+    m = draw(st.integers(2, 3))
+    below = st.integers(1, m - 1)
+    if draw(st.booleans()):  # collinear centres
+        points, orders = line, [m, m, m]
+    else:  # the last point of the line on the line through the first two
+        points, orders = [line[0], line[1], c, line[2]], [m, m, m, draw(below)]
+    more = draw(st.lists(st.tuples(coord, coord), max_size=2))
+    points = [*points, *more]
+    assume(len(set(points)) == len(points))
+    return make_config(points, orders + [draw(below) for _ in more])
+
+
 @settings(deadline=None, max_examples=100)
-@given(sevens_configs(dimensions=(2,)))
+@given(sevens_configs(dimensions=(2,)) | refused_configs())
 @example(make_config([[1, 0], [0, 1], [Fraction(1, 7), Fraction(6, 7)]], [2, 2, 2]))
 def test_cremona_answer_is_sound_at_points_at_infinity_mod_p(cfg):
     # a point whose denominator 7 divides is a point at infinity mod 7: the
-    # chain runs through it, and every answer matches the exact rank over Q.
-    # In the example (1/7, 6/7) is (0 : 1 : 6) mod 7, on the line x + y = 1
-    # of the other two: the step must be refused, as read off that line
-    # it would call degree 2 empty, though the square of the line is there
+    # chain runs through it, and every answer matches the exact rank over Q,
+    # also where the step it must refuse involves such a point.  In the
+    # example (1/7, 6/7) is (0 : 1 : 6) mod 7, on the line x + y = 1 of the
+    # other two: the step must be refused, as read off that line it would
+    # call degree 2 empty, though the square of the line is there
     orders = uniform_orders(cfg, 1)
     for d in range(max(orders) + 6):
         nonempty = _cremona_nonempty(cfg, orders, d, PrimeField(7))
